@@ -231,14 +231,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", default="1", help="penalty rate, or 'auto'")
         p.add_argument("--visibility", type=float, default=1.0,
                        help="analyzer interference visibility in [0, 1]")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--ensemble", dest="ensemble_path", default=None,
                        help="referee ensemble JSON (default: ideal)")
         p.add_argument("--out", dest="output_path", default=None)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("payoff", help="exact payoff, optionally with a sampled estimate")
     common(p, w=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--n", dest="n_per_setting", type=int, default=0,
                    help="rounds per setting for the Monte Carlo estimate")
     p.set_defaults(func=cmd_payoff)
@@ -261,6 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a tally and estimate the payoff")
     common(p, w=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", dest="n_per_setting", type=int, default=0,
                    help="rounds per setting")
     p.set_defaults(func=cmd_simulate)

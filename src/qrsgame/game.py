@@ -4,34 +4,31 @@ One round: the referee draws a key (j, s) uniformly from the six settings,
 announces j to Alice and sends Bob the referee state for (j, s). Alice
 replies with a sign a, Bob with a bit b. The payoff averages, per setting,
 
-    scale * sum_(j,s) [ g(j,s) <a b> - penalty(j,s) <b> ]
+    2 * sum_(j,s) [ s <a b> - (r / sqrt(3)) <b> ]
 
-where the canonical instance uses g = s, penalty weight r/sqrt(3) and
-scale 2, so a correct correlated click is rewarded and every click is
-taxed in proportion to r. Only per-setting conditional averages enter, so
-the evaluation is independent of the referee's (uniform) key distribution.
+so a click whose sign a matches the referee's s is rewarded and every
+click is taxed in proportion to the penalty rate r. Only per-setting
+conditional averages enter, so the evaluation is independent of the
+referee's (uniform) key distribution. This is the only game the package
+plays: a GameSpec holds nothing but the rate r.
 
-The generic structure is kept as a coefficient table over (row, key)
-pairs: rows in ``alice_inputs`` multiply the reported product <a b> for
-their own key, rows in ``constant_outputs`` contribute a fixed output
-value times <b>. The canonical game is the six-key table with g = s plus
-one constant row holding -r/sqrt(3).
-
-Strategies come in three shapes. HonestQuantum shares a two-qubit state
-and lets Bob project his half together with the referee qubit onto a
-partial Bell-state analyzer. LhsDeterministic fixes Alice's answers and
-gives Bob only a local hidden qubit to combine with the referee state.
-CustomLocal mixes arbitrary local response tables with arbitrary effects
-on the referee qubit; it is the fuzzing family used by the adversarial
-tests. All functions are pure and every random draw is made from an
-explicit per-setting substream of the caller's seed, so results never
-depend on scheduling or thread count.
+Strategies come in two forms. HonestQuantum shares a two-qubit state and
+lets Bob project his half together with the referee qubit onto a partial
+Bell-state analyzer. Every no-steering adversary is a mixture of local
+components: Alice answers from a response table and Bob clicks according
+to an effect on the referee qubit alone. CustomLocal is the general
+mixture and the fuzzing family of the adversarial tests; LhsDeterministic
+is its one-component case, with fixed Alice signs and the effect induced
+by a local hidden qubit. All functions are pure and every random draw is
+made from an explicit per-setting substream of the caller's seed, so
+results never depend on scheduling or thread count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,13 +117,16 @@ class LhsDeterministic:
     Bob holds ``hidden_state`` (a Bloch vector) instead of half of an
     entangled pair and measures ``bob_povm`` on hidden qubit + referee
     qubit. His response to any referee state is therefore governed by the
-    induced effect on the referee qubit alone, computed once here.
+    induced effect on the referee qubit alone, computed once here. The
+    strategy is the one-component local mixture whose Alice table answers
+    alice_signs with certainty; ``components`` holds that component.
     """
 
     alice_signs: tuple[int, int, int]
     hidden_state: np.ndarray
     bob_povm: BinaryPovm
     effect: np.ndarray = field(init=False, repr=False)
+    components: tuple[LocalComponent, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.alice_signs = tuple(int(a) for a in self.alice_signs)
@@ -135,6 +135,8 @@ class LhsDeterministic:
         rho = bloch_to_density(self.hidden_state)
         self.hidden_state = np.asarray(self.hidden_state, dtype=float)
         self.effect = partial_trace(tensor(rho, identity(2)) @ self.bob_povm.b1, "first")
+        alice_plus = {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), self.alice_signs)}
+        self.components = (LocalComponent(1.0, alice_plus, self.effect),)
 
 
 @dataclass
@@ -183,65 +185,19 @@ Strategy = HonestQuantum | LhsDeterministic | CustomLocal
 
 @dataclass
 class GameSpec:
-    """Coefficient table defining one instance of the steering game."""
+    """The steering game at one penalty rate r >= 0."""
 
-    alice_inputs: tuple[int, ...]
-    referee_keys: tuple[tuple[int, int], ...]
-    coefficients: dict[tuple[int, tuple[int, int]], float]
     r: float
-    payoff_scale: float
-    constant_outputs: dict[int, float]
 
     def __post_init__(self) -> None:
+        self.r = float(self.r)
         if self.r < 0.0:
             raise ValueError(f"penalty rate r must be nonnegative, got {self.r}")
-        if len(set(self.referee_keys)) != len(self.referee_keys):
-            raise ValueError("referee_keys contains duplicates")
-        keys = set(self.referee_keys)
-        reported = set(self.alice_inputs)
-        if reported & set(self.constant_outputs):
-            raise ValueError("a row cannot be both reported and constant")
-        for (row, key), g in self.coefficients.items():
-            if key not in keys:
-                raise ValueError(f"coefficient references unknown key {key}")
-            if row in reported:
-                if row != key[0]:
-                    raise ValueError(
-                        f"reported row {row} can only weight its own key, got {key}"
-                    )
-            elif row not in self.constant_outputs:
-                raise ValueError(f"coefficient references unknown row {row}")
-            float(g)
 
 
 def canonical_game(r: float) -> GameSpec:
-    """Six-key game with g = s, constant row -r/sqrt(3), overall scale 2."""
-    coefficients: dict[tuple[int, tuple[int, int]], float] = {}
-    for j, s in SETTING_KEYS:
-        coefficients[(j, (j, s))] = float(s)
-        coefficients[(0, (j, s))] = 1.0
-    return GameSpec(
-        alice_inputs=(1, 2, 3),
-        referee_keys=SETTING_KEYS,
-        coefficients=coefficients,
-        r=float(r),
-        payoff_scale=2.0,
-        constant_outputs={0: -float(r) / SQRT3},
-    )
-
-
-def is_canonical(spec: GameSpec) -> bool:
-    """True iff spec is exactly canonical_game(spec.r)."""
-    if tuple(sorted(spec.alice_inputs)) != (1, 2, 3):
-        return False
-    if set(spec.referee_keys) != set(SETTING_KEYS):
-        return False
-    if spec.payoff_scale != 2.0 or set(spec.constant_outputs) != {0}:
-        return False
-    if abs(spec.constant_outputs[0] + spec.r / SQRT3) > 1e-12:
-        return False
-    expected = canonical_game(spec.r).coefficients
-    return spec.coefficients == expected
+    """The game at rate r: reward s <a b>, tax r/sqrt(3) per click, scale 2."""
+    return GameSpec(r)
 
 
 def _joint_honest(strategy: HonestQuantum, omega: np.ndarray, j: int) -> dict:
@@ -257,13 +213,7 @@ def _joint_honest(strategy: HonestQuantum, omega: np.ndarray, j: int) -> dict:
     return probs
 
 
-def _joint_lhs(strategy: LhsDeterministic, omega: np.ndarray, j: int) -> dict:
-    q = real_trace_product(omega, strategy.effect)
-    a = strategy.alice_signs[j - 1]
-    return {(a, 1): q, (a, 0): 1.0 - q, (-a, 1): 0.0, (-a, 0): 0.0}
-
-
-def _joint_custom(strategy: CustomLocal, omega: np.ndarray, j: int) -> dict:
+def _joint_local(strategy: LhsDeterministic | CustomLocal, omega: np.ndarray, j: int) -> dict:
     probs = {cell: 0.0 for cell in _CELLS}
     for comp in strategy.components:
         q = real_trace_product(omega, comp.effect)
@@ -281,30 +231,20 @@ def joint_probabilities(
     omega = referee_state(ensemble, j, s)
     if isinstance(strategy, HonestQuantum):
         return _joint_honest(strategy, omega, j)
-    if isinstance(strategy, LhsDeterministic):
-        return _joint_lhs(strategy, omega, j)
-    if isinstance(strategy, CustomLocal):
-        return _joint_custom(strategy, omega, j)
+    if isinstance(strategy, (LhsDeterministic, CustomLocal)):
+        return _joint_local(strategy, omega, j)
     raise ValueError(f"unknown strategy type {type(strategy).__name__}")
-
-
-def _setting_moments(probs: dict[tuple[int, int], float]) -> tuple[float, float]:
-    m_ab = probs[(1, 1)] - probs[(-1, 1)]
-    m_b = probs[(1, 1)] + probs[(-1, 1)]
-    return m_ab, m_b
 
 
 def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) -> float:
     """Expected payoff of a strategy, from exact joint probabilities."""
+    tax = spec.r / SQRT3
     value = 0.0
-    for key in spec.referee_keys:
-        m_ab, m_b = _setting_moments(joint_probabilities(strategy, ensemble, *key))
-        g_rep = spec.coefficients.get((key[0], key), 0.0)
-        value += g_rep * m_ab
-        for row, a_const in spec.constant_outputs.items():
-            g = spec.coefficients.get((row, key), 0.0)
-            value += g * a_const * m_b
-    return spec.payoff_scale * value
+    for j, s in SETTING_KEYS:
+        probs = joint_probabilities(strategy, ensemble, j, s)
+        value += s * (probs[(1, 1)] - probs[(-1, 1)])
+        value -= tax * (probs[(1, 1)] + probs[(-1, 1)])
+    return 2.0 * value
 
 
 @dataclass
@@ -316,27 +256,27 @@ class TallyTable:
     def __post_init__(self) -> None:
         clean = {}
         for cell, n in self.counts.items():
-            j, s, a, b = cell
-            if (j, s) not in SETTING_KEYS or a not in (-1, 1) or b not in (0, 1):
-                raise ValueError(f"malformed tally cell {cell}")
-            n = int(n)
-            if n < 0:
-                raise ValueError(f"negative count {n} for cell {cell}")
+            n = self.check_cell(cell, n)
             if n:
-                clean[(j, s, a, b)] = n
+                clean[tuple(cell)] = n
         self.counts = clean
+
+    @staticmethod
+    def check_cell(cell: tuple[int, int, int, int], n: int) -> int:
+        """The count of one cell as an int; raises if either is out of range."""
+        j, s, a, b = cell
+        if (j, s) not in SETTING_KEYS or a not in (-1, 1) or b not in (0, 1):
+            raise ValueError(f"malformed tally cell {cell}")
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"negative count {n} for cell {cell}")
+        return n
 
     def cell(self, j: int, s: int, a: int, b: int) -> int:
         return self.counts.get((j, s, a, b), 0)
 
     def total(self, j: int, s: int) -> int:
         return sum(self.cell(j, s, a, b) for a, b in _CELLS)
-
-    def merged(self, other: "TallyTable") -> "TallyTable":
-        out = dict(self.counts)
-        for cell, n in other.counts.items():
-            out[cell] = out.get(cell, 0) + n
-        return TallyTable(out)
 
 
 def simulate_runs(
@@ -350,13 +290,14 @@ def simulate_runs(
 
     Each setting draws from its own substream seeded by (seed, j, s), so
     the tally is reproducible no matter how the settings are scheduled.
+    The draws do not depend on the rate in ``spec``.
     """
     if n_per_setting < 1:
         raise ValueError(f"n_per_setting must be at least 1, got {n_per_setting}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     counts: dict[tuple[int, int, int, int], int] = {}
-    for j, s in spec.referee_keys:
+    for j, s in SETTING_KEYS:
         probs = joint_probabilities(strategy, ensemble, j, s)
         p = np.array([max(probs[cell], 0.0) for cell in _CELLS])
         p /= p.sum()
@@ -394,21 +335,16 @@ def estimate_payoff(spec: GameSpec, tally: TallyTable) -> PayoffEstimate:
     the variance is the exact multinomial covariance evaluated at the
     observed frequencies, and settings add independently.
     """
+    tax = spec.r / SQRT3
     value = 0.0
     variance = 0.0
     totals = {}
-    for key in spec.referee_keys:
-        j, s = key
+    for j, s in SETTING_KEYS:
         n = tally.total(j, s)
         if n == 0:
             raise ValueError(f"tally has no runs for setting (j={j}, s={s})")
-        totals[key] = n
-        g_rep = spec.coefficients.get((key[0], key), 0.0)
-        g_const = sum(
-            spec.coefficients.get((row, key), 0.0) * a_const
-            for row, a_const in spec.constant_outputs.items()
-        )
-        w = {a: g_rep * a + g_const for a in (1, -1)}
+        totals[(j, s)] = n
+        w = {a: s * a - tax for a in (1, -1)}
         f = {a: tally.cell(j, s, a, 1) / n for a in (1, -1)}
         value += w[1] * f[1] + w[-1] * f[-1]
         variance += (
@@ -416,38 +352,28 @@ def estimate_payoff(spec: GameSpec, tally: TallyTable) -> PayoffEstimate:
             + w[-1] ** 2 * f[-1] * (1.0 - f[-1])
             - 2.0 * w[1] * w[-1] * f[1] * f[-1]
         ) / n
-    scale = spec.payoff_scale
-    return PayoffEstimate(scale * value, scale * math.sqrt(variance), totals)
+    return PayoffEstimate(2.0 * value, 2.0 * math.sqrt(variance), totals)
 
 
 def lhs_best_deterministic(
     spec: GameSpec, ensemble: RefereeEnsemble
 ) -> tuple[tuple[int, int, int], np.ndarray, float]:
-    """Best deterministic no-steering strategy against the canonical game.
+    """Best deterministic no-steering strategy at the game's rate.
 
     Returns (alice signs, optimal referee-side Bloch direction, payoff).
     The payoff is the top witness eigenvalue, i.e. the value reached when
     Bob projects onto the optimal direction at full strength. Ties pick
     the lexicographically smallest sign assignment.
     """
-    if not is_canonical(spec):
-        raise ValueError("lhs_best_deterministic requires the canonical game structure")
-    from .witness import assignment_vectors, t_operator
+    from .witness import assignment_vectors, t_operator, worst_assignment
 
-    best: tuple[tuple[int, int, int], np.ndarray, float] | None = None
-    for a1 in (-1, 1):
-        for a2 in (-1, 1):
-            for a3 in (-1, 1):
-                a = (a1, a2, a3)
-                payoff = float(eig_hermitian(t_operator(ensemble, a, spec.r))[0])
-                if best is None or payoff > best[2] + 1e-15:
-                    vec_a, vec_b = assignment_vectors(ensemble, a)
-                    t = vec_a - spec.r * vec_b
-                    norm = float(np.linalg.norm(t))
-                    direction = t / norm if norm > 1e-15 else np.zeros(3)
-                    best = (a, direction, payoff)
-    assert best is not None
-    return best
+    signs = worst_assignment(ensemble, spec.r)
+    payoff = float(eig_hermitian(t_operator(ensemble, signs, spec.r))[0])
+    vec_a, vec_b = assignment_vectors(ensemble, signs)
+    t = vec_a - spec.r * vec_b
+    norm = float(np.linalg.norm(t))
+    direction = t / norm if norm > 1e-15 else np.zeros(3)
+    return signs, direction, payoff
 
 
 def realize_lhs_best(spec: GameSpec, ensemble: RefereeEnsemble) -> LhsDeterministic:
@@ -517,23 +443,37 @@ def save_tally(tally: TallyTable, path: str) -> None:
         fh.write(format_tally(tally))
 
 
-def load_tally(path: str) -> TallyTable:
-    """Read a tally CSV; malformed rows raise with their line number."""
+def read_count_csv(
+    path: str,
+    header: list[str],
+    name: str,
+    check_cell: Callable[[tuple[int, int, int, int], int], int],
+) -> dict[tuple[int, int, int, int], int]:
+    """Read a CSV of four integer cell columns plus a count under ``header``.
+
+    Blank rows are skipped. A row that does not parse, whose cell or count
+    ``check_cell`` rejects, or that repeats a cell raises with its line.
+    """
     counts: dict[tuple[int, int, int, int], int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _TALLY_HEADER:
-            raise ValueError(f"tally header must be {','.join(_TALLY_HEADER)}")
+        if next(reader, None) != header:
+            raise ValueError(f"{name} header must be {','.join(header)}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                j, s, a, b, n = (int(x) for x in row)
+                j, s, x, y, n = (int(v) for v in row)
+                cell = (j, s, x, y)
+                n = check_cell(cell, n)
             except ValueError as exc:
-                raise ValueError(f"malformed tally row at line {lineno}: {row}") from exc
-            cell = (j, s, a, b)
+                raise ValueError(f"malformed {name} row at line {lineno}: {row} ({exc})") from exc
             if cell in counts:
-                raise ValueError(f"duplicate tally cell {cell} at line {lineno}")
+                raise ValueError(f"duplicate {name} cell {cell} at line {lineno}")
             counts[cell] = n
-    return TallyTable(counts)
+    return counts
+
+
+def load_tally(path: str) -> TallyTable:
+    """Read a tally CSV; malformed rows raise with their line number."""
+    return TallyTable(read_count_csv(path, _TALLY_HEADER, "tally", TallyTable.check_cell))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import SQRT3, CustomLocal, HonestQuantum, LhsDeterministic, LocalComponent, Strategy
-from .game import BinaryPovm, joint_probabilities
+from .game import BinaryPovm, joint_probabilities, read_count_csv
 from .qmath import (
     bloch_to_density,
     density_to_bloch,
@@ -168,16 +168,18 @@ class CountRecord:
     counts: dict[tuple[int, int, int, int], int]
 
     def __post_init__(self) -> None:
-        clean = {}
-        for cell, n in self.counts.items():
-            j, s, axis, outcome = cell
-            if (j, s) not in SETTING_KEYS or axis not in (1, 2, 3) or outcome not in (-1, 1):
-                raise ValueError(f"malformed count cell {cell}")
-            n = int(n)
-            if n < 0:
-                raise ValueError(f"negative count {n} for cell {cell}")
-            clean[cell] = n
-        self.counts = clean
+        self.counts = {cell: self.check_cell(cell, n) for cell, n in self.counts.items()}
+
+    @staticmethod
+    def check_cell(cell: tuple[int, int, int, int], n: int) -> int:
+        """The count of one cell as an int; raises if either is out of range."""
+        j, s, axis, outcome = cell
+        if (j, s) not in SETTING_KEYS or axis not in (1, 2, 3) or outcome not in (-1, 1):
+            raise ValueError(f"malformed count cell {cell}")
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"negative count {n} for cell {cell}")
+        return n
 
     def cell(self, j: int, s: int, axis: int, outcome: int) -> int:
         return self.counts.get((j, s, axis, outcome), 0)
@@ -189,6 +191,11 @@ def bloch_from_counts(record: CountRecord, key: tuple[int, int]) -> np.ndarray:
     Component i is (N+ - N-)/(N+ + N-) on axis i; vectors that land outside
     the unit ball from counting noise are clipped radially back onto it.
     """
+    return _invert_counts(record, key)[0]
+
+
+def _invert_counts(record: CountRecord, key: tuple[int, int]) -> tuple[np.ndarray, bool]:
+    # The inverted vector and whether it had to be clipped onto the sphere.
     j, s = key
     vec = np.zeros(3)
     for axis in (1, 2, 3):
@@ -201,7 +208,7 @@ def bloch_from_counts(record: CountRecord, key: tuple[int, int]) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm > 1.0:
         vec /= norm
-    return vec
+    return vec, norm > 1.0
 
 
 def ensemble_from_counts(
@@ -211,15 +218,8 @@ def ensemble_from_counts(
     vectors = {}
     clipped = []
     for key in SETTING_KEYS:
-        vec = bloch_from_counts(record, key)
-        vectors[key] = vec
-        j, s = key
-        raw = np.zeros(3)
-        for axis in (1, 2, 3):
-            plus = record.cell(j, s, axis, 1)
-            minus = record.cell(j, s, axis, -1)
-            raw[axis - 1] = (plus - minus) / (plus + minus)
-        if float(np.linalg.norm(raw)) > 1.0:
+        vectors[key], was_clipped = _invert_counts(record, key)
+        if was_clipped:
             clipped.append(key)
     return RefereeEnsemble(vectors), tuple(clipped)
 
@@ -373,11 +373,7 @@ def _dual_povm(kraus: tuple[np.ndarray, ...], povm: BinaryPovm) -> BinaryPovm:
 def _dual_strategy(kraus: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
     if isinstance(strategy, HonestQuantum):
         return HonestQuantum(strategy.shared_state, _dual_povm(kraus, strategy.bob_povm))
-    if isinstance(strategy, LhsDeterministic):
-        return LhsDeterministic(
-            strategy.alice_signs, strategy.hidden_state, _dual_povm(kraus, strategy.bob_povm)
-        )
-    if isinstance(strategy, CustomLocal):
+    if isinstance(strategy, (LhsDeterministic, CustomLocal)):
         components = tuple(
             LocalComponent(c.weight, dict(c.alice_plus), channel_dual(kraus, c.effect))
             for c in strategy.components
@@ -514,21 +510,4 @@ def save_counts(record: CountRecord, path: str) -> None:
 
 def load_counts(path: str) -> CountRecord:
     """Read a tomography-count CSV; malformed rows raise with line numbers."""
-    counts: dict[tuple[int, int, int, int], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _COUNTS_HEADER:
-            raise ValueError(f"counts header must be {','.join(_COUNTS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                j, s, axis, outcome, n = (int(x) for x in row)
-            except ValueError as exc:
-                raise ValueError(f"malformed counts row at line {lineno}: {row}") from exc
-            cell = (j, s, axis, outcome)
-            if cell in counts:
-                raise ValueError(f"duplicate counts cell {cell} at line {lineno}")
-            counts[cell] = n
-    return CountRecord(counts)
+    return CountRecord(read_count_csv(path, _COUNTS_HEADER, "counts", CountRecord.check_cell))

@@ -83,6 +83,10 @@ class TestPayoff:
         data = json.loads(capsys.readouterr().out)
         assert abs(data["r"] - 1.081) < 1e-6
 
+    def test_csv_format_rejected(self, capsys):
+        assert main(["payoff", "--W", "0.5", "--r", "1", "--format", "csv"]) == 2
+        capsys.readouterr()
+
     def test_bad_rate_string(self, capsys):
         assert main(["payoff", "--W", "0.5", "--r", "fast"]) == 2
         assert "--r must be a number or 'auto'" in capsys.readouterr().err
@@ -155,6 +159,12 @@ class TestCalibrate:
     def test_missing_file(self, capsys):
         assert main(["calibrate", "--ensemble", "/nonexistent/e.json"]) == 2
 
+    def test_out_of_range_count_names_line(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("j,s,axis,outcome,count\n1,+1,1,+1,10\n1,+1,4,+1,3\n")
+        assert main(["calibrate", "--counts", str(path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_and_thresholds(self, capsys):
@@ -185,6 +195,11 @@ class TestSweep:
         assert main(["sweep", "--r", "1", "--w-min", "0.9", "--w-max", "0.2",
                      "--steps", "5"]) == 2
         assert "grid bounds" in capsys.readouterr().err
+
+    def test_unused_flags_rejected(self, capsys):
+        assert main(["sweep", "--r", "1", "--steps", "3", "--seed", "1"]) == 2
+        assert main(["sweep", "--r", "1", "--steps", "3", "--format", "json"]) == 2
+        capsys.readouterr()
 
 
 class TestSimulate:
@@ -224,6 +239,11 @@ class TestSimulate:
         assert main(["simulate", "--W", "0.5", "--r", "1"]) == 2
         assert "--n >= 1" in capsys.readouterr().err
 
+    def test_format_flag_rejected(self, capsys):
+        assert main(["simulate", "--W", "0.5", "--r", "1", "--n", "10",
+                     "--format", "json"]) == 2
+        capsys.readouterr()
+
 
 class TestChsh:
     def test_golden_point(self, capsys):
@@ -260,13 +280,21 @@ class TestParser:
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import qrsgame
+
+    # The child must import the same package as this process, installed or
+    # taken from a checkout's src/ by pytest's pythonpath setting.
+    src = os.path.dirname(os.path.dirname(qrsgame.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qrsgame.cli", "payoff", "--W", "1", "--r", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "exact_payoff = 1.267949192"

@@ -506,9 +506,10 @@ class TestCountsCsv:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("j,s,axis,outcome,count\n1,+1,1,+1,10\n1,+1,1,oops,3\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_counts(str(path))
+        for row in ("1,+1,1,oops,3", "1,+1,4,+1,3", "1,+1,1,0,3", "1,+1,1,-1,-3"):
+            path.write_text(f"j,s,axis,outcome,count\n1,+1,1,+1,10\n{row}\n")
+            with pytest.raises(ValueError, match="line 3"):
+                load_counts(str(path))
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
