@@ -51,7 +51,7 @@ class RunConfig:
     r: str = "1"
     visibility: float = 1.0
     n_per_setting: int = 0
-    seed: int = 0
+    seed: int | None = None
     ensemble_path: str | None = None
     counts_path: str | None = None
     output_path: str | None = None
@@ -59,7 +59,7 @@ class RunConfig:
     w_min: float = 0.0
     w_max: float = 1.0
     steps: int = 0
-    trials: int = 200
+    trials: int | None = None
 
 
 def _fmt(x: float) -> str:
@@ -105,6 +105,10 @@ def _estimate_dict(estimate: PayoffEstimate) -> dict:
 
 
 def cmd_payoff(cfg: RunConfig) -> int:
+    if cfg.n_per_setting < 0:
+        raise ValueError(f"--n must be nonnegative, got {cfg.n_per_setting}")
+    if cfg.n_per_setting == 0 and cfg.seed is not None:
+        raise ValueError("--seed is only used together with --n")
     ensemble = _load_ensemble(cfg)
     r = _resolve_r(cfg, ensemble)
     spec = canonical_game(r)
@@ -114,7 +118,7 @@ def cmd_payoff(cfg: RunConfig) -> int:
     regime = regime_classify(cfg.w, r)
     estimate = None
     if cfg.n_per_setting > 0:
-        tally = simulate_runs(spec, strategy, ensemble, cfg.n_per_setting, cfg.seed)
+        tally = simulate_runs(spec, strategy, ensemble, cfg.n_per_setting, cfg.seed or 0)
         estimate = estimate_payoff(spec, tally)
     if cfg.format == "json":
         data = {
@@ -144,10 +148,15 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     if (cfg.ensemble_path is None) == (cfg.counts_path is None):
         raise ValueError("calibrate needs exactly one of --ensemble or --counts")
     if cfg.ensemble_path is not None:
+        given = (("--trials", cfg.trials), ("--seed", cfg.seed))
+        unused = [flag for flag, value in given if value is not None]
+        if unused:
+            raise ValueError(f"calibrate --ensemble does not use {' or '.join(unused)}")
         report = calibrate(ensemble=load_ensemble(cfg.ensemble_path))
     else:
         record = load_counts(cfg.counts_path)
-        report = calibrate(counts=record, trials=cfg.trials, seed=cfg.seed)
+        trials = 200 if cfg.trials is None else cfg.trials
+        report = calibrate(counts=record, trials=trials, seed=cfg.seed or 0)
     data = report_to_dict(report)
     for key in ("r_star_oracle", "r_star_printed", "r_star_legal", "avg_fidelity"):
         data[key] = _round10(data[key])
@@ -192,7 +201,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     r = _resolve_r(cfg, ensemble)
     spec = canonical_game(r)
     strategy = _honest_strategy(cfg)
-    tally = simulate_runs(spec, strategy, ensemble, cfg.n_per_setting, cfg.seed)
+    tally = simulate_runs(spec, strategy, ensemble, cfg.n_per_setting, cfg.seed or 0)
     estimate = estimate_payoff(spec, tally)
     if cfg.output_path is not None:
         save_tally(tally, cfg.output_path)
@@ -237,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("payoff", help="exact payoff, optionally with a sampled estimate")
     common(p, w=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--n", dest="n_per_setting", type=int, default=0,
                    help="rounds per setting for the Monte Carlo estimate")
@@ -247,8 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", dest="ensemble_path", default=None)
     p.add_argument("--counts", dest="counts_path", default=None,
                    help="tomography counts CSV")
-    p.add_argument("--trials", type=int, default=200, help="bootstrap trials")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None, help="bootstrap trials (default 200)")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", dest="output_path", default=None)
     p.set_defaults(func=cmd_calibrate)
 
@@ -261,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a tally and estimate the payoff")
     common(p, w=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", dest="n_per_setting", type=int, default=0,
                    help="rounds per setting")
     p.set_defaults(func=cmd_simulate)

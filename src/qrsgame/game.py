@@ -361,19 +361,18 @@ def lhs_best_deterministic(
     """Best deterministic no-steering strategy at the game's rate.
 
     Returns (alice signs, optimal referee-side Bloch direction, payoff).
-    The payoff is the top witness eigenvalue, i.e. the value reached when
-    Bob projects onto the optimal direction at full strength. Ties pick
-    the lexicographically smallest sign assignment.
+    The payoff is the top witness eigenvalue |A - r B| - 2 sqrt(3) r, i.e.
+    the value reached when Bob projects onto the optimal direction at full
+    strength. Ties pick the lexicographically smallest sign assignment.
     """
-    from .witness import assignment_vectors, t_operator, worst_assignment
+    from .witness import assignment_vectors, worst_assignment
 
     signs = worst_assignment(ensemble, spec.r)
-    payoff = float(eig_hermitian(t_operator(ensemble, signs, spec.r))[0])
     vec_a, vec_b = assignment_vectors(ensemble, signs)
     t = vec_a - spec.r * vec_b
     norm = float(np.linalg.norm(t))
     direction = t / norm if norm > 1e-15 else np.zeros(3)
-    return signs, direction, payoff
+    return signs, direction, norm - 2.0 * SQRT3 * spec.r
 
 
 def realize_lhs_best(spec: GameSpec, ensemble: RefereeEnsemble) -> LhsDeterministic:

@@ -3,16 +3,16 @@
 A no-steering adversary with fixed Alice signs a and an arbitrary response
 effect E on the referee qubit collects payoff tr(E T_a(r)), where T_a(r)
 is the witness operator assembled from the referee Bloch vectors. The
-best such adversary therefore earns the top eigenvalue of T_a(r), and the
-game is sound at rate r exactly when that eigenvalue is nonpositive for
-all eight sign assignments. The calibration oracle locates the least such
-r by bisection.
+best such adversary therefore earns the top eigenvalue of T_a(r), which
+is |A_a - r B| - 2 sqrt(3) r in closed form, and the game is sound at rate
+r exactly when that value is nonpositive for all eight sign assignments.
+The calibration oracle takes the least such r as the largest root of a
+quadratic, rounded up to a multiple of 2^-34; the tests check it against
+bisection and the eigenvalues against numpy's eigensolver.
 
-Two closed-form readouts of that boundary circulate with different
-normalizations; ``rstar_printed`` evaluates the commonly quoted one, which
-returns 2 instead of 1 on the ideal ensemble because the sign-sum vector
-enters unhalved. Calibration reports carry both values side by side; the
-bisection oracle is the operational one.
+Calibration reports also carry ``rstar_printed``, a second closed-form
+readout with a different normalization; its docstring says how the two
+differ. The oracle is the operational one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .game import BinaryPovm, joint_probabilities, read_count_csv
 from .qmath import (
     bloch_to_density,
     density_to_bloch,
-    eig_hermitian,
     identity,
     pauli,
     real_trace_product,
@@ -62,6 +61,20 @@ class CalibrationError(RuntimeError):
     """Raised when no sound penalty rate can be certified."""
 
 
+_SIGNS = np.array(SIGN_TRIPLES, dtype=float)
+
+
+def _sign_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    # The eight A rows as an (8, 3) array in SIGN_TRIPLES order, and B.
+    vectors = ensemble.vectors
+    diffs = [vectors[(j, 1)] - vectors[(j, -1)] for j in (1, 2, 3)]
+    rows = _SIGNS[:, 0:1] * diffs[0] + _SIGNS[:, 1:2] * diffs[1] + _SIGNS[:, 2:3] * diffs[2]
+    vec_b = np.zeros(3)
+    for j in (1, 2, 3):
+        vec_b += (vectors[(j, 1)] + vectors[(j, -1)]) / SQRT3
+    return rows, vec_b
+
+
 def assignment_vectors(
     ensemble: RefereeEnsemble, assignment: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -72,14 +85,8 @@ def assignment_vectors(
     """
     if len(assignment) != 3 or any(a not in (-1, 1) for a in assignment):
         raise ValueError(f"assignment must be three values of +/-1, got {assignment}")
-    vec_a = np.zeros(3)
-    vec_b = np.zeros(3)
-    for j in (1, 2, 3):
-        plus = ensemble.vector(j, 1)
-        minus = ensemble.vector(j, -1)
-        vec_a += assignment[j - 1] * (plus - minus)
-        vec_b += (plus + minus) / SQRT3
-    return vec_a, vec_b
+    rows, vec_b = _sign_table(ensemble)
+    return rows[SIGN_TRIPLES.index(tuple(assignment))], vec_b
 
 
 def t_operator(
@@ -96,69 +103,91 @@ def t_operator(
     return out
 
 
+def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float) -> np.ndarray:
+    # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a at once.
+    if r < 0.0:
+        raise ValueError(f"penalty rate r must be nonnegative, got {r}")
+    return np.linalg.norm(rows - r * vec_b, axis=1) - TWO_SQRT3 * r
+
+
 def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
     """Best no-steering payoff at rate r: max over signs of the top
     witness eigenvalue."""
-    return max(
-        float(eig_hermitian(t_operator(ensemble, a, r))[0]) for a in SIGN_TRIPLES
-    )
+    return float(np.max(_top_eigenvalues(*_sign_table(ensemble), r)))
 
 
 def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
     """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
-    best = None
-    best_val = -math.inf
-    for a in SIGN_TRIPLES:
-        val = float(eig_hermitian(t_operator(ensemble, a, r))[0])
-        if val > best_val + 1e-15:
-            best, best_val = a, val
-    assert best is not None
-    return best
+    values = _top_eigenvalues(*_sign_table(ensemble), r)
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best] + 1e-15:
+            best = i
+    return SIGN_TRIPLES[best]
 
 
-_RSTAR_TOL = 1e-10
+def _largest_root(rows: np.ndarray, vec_b: np.ndarray, c: float) -> float:
+    # Largest over assignments of the positive root of
+    # (c - B.B) r^2 + 2 (A.B) r - A.A = 0, in the cancellation-free form
+    # A.A / (A.B + sqrt((A.B)^2 + (c - B.B) A.A)); A.A = 0 gives 0.
+    aa = np.einsum("ij,ij->i", rows, rows)
+    ab = rows @ vec_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = aa / (ab + np.sqrt(ab * ab + (c - float(vec_b @ vec_b)) * aa))
+    return float(np.max(np.where(aa == 0.0, 0.0, roots)))
+
+
+# r* is reported on the grid where a bisection on [0, 4] to 1e-10 ends, so
+# it matches the bisection oracle in the tests to within one grid step.
+_RSTAR_GRID = 2.0 ** -34
 
 
 def rstar_oracle(ensemble: RefereeEnsemble) -> float:
-    """Least r >= 0 with lhs_bound <= 0, by bisection on [0, 4].
+    """Least r >= 0 on the grid k * 2^-34 with lhs_bound(r) <= 0.
 
-    The returned value is the upper end of the final bracket, so the bound
-    at the result is guaranteed nonpositive.
+    The bound is nonpositive exactly when |A - r B| <= 2 sqrt(3) r for all
+    signs, so the boundary is the largest positive root of
+    (12 - B.B) r^2 + 2 (A.B) r - A.A = 0. That root is rounded up onto the
+    grid and stepped until the bound holds there and fails one step below:
+    the upper end of the final bracket of the bisection the tests keep as
+    this function's oracle, so the bound at the result is nonpositive.
+
+    At r = sqrt(3), A - r B = -2 sum_j n_(j,-a_j) has norm at most 6 =
+    2 sqrt(3) r, so r* <= sqrt(3) for every ensemble in the unit ball; the
+    "below 4" error only guards roots that come out NaN or infinite.
     """
-    if lhs_bound(ensemble, 0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 4.0
-    if lhs_bound(ensemble, hi) > 0.0:
+    rows, vec_b = _sign_table(ensemble)
+    root = _largest_root(rows, vec_b, 12.0)
+    if not root <= 4.0:
         raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
-    while hi - lo > _RSTAR_TOL:
-        mid = 0.5 * (lo + hi)
-        if lhs_bound(ensemble, mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+    def sound(k: int) -> bool:
+        return np.max(_top_eigenvalues(rows, vec_b, k * _RSTAR_GRID)) <= 0.0
+
+    k = math.ceil(root / _RSTAR_GRID)
+    while not sound(k):
+        k += 1
+        if k * _RSTAR_GRID > 4.0:
+            raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
+    while k > 0 and sound(k - 1):
+        k -= 1
+    return k * _RSTAR_GRID
 
 
 def rstar_printed(ensemble: RefereeEnsemble) -> float:
     """Closed-form calibration readout with the conventional normalization.
 
-    Evaluates max over signs of (sqrt((A.B)^2 + A.A (3 - B.B)) - A.B) over
-    (3 - B.B). On the ideal ensemble this yields 2, twice the operational
-    boundary found by rstar_oracle; both are reported so the discrepancy
-    stays visible.
+    The same root as rstar_oracle's with 3 in place of 12: the max over
+    signs of (sqrt((A.B)^2 + A.A (3 - B.B)) - A.B) / (3 - B.B). The
+    sign-sum vector enters unhalved, so on the ideal ensemble this yields
+    2, twice the operational boundary found by rstar_oracle; calibration
+    reports carry both so the discrepancy stays visible.
     """
-    _, vec_b = assignment_vectors(ensemble, (1, 1, 1))
+    rows, vec_b = _sign_table(ensemble)
     bb = float(vec_b @ vec_b)
-    denom = 3.0 - bb
-    if denom <= 0.0:
+    if 3.0 - bb <= 0.0:
         raise ValueError(f"printed closed form undefined: B.B = {bb:.6f} >= 3")
-    best = -math.inf
-    for a in SIGN_TRIPLES:
-        vec_a, _ = assignment_vectors(ensemble, a)
-        ab = float(vec_a @ vec_b)
-        aa = float(vec_a @ vec_a)
-        best = max(best, (math.sqrt(ab * ab + aa * denom) - ab) / denom)
-    return best
+    return _largest_root(rows, vec_b, 3.0)
 
 
 @dataclass

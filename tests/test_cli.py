@@ -87,6 +87,16 @@ class TestPayoff:
         assert main(["payoff", "--W", "0.5", "--r", "1", "--format", "csv"]) == 2
         capsys.readouterr()
 
+    def test_seed_without_runs_rejected(self, capsys):
+        assert main(["payoff", "--W", "0.9", "--r", "1", "--seed", "5"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert main(["payoff", "--W", "0.9", "--r", "1", "--n", "0", "--seed", "5"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_negative_runs_rejected(self, capsys):
+        assert main(["payoff", "--W", "0.9", "--r", "1", "--n", "-3"]) == 2
+        assert "--n must be nonnegative" in capsys.readouterr().err
+
     def test_bad_rate_string(self, capsys):
         assert main(["payoff", "--W", "0.5", "--r", "fast"]) == 2
         assert "--r must be a number or 'auto'" in capsys.readouterr().err
@@ -149,6 +159,14 @@ class TestCalibrate:
         ens_path = str(tmp_path / "ideal.json")
         save_ensemble(referee_ideal(), ens_path)
         assert main(["calibrate", "--ensemble", ens_path, "--counts", ens_path]) == 2
+
+    def test_bootstrap_flags_rejected_with_ensemble(self, tmp_path, capsys):
+        path = str(tmp_path / "ideal.json")
+        save_ensemble(referee_ideal(), path)
+        assert main(["calibrate", "--ensemble", path, "--trials", "7", "--seed", "3"]) == 2
+        assert "--trials or --seed" in capsys.readouterr().err
+        assert main(["calibrate", "--ensemble", path, "--seed", "0"]) == 2
+        assert "does not use --seed" in capsys.readouterr().err
 
     def test_malformed_ensemble_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

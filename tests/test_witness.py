@@ -210,6 +210,105 @@ class TestCalibrationOracle:
         assert rstar_oracle(aligned_ensemble()) == 0.0
 
 
+GRID = 2.0 ** -34
+
+
+def _eigen_bound(ensemble, r):
+    # lhs_bound through numpy's eigensolver on the eight witness operators.
+    return max(float(np.linalg.eigvalsh(t_operator(ensemble, a, r))[-1]) for a in SIGN_TRIPLES)
+
+
+def _bisect_rstar(ensemble):
+    """Least sound rate by bisection on [0, 4] to 1e-10: the oracle for
+    rstar_oracle's closed-form root and grid stepping."""
+    if lhs_bound(ensemble, 0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 4.0
+    if lhs_bound(ensemble, hi) > 0.0:
+        raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if lhs_bound(ensemble, mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _eigen_worst(ensemble, r):
+    # First assignment whose eigensolver value is within 1e-12 of the top:
+    # the tie rule of worst_assignment, robust to eigensolver rounding.
+    values = [float(np.linalg.eigvalsh(t_operator(ensemble, a, r))[-1]) for a in SIGN_TRIPLES]
+    top = max(values)
+    return next(a for a, v in zip(SIGN_TRIPLES, values) if v >= top - 1e-12)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(ensemble, rstar_oracle) over 300 perturbed, the ideal, 21 depolarized
+    and the aligned ensembles."""
+    rng = np.random.default_rng(210)
+    ensembles = [perturbed_ensemble(rng) for _ in range(300)]
+    ensembles.append(referee_ideal())
+    ensembles += [depolarize_ensemble(referee_ideal(), float(eta))
+                  for eta in np.linspace(0.0, 1.0, 21)]
+    ensembles.append(aligned_ensemble())
+    return [(ens, rstar_oracle(ens)) for ens in ensembles]
+
+
+class TestClosedFormOracles:
+    def test_matches_bisection(self, oracle_cases):
+        for ens, rstar in oracle_cases:
+            assert abs(rstar - _bisect_rstar(ens)) <= GRID
+
+    def test_least_sound_grid_point(self, oracle_cases):
+        for ens, rstar in oracle_cases:
+            assert rstar / GRID == math.floor(rstar / GRID)
+            assert lhs_bound(ens, rstar) <= 0.0
+            if rstar > 0.0:
+                assert lhs_bound(ens, rstar - GRID) > 0.0
+
+    def test_bound_matches_eigensolver(self, oracle_cases):
+        for ens, rstar in oracle_cases:
+            for r in (0.0, 0.5 * rstar, rstar, 1.0, 2.5):
+                assert abs(lhs_bound(ens, r) - _eigen_bound(ens, r)) <= 1e-12
+
+    def test_worst_assignment_matches_eigen_scan(self, oracle_cases):
+        for ens, rstar in oracle_cases:
+            for r in (0.0, 0.5 * rstar, rstar):
+                assert worst_assignment(ens, r) == _eigen_worst(ens, r)
+        for r in (0.0, 0.5, 1.0, 1.5):
+            assert worst_assignment(referee_ideal(), r) == (-1, -1, -1)
+            assert _eigen_worst(referee_ideal(), r) == (-1, -1, -1)
+
+    def test_rate_never_exceeds_sqrt3(self):
+        """At r = sqrt(3), A - r B = -2 sum_j n_(j, -a_j), so the bound is
+        <= 0 for any vectors in the unit ball; r* = sqrt(3) is reached when
+        every + state is one unit vector and every - state its opposite."""
+        rng = np.random.default_rng(211)
+        n = 20000
+        vecs = rng.normal(size=(n, 6, 3))
+        # A third start near the extremal ensemble: + states along z,
+        # - states opposite.
+        vecs[2::3] = 0.3 * vecs[2::3] + np.array([[0.0, 0.0, s] for _, s in SETTING_KEYS])
+        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+        # A third are shrunk into the ball, uniformly by volume.
+        vecs[1::3] *= rng.random(size=(len(vecs[1::3]), 6, 1)) ** (1.0 / 3.0)
+        highest = max(
+            rstar_oracle(RefereeEnsemble(dict(zip(SETTING_KEYS, v)))) for v in vecs
+        )
+        assert 1.6 < highest <= SQRT3
+        extremal = RefereeEnsemble({(j, s): np.array([0.0, 0.0, float(s)])
+                                    for j, s in SETTING_KEYS})
+        assert abs(rstar_oracle(extremal) - SQRT3) <= GRID
+
+    def test_non_finite_root_is_a_calibration_error(self):
+        ens = referee_ideal()
+        ens.vectors[(2, 1)] = np.array([math.nan, 0.0, 0.0])
+        with pytest.raises(CalibrationError, match="below 4"):
+            rstar_oracle(ens)
+
+
 class TestPrintedReadout:
     def test_ideal_value_is_two(self):
         # The conventional closed form lands at twice the operational
