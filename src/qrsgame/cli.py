@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from .game import (
     canonical_game,
     estimate_payoff,
     exact_payoff,
-    format_tally,
     partial_bsm_povm,
-    save_tally,
     simulate_runs,
 )
 from .states import load_ensemble, referee_ideal, werner_state
@@ -33,33 +30,13 @@ from .witness import (
     W_KNOWN_BELL,
     W_NO_BELL,
     CalibrationError,
+    CountRecord,
     calibrate,
     chsh_werner,
-    load_counts,
     regime_classify,
     report_to_dict,
     rstar_oracle,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    w: float = 0.0
-    r: str = "1"
-    visibility: float = 1.0
-    n_per_setting: int = 0
-    seed: int | None = None
-    ensemble_path: str | None = None
-    counts_path: str | None = None
-    output_path: str | None = None
-    format: str = "text"
-    w_min: float = 0.0
-    w_max: float = 1.0
-    steps: int = 0
-    trials: int | None = None
 
 
 def _fmt(x: float) -> str:
@@ -78,23 +55,23 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_ensemble(cfg: RunConfig):
-    if cfg.ensemble_path is None:
+def _load_ensemble(args: argparse.Namespace):
+    if args.ensemble_path is None:
         return referee_ideal()
-    return load_ensemble(cfg.ensemble_path)
+    return load_ensemble(args.ensemble_path)
 
 
-def _resolve_r(cfg: RunConfig, ensemble) -> float:
-    if cfg.r == "auto":
+def _resolve_r(args: argparse.Namespace, ensemble) -> float:
+    if args.r == "auto":
         return max(rstar_oracle(ensemble), 1.0)
     try:
-        return float(cfg.r)
+        return float(args.r)
     except ValueError as exc:
-        raise ValueError(f"--r must be a number or 'auto', got {cfg.r!r}") from exc
+        raise ValueError(f"--r must be a number or 'auto', got {args.r!r}") from exc
 
 
-def _honest_strategy(cfg: RunConfig) -> HonestQuantum:
-    return HonestQuantum(werner_state(cfg.w), partial_bsm_povm(cfg.visibility))
+def _honest_strategy(args: argparse.Namespace) -> HonestQuantum:
+    return HonestQuantum(werner_state(args.w), partial_bsm_povm(args.visibility))
 
 
 def _estimate_dict(estimate: PayoffEstimate) -> dict:
@@ -104,25 +81,25 @@ def _estimate_dict(estimate: PayoffEstimate) -> dict:
     return data
 
 
-def cmd_payoff(cfg: RunConfig) -> int:
-    if cfg.n_per_setting < 0:
-        raise ValueError(f"--n must be nonnegative, got {cfg.n_per_setting}")
-    if cfg.n_per_setting == 0 and cfg.seed is not None:
+def cmd_payoff(args: argparse.Namespace) -> int:
+    if args.n_per_setting < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n_per_setting}")
+    if args.n_per_setting == 0 and args.seed is not None:
         raise ValueError("--seed is only used together with --n")
-    ensemble = _load_ensemble(cfg)
-    r = _resolve_r(cfg, ensemble)
+    ensemble = _load_ensemble(args)
+    r = _resolve_r(args, ensemble)
     spec = canonical_game(r)
-    strategy = _honest_strategy(cfg)
+    strategy = _honest_strategy(args)
     exact = exact_payoff(spec, strategy, ensemble)
-    reference = 3.0 * cfg.w - SQRT3 * r
-    regime = regime_classify(cfg.w, r)
+    reference = 3.0 * args.w - SQRT3 * r
+    regime = regime_classify(args.w, r)
     estimate = None
-    if cfg.n_per_setting > 0:
-        tally = simulate_runs(spec, strategy, ensemble, cfg.n_per_setting, cfg.seed or 0)
+    if args.n_per_setting > 0:
+        tally = simulate_runs(spec, strategy, ensemble, args.n_per_setting, args.seed or 0)
         estimate = estimate_payoff(spec, tally)
-    if cfg.format == "json":
+    if args.format == "json":
         data = {
-            "W": cfg.w,
+            "W": args.w,
             "r": _round10(r),
             "exact_payoff": _round10(exact),
             "linear_reference": _round10(reference),
@@ -130,7 +107,7 @@ def cmd_payoff(cfg: RunConfig) -> int:
         }
         if estimate is not None:
             data["estimate"] = _estimate_dict(estimate)
-        _emit(json.dumps(data, indent=2) + "\n", cfg.output_path)
+        _emit(json.dumps(data, indent=2) + "\n", args.output_path)
     else:
         lines = [
             f"exact_payoff = {_fmt(exact)}",
@@ -140,45 +117,45 @@ def cmd_payoff(cfg: RunConfig) -> int:
         if estimate is not None:
             lines.append(f"estimate = {_fmt(estimate.value)}")
             lines.append(f"estimate_stderr = {_fmt(estimate.stderr)}")
-        _emit("\n".join(lines) + "\n", cfg.output_path)
+        _emit("\n".join(lines) + "\n", args.output_path)
     return 0
 
 
-def cmd_calibrate(cfg: RunConfig) -> int:
-    if (cfg.ensemble_path is None) == (cfg.counts_path is None):
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    if (args.ensemble_path is None) == (args.counts_path is None):
         raise ValueError("calibrate needs exactly one of --ensemble or --counts")
-    if cfg.ensemble_path is not None:
-        given = (("--trials", cfg.trials), ("--seed", cfg.seed))
+    if args.ensemble_path is not None:
+        given = (("--trials", args.trials), ("--seed", args.seed))
         unused = [flag for flag, value in given if value is not None]
         if unused:
             raise ValueError(f"calibrate --ensemble does not use {' or '.join(unused)}")
-        report = calibrate(ensemble=load_ensemble(cfg.ensemble_path))
+        report = calibrate(ensemble=load_ensemble(args.ensemble_path))
     else:
-        record = load_counts(cfg.counts_path)
-        trials = 200 if cfg.trials is None else cfg.trials
-        report = calibrate(counts=record, trials=trials, seed=cfg.seed or 0)
+        record = CountRecord.load(args.counts_path)
+        trials = 200 if args.trials is None else args.trials
+        report = calibrate(counts=record, trials=trials, seed=args.seed or 0)
     data = report_to_dict(report)
     for key in ("r_star_oracle", "r_star_printed", "r_star_legal", "avg_fidelity"):
         data[key] = _round10(data[key])
     if data["bootstrap"] is not None:
         data["bootstrap"]["mean"] = _round10(data["bootstrap"]["mean"])
         data["bootstrap"]["std"] = _round10(data["bootstrap"]["std"])
-    _emit(json.dumps(data, indent=2) + "\n", cfg.output_path)
+    _emit(json.dumps(data, indent=2) + "\n", args.output_path)
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.steps < 1:
-        raise ValueError(f"sweep needs at least one grid point, got {cfg.steps}")
-    if not (0.0 <= cfg.w_min <= cfg.w_max <= 1.0):
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.steps < 1:
+        raise ValueError(f"sweep needs at least one grid point, got {args.steps}")
+    if not (0.0 <= args.w_min <= args.w_max <= 1.0):
         raise ValueError(
             f"sweep grid bounds must satisfy 0 <= min <= max <= 1, "
-            f"got [{cfg.w_min}, {cfg.w_max}]"
+            f"got [{args.w_min}, {args.w_max}]"
         )
-    ensemble = _load_ensemble(cfg)
-    r = _resolve_r(cfg, ensemble)
+    ensemble = _load_ensemble(args)
+    r = _resolve_r(args, ensemble)
     spec = canonical_game(r)
-    grid = np.linspace(cfg.w_min, cfg.w_max, cfg.steps)
+    grid = np.linspace(args.w_min, args.w_max, args.steps)
     lines = [
         f"# threshold this-game W = {_fmt(r / SQRT3)}",
         f"# threshold no-Bell-possible-below W = {_fmt(W_NO_BELL)}",
@@ -187,43 +164,43 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "W,exact_payoff,regime",
     ]
     for w in grid:
-        strategy = HonestQuantum(werner_state(float(w)), partial_bsm_povm(cfg.visibility))
+        strategy = HonestQuantum(werner_state(float(w)), partial_bsm_povm(args.visibility))
         payoff = exact_payoff(spec, strategy, ensemble)
         lines.append(f"{_fmt(w)},{_fmt(payoff)},{regime_classify(float(w), r)}")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.output_path)
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.n_per_setting < 1:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.n_per_setting < 1:
         raise ValueError("simulate needs --n >= 1")
-    ensemble = _load_ensemble(cfg)
-    r = _resolve_r(cfg, ensemble)
+    ensemble = _load_ensemble(args)
+    r = _resolve_r(args, ensemble)
     spec = canonical_game(r)
-    strategy = _honest_strategy(cfg)
-    tally = simulate_runs(spec, strategy, ensemble, cfg.n_per_setting, cfg.seed or 0)
+    strategy = _honest_strategy(args)
+    tally = simulate_runs(spec, strategy, ensemble, args.n_per_setting, args.seed or 0)
     estimate = estimate_payoff(spec, tally)
-    if cfg.output_path is not None:
-        save_tally(tally, cfg.output_path)
+    if args.output_path is not None:
+        tally.save(args.output_path)
     else:
-        sys.stdout.write(format_tally(tally))
+        sys.stdout.write(tally.format())
     sys.stdout.write(json.dumps(_estimate_dict(estimate), indent=2) + "\n")
     return 0
 
 
-def cmd_chsh(cfg: RunConfig) -> int:
-    value = chsh_werner(cfg.w)
-    if cfg.format == "json":
-        data = {"W": cfg.w, "chsh": _round10(value), "classical_bound": 2.0,
+def cmd_chsh(args: argparse.Namespace) -> int:
+    value = chsh_werner(args.w)
+    if args.format == "json":
+        data = {"W": args.w, "chsh": _round10(value), "classical_bound": 2.0,
                 "violated": value > 2.0}
-        _emit(json.dumps(data, indent=2) + "\n", cfg.output_path)
+        _emit(json.dumps(data, indent=2) + "\n", args.output_path)
     else:
         lines = [
             f"chsh = {_fmt(value)}",
             "classical_bound = 2",
             f"violated = {'yes' if value > 2.0 else 'no'}",
         ]
-        _emit("\n".join(lines) + "\n", cfg.output_path)
+        _emit("\n".join(lines) + "\n", args.output_path)
     return 0
 
 
@@ -284,21 +261,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**values)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
     try:
-        return args.func(cfg)
+        return args.func(args)
     except CalibrationError as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)
         return 3

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -248,10 +248,20 @@ def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) 
 
 
 @dataclass
-class TallyTable:
-    """Integer counts per (j, s, a, b) cell; zero cells may be omitted."""
+class CountTable:
+    """Integer counts per (j, s, x, y) cell, with its own CSV format.
+
+    A subclass fixes the allowed (x, y) pairs in file order (CELLS), the
+    CSV header (HEADER), the row format (ROW) and the name used in error
+    messages (NAME). Zero cells are dropped, so they never reach a file.
+    """
 
     counts: dict[tuple[int, int, int, int], int]
+
+    CELLS: ClassVar[tuple[tuple[int, int], ...]] = ()
+    HEADER: ClassVar[str] = ""
+    ROW: ClassVar[str] = ""
+    NAME: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
         clean = {}
@@ -261,19 +271,71 @@ class TallyTable:
                 clean[tuple(cell)] = n
         self.counts = clean
 
-    @staticmethod
-    def check_cell(cell: tuple[int, int, int, int], n: int) -> int:
+    @classmethod
+    def check_cell(cls, cell: tuple[int, int, int, int], n: int) -> int:
         """The count of one cell as an int; raises if either is out of range."""
-        j, s, a, b = cell
-        if (j, s) not in SETTING_KEYS or a not in (-1, 1) or b not in (0, 1):
-            raise ValueError(f"malformed tally cell {cell}")
+        j, s, x, y = cell
+        if (j, s) not in SETTING_KEYS or (x, y) not in cls.CELLS:
+            raise ValueError(f"malformed {cls.NAME} cell {cell}")
         n = int(n)
         if n < 0:
             raise ValueError(f"negative count {n} for cell {cell}")
         return n
 
-    def cell(self, j: int, s: int, a: int, b: int) -> int:
-        return self.counts.get((j, s, a, b), 0)
+    def cell(self, j: int, s: int, x: int, y: int) -> int:
+        return self.counts.get((j, s, x, y), 0)
+
+    @classmethod
+    def load(cls, path: str) -> CountTable:
+        """Read a CSV written by ``save``.
+
+        Blank rows are skipped. A row that does not parse, whose cell or
+        count ``check_cell`` rejects, or that repeats a cell raises with its
+        line number.
+        """
+        counts: dict[tuple[int, int, int, int], int] = {}
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != cls.HEADER.split(","):
+                raise ValueError(f"{cls.NAME} header must be {cls.HEADER}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    j, s, x, y, n = (int(v) for v in row)
+                    cell = (j, s, x, y)
+                    n = cls.check_cell(cell, n)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"malformed {cls.NAME} row at line {lineno}: {row} ({exc})"
+                    ) from exc
+                if cell in counts:
+                    raise ValueError(f"duplicate {cls.NAME} cell {cell} at line {lineno}")
+                counts[cell] = n
+        return cls(counts)
+
+    def format(self) -> str:
+        """CSV text, rows in SETTING_KEYS x CELLS order, zero cells omitted."""
+        lines = [self.HEADER]
+        for j, s in SETTING_KEYS:
+            for x, y in self.CELLS:
+                n = self.cell(j, s, x, y)
+                if n:
+                    lines.append(self.ROW.format(j, s, x, y, n))
+        return "\n".join(lines) + "\n"
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(self.format())
+
+
+class TallyTable(CountTable):
+    """Game rounds counted per (j, s, a, b) cell; the s and a columns are signed."""
+
+    CELLS = _CELLS
+    HEADER = "j,s,a,b,count"
+    ROW = "{},{:+d},{:+d},{},{}"
+    NAME = "tally"
 
     def total(self, j: int, s: int) -> int:
         return sum(self.cell(j, s, a, b) for a, b in _CELLS)
@@ -421,58 +483,3 @@ def random_local_strategy(rng: np.random.Generator, n_components: int = 3) -> Cu
         effect = rng.random() * s / eig_hermitian(s)[0]
         components.append(LocalComponent(float(w), alice, effect))
     return CustomLocal(tuple(components))
-
-
-_TALLY_HEADER = ["j", "s", "a", "b", "count"]
-
-
-def format_tally(tally: TallyTable) -> str:
-    """Tally as CSV text with signed s and a columns, zero cells omitted."""
-    lines = [",".join(_TALLY_HEADER)]
-    for j, s in SETTING_KEYS:
-        for a, b in _CELLS:
-            n = tally.cell(j, s, a, b)
-            if n:
-                lines.append(f"{j},{s:+d},{a:+d},{b},{n}")
-    return "\n".join(lines) + "\n"
-
-
-def save_tally(tally: TallyTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_tally(tally))
-
-
-def read_count_csv(
-    path: str,
-    header: list[str],
-    name: str,
-    check_cell: Callable[[tuple[int, int, int, int], int], int],
-) -> dict[tuple[int, int, int, int], int]:
-    """Read a CSV of four integer cell columns plus a count under ``header``.
-
-    Blank rows are skipped. A row that does not parse, whose cell or count
-    ``check_cell`` rejects, or that repeats a cell raises with its line.
-    """
-    counts: dict[tuple[int, int, int, int], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValueError(f"{name} header must be {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                j, s, x, y, n = (int(v) for v in row)
-                cell = (j, s, x, y)
-                n = check_cell(cell, n)
-            except ValueError as exc:
-                raise ValueError(f"malformed {name} row at line {lineno}: {row} ({exc})") from exc
-            if cell in counts:
-                raise ValueError(f"duplicate {name} cell {cell} at line {lineno}")
-            counts[cell] = n
-    return counts
-
-
-def load_tally(path: str) -> TallyTable:
-    """Read a tally CSV; malformed rows raise with their line number."""
-    return TallyTable(read_count_csv(path, _TALLY_HEADER, "tally", TallyTable.check_cell))

@@ -98,6 +98,8 @@ class RefereeEnsemble:
             v = np.asarray(self.vectors[key], dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"Bloch vector for {key} must have shape (3,)")
+            if not np.isfinite(v).all():
+                raise ValueError(f"Bloch vector for {key} is not finite: {v}")
             norm = float(np.linalg.norm(v))
             if norm > 1.0 + BLOCH_NORM_TOL:
                 raise ValueError(f"Bloch vector for {key} has norm {norm:.6f} > 1")

@@ -17,7 +17,6 @@ differ. The oracle is the operational one.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -26,17 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import SQRT3, CustomLocal, HonestQuantum, LhsDeterministic, LocalComponent, Strategy
-from .game import BinaryPovm, joint_probabilities, read_count_csv
-from .qmath import (
-    bloch_to_density,
-    density_to_bloch,
-    identity,
-    pauli,
-    real_trace_product,
-    tensor,
-)
-from .states import SETTING_KEYS, RefereeEnsemble, fidelity_pure, referee_ideal, referee_state
-from .states import werner_state
+from .game import BinaryPovm, CountTable, joint_probabilities
+from .qmath import bloch_to_density, density_to_bloch, identity, pauli, tensor
+from .states import SETTING_KEYS, RefereeEnsemble
 
 TWO_SQRT3 = 2.0 * SQRT3
 
@@ -190,28 +181,13 @@ def rstar_printed(ensemble: RefereeEnsemble) -> float:
     return _largest_root(rows, vec_b, 3.0)
 
 
-@dataclass
-class CountRecord:
-    """Tomography counts per (j, s, axis, outcome) cell."""
+class CountRecord(CountTable):
+    """Tomography counts per (j, s, axis, outcome) cell; s and outcome are signed."""
 
-    counts: dict[tuple[int, int, int, int], int]
-
-    def __post_init__(self) -> None:
-        self.counts = {cell: self.check_cell(cell, n) for cell, n in self.counts.items()}
-
-    @staticmethod
-    def check_cell(cell: tuple[int, int, int, int], n: int) -> int:
-        """The count of one cell as an int; raises if either is out of range."""
-        j, s, axis, outcome = cell
-        if (j, s) not in SETTING_KEYS or axis not in (1, 2, 3) or outcome not in (-1, 1):
-            raise ValueError(f"malformed count cell {cell}")
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"negative count {n} for cell {cell}")
-        return n
-
-    def cell(self, j: int, s: int, axis: int, outcome: int) -> int:
-        return self.counts.get((j, s, axis, outcome), 0)
+    CELLS = ((1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1))
+    HEADER = "j,s,axis,outcome,count"
+    ROW = "{},{:+d},{},{:+d},{}"
+    NAME = "count"
 
 
 def bloch_from_counts(record: CountRecord, key: tuple[int, int]) -> np.ndarray:
@@ -254,12 +230,13 @@ def ensemble_from_counts(
 
 
 def average_fidelity(ensemble: RefereeEnsemble) -> float:
-    """Mean fidelity of the six referee states with their ideal directions."""
-    ideal = referee_ideal()
-    total = 0.0
-    for j, s in SETTING_KEYS:
-        total += fidelity_pure(referee_state(ensemble, j, s), ideal.vector(j, s))
-    return total / len(SETTING_KEYS)
+    """Mean fidelity of the six referee states with their ideal directions.
+
+    The ideal state for key (j, s) is pure with Bloch vector s e_j, so each
+    fidelity is (1 + s n_(j,s)[j]) / 2, the value fidelity_pure returns.
+    """
+    total = sum(1.0 + s * ensemble.vector(j, s)[j - 1] for j, s in SETTING_KEYS)
+    return float(total) / (2.0 * len(SETTING_KEYS))
 
 
 @dataclass
@@ -302,43 +279,16 @@ def bootstrap_calibration(
     return BootstrapResult(float(np.mean(values)), spread, failures)
 
 
-def _zx_direction(theta: float) -> np.ndarray:
-    return np.array([math.sin(theta), 0.0, math.cos(theta)])
-
-
-def _spin(direction: np.ndarray) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for i in (1, 2, 3):
-        out += direction[i - 1] * pauli(i)
-    return out
-
-
 def chsh_werner(w: float) -> float:
-    """CHSH value of werner_state(w) at the standard optimal angles.
+    """CHSH value 2 sqrt(2) w of werner_state(w) at the optimal angles.
 
-    Alice measures along 0 and pi/2 in the z-x plane, Bob along +/- pi/4.
-    The four correlators are computed from the density matrix and checked
-    against the closed form 2 sqrt(2) w before returning.
+    Alice measures along 0 and pi/2 in the z-x plane, Bob along +/- pi/4;
+    the tests recompute the four correlators from the density matrix as
+    the oracle for this closed form.
     """
-    rho = werner_state(w)
-    alice = (_zx_direction(0.0), _zx_direction(math.pi / 2.0))
-    bob = (_zx_direction(math.pi / 4.0), _zx_direction(-math.pi / 4.0))
-
-    def correlator(na: np.ndarray, nb: np.ndarray) -> float:
-        return real_trace_product(rho, tensor(_spin(na), _spin(nb)))
-
-    s_val = (
-        correlator(alice[0], bob[0])
-        + correlator(alice[0], bob[1])
-        + correlator(alice[1], bob[0])
-        - correlator(alice[1], bob[1])
-    )
-    closed = 2.0 * math.sqrt(2.0) * w
-    if abs(abs(s_val) - closed) > 1e-10:
-        raise RuntimeError(
-            f"CHSH self-check failed: |S| = {abs(s_val)!r} vs closed form {closed!r}"
-        )
-    return abs(s_val)
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
+    return 2.0 * math.sqrt(2.0) * w
 
 
 def regime_classify(w: float, r: float) -> str:
@@ -522,21 +472,3 @@ def save_report(report: CalibrationReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=2)
         fh.write("\n")
-
-
-_COUNTS_HEADER = ["j", "s", "axis", "outcome", "count"]
-
-
-def save_counts(record: CountRecord, path: str) -> None:
-    """Write tomography counts as CSV, one row per recorded cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COUNTS_HEADER)
-        for cell in sorted(record.counts, key=lambda c: (SETTING_KEYS.index(c[:2]), c[2], -c[3])):
-            j, s, axis, outcome = cell
-            writer.writerow([j, f"{s:+d}", axis, f"{outcome:+d}", record.counts[cell]])
-
-
-def load_counts(path: str) -> CountRecord:
-    """Read a tomography-count CSV; malformed rows raise with line numbers."""
-    return CountRecord(read_count_csv(path, _COUNTS_HEADER, "counts", CountRecord.check_cell))

@@ -6,15 +6,15 @@ import math
 import numpy as np
 
 from qrsgame.cli import main
-from qrsgame.game import canonical_game, estimate_payoff, load_tally
+from qrsgame.game import TallyTable, canonical_game, estimate_payoff
 from qrsgame.states import (
     SETTING_KEYS,
     RefereeEnsemble,
     depolarize_ensemble,
+    ensemble_to_dict,
     referee_ideal,
     save_ensemble,
 )
-from qrsgame.witness import save_counts
 from test_witness import counts_from_ensemble
 
 # Tilting the j = 3 axis by asin(0.2528414998...) pushes the calibration
@@ -30,7 +30,25 @@ def tilted_ensemble():
     return RefereeEnsemble(vectors)
 
 
+def write_nan_ensemble(tmp_path):
+    # The JSON token NaN parses to float nan, so only the ensemble check
+    # can stop it.
+    data = ensemble_to_dict(referee_ideal())
+    data["vectors"][4]["n"][2] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    return str(path)
+
+
 class TestPayoff:
+    def test_non_finite_ensemble_rejected(self, tmp_path, capsys):
+        path = write_nan_ensemble(tmp_path)
+        assert main(["payoff", "--W", "0.9", "--ensemble", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(3, 1) is not finite" in captured.err
+
     def test_golden_point(self, capsys):
         assert main(["payoff", "--W", "0.698", "--r", "1.081"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -138,7 +156,7 @@ class TestCalibrate:
     def test_counts_with_bootstrap(self, tmp_path, capsys):
         path = str(tmp_path / "counts.csv")
         record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 20000)
-        save_counts(record, path)
+        record.save(path)
         assert main(["calibrate", "--counts", path, "--trials", "20"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert abs(data["r_star_oracle"] - 0.9) < 0.05
@@ -176,6 +194,11 @@ class TestCalibrate:
 
     def test_missing_file(self, capsys):
         assert main(["calibrate", "--ensemble", "/nonexistent/e.json"]) == 2
+
+    def test_non_finite_ensemble_rejected(self, tmp_path, capsys):
+        path = write_nan_ensemble(tmp_path)
+        assert main(["calibrate", "--ensemble", path]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_out_of_range_count_names_line(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
@@ -240,7 +263,7 @@ class TestSimulate:
         assert main(["simulate", "--W", "0.698", "--r", "1.081", "--n", "2000",
                      "--seed", "11", "--out", str(path)]) == 0
         printed = json.loads(capsys.readouterr().out)
-        est = estimate_payoff(canonical_game(1.081), load_tally(str(path)))
+        est = estimate_payoff(canonical_game(1.081), TallyTable.load(str(path)))
         assert printed["value"] == float(format(est.value, ".10g"))
         assert printed["stderr"] == float(format(est.stderr, ".10g"))
         assert printed["n_per_setting"] == [
@@ -281,6 +304,10 @@ class TestChsh:
         assert main(["chsh", "--W", "0.9", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["violated"] is True
+
+    def test_out_of_range_weight(self, capsys):
+        assert main(["chsh", "--W", "2"]) == 2
+        assert "Werner weight" in capsys.readouterr().err
 
 
 class TestParser:

@@ -21,15 +21,12 @@ from qrsgame.game import (
     canonical_game,
     estimate_payoff,
     exact_payoff,
-    format_tally,
     joint_probabilities,
     lhs_best_deterministic,
-    load_tally,
     partial_bsm_povm,
     random_lhs_strategy,
     random_local_strategy,
     realize_lhs_best,
-    save_tally,
     simulate_runs,
     singlet_projector_bc,
 )
@@ -459,31 +456,31 @@ class TestTallyCsv:
         spec = canonical_game(1.0)
         strat = HonestQuantum(werner_state(0.698), singlet_projector_bc())
         tally = simulate_runs(spec, strat, referee_ideal(), 300, seed=5)
-        save_tally(tally, path)
-        assert load_tally(path).counts == tally.counts
+        tally.save(path)
+        assert TallyTable.load(path).counts == tally.counts
 
     def test_format_omits_zero_cells(self):
-        text = format_tally(TallyTable({(1, 1, 1, 1): 3, (2, -1, -1, 0): 4}))
+        text = TallyTable({(1, 1, 1, 1): 3, (2, -1, -1, 0): 4}).format()
         assert text.splitlines() == ["j,s,a,b,count", "1,+1,+1,1,3", "2,-1,-1,0,4"]
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
-            load_tally(str(path))
+            TallyTable.load(str(path))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         for row in ("1,x,+1,1,2", "1,+1,+1,2,2", "1,+1,0,1,2", "1,+1,+1,1,-2"):
             path.write_text(f"j,s,a,b,count\n1,+1,+1,1,3\n{row}\n")
             with pytest.raises(ValueError, match="line 3"):
-                load_tally(str(path))
+                TallyTable.load(str(path))
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("j,s,a,b,count\n1,+1,+1,1,3\n1,+1,+1,1,2\n")
         with pytest.raises(ValueError, match="duplicate"):
-            load_tally(str(path))
+            TallyTable.load(str(path))
 
 
 def test_no_steering_payoff_never_positive_at_calibrated_rate():

@@ -131,6 +131,13 @@ class TestRefereeEnsemble:
         with pytest.raises(ValueError, match="norm"):
             RefereeEnsemble(vectors)
 
+    def test_non_finite_vector_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            vectors = {k: np.zeros(3) for k in SETTING_KEYS}
+            vectors[(3, 1)] = np.array([0.0, 0.0, bad])
+            with pytest.raises(ValueError, match=r"\(3, 1\) is not finite"):
+                RefereeEnsemble(vectors)
+
     def test_unknown_lookup(self):
         with pytest.raises(ValueError, match=r"j=2, s=0"):
             referee_ideal().vector(2, 0)

@@ -13,12 +13,14 @@ from qrsgame.game import (
     random_local_strategy,
     singlet_projector_bc,
 )
-from qrsgame.qmath import identity, pauli
+from qrsgame.qmath import identity, pauli, real_trace_product, tensor
 from qrsgame.states import (
     SETTING_KEYS,
     RefereeEnsemble,
     depolarize_ensemble,
+    fidelity_pure,
     referee_ideal,
+    referee_state,
     rotate_ensemble,
     werner_state,
 )
@@ -41,12 +43,10 @@ from qrsgame.witness import (
     chsh_werner,
     ensemble_from_counts,
     lhs_bound,
-    load_counts,
     regime_classify,
     report_to_dict,
     rstar_oracle,
     rstar_printed,
-    save_counts,
     save_report,
     t_operator,
     worst_assignment,
@@ -89,6 +89,22 @@ def counts_from_ensemble(ensemble, total):
             counts[(j, s, axis, 1)] = plus
             counts[(j, s, axis, -1)] = total - plus
     return CountRecord(counts)
+
+
+def _chsh_from_correlators(w):
+    # |S| from the four correlators tr[rho (n_a.sigma x n_b.sigma)] of
+    # werner_state(w): Alice along 0 and pi/2 in the z-x plane, Bob along
+    # +/- pi/4.
+    def spin(theta):
+        return math.sin(theta) * pauli(1) + math.cos(theta) * pauli(3)
+
+    rho = werner_state(w)
+
+    def corr(ta, tb):
+        return real_trace_product(rho, tensor(spin(ta), spin(tb)))
+
+    a0, a1, b0, b1 = 0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0
+    return abs(corr(a0, b0) + corr(a0, b1) + corr(a1, b0) - corr(a1, b1))
 
 
 class TestWitnessOperator:
@@ -363,6 +379,19 @@ class TestTomography:
         got = average_fidelity(depolarize_ensemble(referee_ideal(), 0.974))
         assert math.isclose(got, 0.987, abs_tol=1e-12)
 
+    def test_average_fidelity_matches_density_matrices(self):
+        # Oracle: fidelity_pure on each referee density matrix against the
+        # ideal direction s e_j, averaged over the six keys.
+        rng = np.random.default_rng(29)
+        ideal = referee_ideal()
+        for _ in range(50):
+            ens = perturbed_ensemble(rng)
+            want = np.mean(
+                [fidelity_pure(referee_state(ens, j, s), ideal.vector(j, s))
+                 for j, s in SETTING_KEYS]
+            )
+            assert math.isclose(average_fidelity(ens), want, abs_tol=1e-12)
+
 
 class TestBootstrap:
     def test_deterministic_per_seed(self):
@@ -426,6 +455,13 @@ class TestRegimes:
     def test_chsh_matches_closed_form(self):
         for w in np.linspace(0.0, 1.0, 21):
             assert math.isclose(chsh_werner(float(w)), 2.0 * math.sqrt(2.0) * w, abs_tol=1e-12)
+            assert math.isclose(chsh_werner(float(w)), _chsh_from_correlators(float(w)),
+                                abs_tol=1e-12)
+
+    def test_chsh_weight_range(self):
+        for w in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="Werner weight"):
+                chsh_werner(w)
 
     def test_chsh_golden_point(self):
         value = chsh_werner(0.698)
@@ -594,24 +630,36 @@ class TestCountsCsv:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "counts.csv")
         record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 500)
-        save_counts(record, path)
-        assert load_counts(path).counts == record.counts
+        record.save(path)
+        assert CountRecord.load(path).counts == record.counts
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("j,s,a,b,count\n")
         with pytest.raises(ValueError, match="header"):
-            load_counts(str(path))
+            CountRecord.load(str(path))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         for row in ("1,+1,1,oops,3", "1,+1,4,+1,3", "1,+1,1,0,3", "1,+1,1,-1,-3"):
             path.write_text(f"j,s,axis,outcome,count\n1,+1,1,+1,10\n{row}\n")
             with pytest.raises(ValueError, match="line 3"):
-                load_counts(str(path))
+                CountRecord.load(str(path))
+
+    def test_format_layout(self, tmp_path):
+        # Rows follow SETTING_KEYS x (axis, outcome +1 then -1), zero cells
+        # are dropped and lines end in LF.
+        record = CountRecord({(2, -1, 3, -1): 4, (1, 1, 2, 1): 0, (1, 1, 1, -1): 2,
+                              (1, 1, 1, 1): 5})
+        assert record.counts == {(2, -1, 3, -1): 4, (1, 1, 1, -1): 2, (1, 1, 1, 1): 5}
+        path = tmp_path / "counts.csv"
+        record.save(str(path))
+        assert path.read_bytes() == (
+            b"j,s,axis,outcome,count\n1,+1,1,+1,5\n1,+1,1,-1,2\n2,-1,3,-1,4\n"
+        )
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("j,s,axis,outcome,count\n1,+1,1,+1,10\n1,+1,1,+1,3\n")
         with pytest.raises(ValueError, match="duplicate"):
-            load_counts(str(path))
+            CountRecord.load(str(path))
