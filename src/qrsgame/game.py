@@ -19,7 +19,11 @@ components: Alice answers from a response table and Bob clicks according
 to an effect on the referee qubit alone. CustomLocal is the general
 mixture and the fuzzing family of the adversarial tests; LhsDeterministic
 is its one-component case, with fixed Alice signs and the effect induced
-by a local hidden qubit. All functions are pure and every random draw is
+by a local hidden qubit. Both compile at construction into one effect
+table: for each input j and sign a, Alice's marginal p(a|j) and the Bloch
+form (tr F/2, tr(sigma_i F)/2) of the referee effect
+F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine in the
+referee Bloch vector. All functions are pure and every random draw is
 made from an explicit per-setting substream of the caller's seed, so
 results never depend on scheduling or thread count.
 """
@@ -119,7 +123,8 @@ class LhsDeterministic:
     qubit. His response to any referee state is therefore governed by the
     induced effect on the referee qubit alone, computed once here. The
     strategy is the one-component local mixture whose Alice table answers
-    alice_signs with certainty; ``components`` holds that component.
+    alice_signs with certainty; ``components`` holds that component and
+    ``effect_table`` its compiled form.
     """
 
     alice_signs: tuple[int, int, int]
@@ -127,6 +132,7 @@ class LhsDeterministic:
     bob_povm: BinaryPovm
     effect: np.ndarray = field(init=False, repr=False)
     components: tuple[LocalComponent, ...] = field(init=False, repr=False)
+    effect_table: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.alice_signs = tuple(int(a) for a in self.alice_signs)
@@ -134,9 +140,11 @@ class LhsDeterministic:
             raise ValueError(f"alice_signs must be three values of +/-1, got {self.alice_signs}")
         rho = bloch_to_density(self.hidden_state)
         self.hidden_state = np.asarray(self.hidden_state, dtype=float)
-        self.effect = partial_trace(tensor(rho, identity(2)) @ self.bob_povm.b1, "first")
+        # E = tr_hidden[(rho x 1) b1], contracted in one step.
+        self.effect = np.einsum("im,mjil->jl", rho, self.bob_povm.b1.reshape(2, 2, 2, 2))
         alice_plus = {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), self.alice_signs)}
         self.components = (LocalComponent(1.0, alice_plus, self.effect),)
+        self.effect_table = _effect_table(self.components)
 
 
 @dataclass
@@ -148,8 +156,8 @@ class LocalComponent:
     effect: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.weight < 0.0:
-            raise ValueError(f"component weight must be nonnegative, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight >= 0.0):
+            raise ValueError(f"component weight must be finite and nonnegative, got {self.weight}")
         if set(self.alice_plus) != {1, 2, 3}:
             raise ValueError("alice_plus must map each input j in {1, 2, 3}")
         for j, p in self.alice_plus.items():
@@ -158,6 +166,8 @@ class LocalComponent:
         self.effect = np.asarray(self.effect, dtype=complex)
         if self.effect.shape != (2, 2):
             raise ValueError("component effect must be a 2x2 operator")
+        if not np.isfinite(self.effect).all():
+            raise ValueError("component effect is not finite")
         if hermiticity_defect(self.effect) > HERMITIAN_TOL:
             raise ValueError("component effect is not Hermitian")
         eigs = eig_hermitian(self.effect)
@@ -170,6 +180,7 @@ class CustomLocal:
     """Mixture of local response tables; the general no-steering adversary."""
 
     components: tuple[LocalComponent, ...]
+    effect_table: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.components = tuple(self.components)
@@ -178,9 +189,37 @@ class CustomLocal:
         total = sum(c.weight for c in self.components)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total}")
+        self.effect_table = _effect_table(self.components)
+
+
+# The identity and the Pauli matrices, for Bloch-form coordinates.
+_BLOCH_BASIS = np.array([identity(2), pauli(1), pauli(2), pauli(3)])
+
+
+def _effect_table(components: tuple[LocalComponent, ...]) -> list:
+    # Row [j - 1][0 for a = +1, 1 for a = -1] is (p(a|j), f0, f1, f2, f3):
+    # Alice's marginal and F_(j,a) = sum_c w_c p_c(a|j) E_c as
+    # f0 = tr F / 2, f_i = tr(sigma_i F) / 2, so that for the referee state
+    # (1 + n.sigma)/2 the click probability is tr(omega F) = f0 + n.f.
+    weights = np.array([c.weight for c in components])
+    plus = np.array([[c.alice_plus[j] for j in (1, 2, 3)] for c in components])
+    alice = np.stack([plus, 1.0 - plus], axis=2)
+    effects = np.array([c.effect for c in components])
+    bloch = 0.5 * np.einsum("kxy,cyx->ck", _BLOCH_BASIS, effects).real
+    marginals = np.einsum("c,cja->ja", weights, alice)
+    forms = np.einsum("c,cja,ck->jak", weights, alice, bloch)
+    return np.concatenate([marginals[:, :, None], forms], axis=2).tolist()
 
 
 Strategy = HonestQuantum | LhsDeterministic | CustomLocal
+
+
+def check_rate(r: float) -> float:
+    """The penalty rate as a float; raises unless it is finite and >= 0."""
+    r = float(r)
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"penalty rate r must be finite and nonnegative, got {r}")
+    return r
 
 
 @dataclass
@@ -190,9 +229,7 @@ class GameSpec:
     r: float
 
     def __post_init__(self) -> None:
-        self.r = float(self.r)
-        if self.r < 0.0:
-            raise ValueError(f"penalty rate r must be nonnegative, got {self.r}")
+        self.r = check_rate(self.r)
 
 
 def canonical_game(r: float) -> GameSpec:
@@ -213,14 +250,13 @@ def _joint_honest(strategy: HonestQuantum, omega: np.ndarray, j: int) -> dict:
     return probs
 
 
-def _joint_local(strategy: LhsDeterministic | CustomLocal, omega: np.ndarray, j: int) -> dict:
-    probs = {cell: 0.0 for cell in _CELLS}
-    for comp in strategy.components:
-        q = real_trace_product(omega, comp.effect)
-        p_plus = comp.alice_plus[j]
-        for a, p_a in ((1, p_plus), (-1, 1.0 - p_plus)):
-            probs[(a, 1)] += comp.weight * p_a * q
-            probs[(a, 0)] += comp.weight * p_a * (1.0 - q)
+def _joint_local(strategy: LhsDeterministic | CustomLocal, n: list[float], j: int) -> dict:
+    x, y, z = n
+    probs = {}
+    for a, (marginal, f0, f1, f2, f3) in zip((1, -1), strategy.effect_table[j - 1]):
+        click = f0 + x * f1 + y * f2 + z * f3
+        probs[(a, 1)] = click
+        probs[(a, 0)] = marginal - click
     return probs
 
 
@@ -228,11 +264,10 @@ def joint_probabilities(
     strategy: Strategy, ensemble: RefereeEnsemble, j: int, s: int
 ) -> dict[tuple[int, int], float]:
     """p(a, b) for one setting, as a dict over the four (a, b) cells."""
-    omega = referee_state(ensemble, j, s)
     if isinstance(strategy, HonestQuantum):
-        return _joint_honest(strategy, omega, j)
+        return _joint_honest(strategy, referee_state(ensemble, j, s), j)
     if isinstance(strategy, (LhsDeterministic, CustomLocal)):
-        return _joint_local(strategy, omega, j)
+        return _joint_local(strategy, ensemble.vector(j, s).tolist(), j)
     raise ValueError(f"unknown strategy type {type(strategy).__name__}")
 
 
@@ -273,10 +308,16 @@ class CountTable:
 
     @classmethod
     def check_cell(cls, cell: tuple[int, int, int, int], n: int) -> int:
-        """The count of one cell as an int; raises if either is out of range."""
+        """The count of one cell as an int; raises if either is out of range.
+
+        A count must be an integer (Python or numpy); floats and bools are
+        rejected rather than truncated.
+        """
         j, s, x, y = cell
         if (j, s) not in SETTING_KEYS or (x, y) not in cls.CELLS:
             raise ValueError(f"malformed {cls.NAME} cell {cell}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"count {n!r} for cell {cell} is not an integer")
         n = int(n)
         if n < 0:
             raise ValueError(f"negative count {n} for cell {cell}")

@@ -2,8 +2,11 @@
 
 Every operator in this package is a plain numpy array of dimension 2 or 4;
 nothing here allocates anything larger. Eigenvalues come from a closed form
-in dimension 2 and a cyclic Jacobi sweep in dimension 4, so the numeric
-path does not depend on an external eigensolver. All functions are pure.
+in dimension 2 and a cyclic complex Jacobi sweep in dimension 4, so the
+numeric path does not depend on an external eigensolver. The sweep runs on
+a 4x4 list of Python complex scalars: each rotation is applied in place to
+the two columns and then the two rows it mixes, p and q, which is all that
+U^dag A U changes. All functions are pure.
 """
 
 from __future__ import annotations
@@ -91,26 +94,33 @@ def _jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
     # Cyclic Jacobi for complex Hermitian matrices: each rotation is a phase
     # that makes the (p, q) entry real followed by the standard real rotation
     # that zeroes it. Quadratic convergence; the sweep cap is defensive.
-    a = m.copy()
-    n = a.shape[0]
+    a = m.tolist()
+    n = len(a)
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for _ in range(_MAX_JACOBI_SWEEPS):
-        off = math.sqrt(sum(abs(a[p, q]) ** 2 for p in range(n) for q in range(p + 1, n)))
+        off = math.sqrt(sum(abs(a[p][q]) ** 2 for p, q in pairs))
         if off <= _JACOBI_OFF_TOL:
-            return np.sort(np.real(np.diag(a)))[::-1]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                mag = abs(a[p, q])
-                if mag == 0.0:
-                    continue
-                phase = a[p, q] / mag
-                theta = 0.5 * math.atan2(2.0 * mag, (a[p, p] - a[q, q]).real)
-                c, s = math.cos(theta), math.sin(theta)
-                u = np.eye(n, dtype=complex)
-                u[p, p] = c
-                u[p, q] = -s
-                u[q, p] = s * phase.conjugate()
-                u[q, q] = c * phase.conjugate()
-                a = u.conj().T @ a @ u
+            return np.array(sorted((a[k][k].real for k in range(n)), reverse=True))
+        for p, q in pairs:
+            mag = abs(a[p][q])
+            if mag == 0.0:
+                continue
+            phase = a[p][q] / mag
+            theta = 0.5 * math.atan2(2.0 * mag, (a[p][p] - a[q][q]).real)
+            c, s = math.cos(theta), math.sin(theta)
+            # U is the identity outside the (p, q) block
+            # [[c, -s], [s e^(-i phi), c e^(-i phi)]], with phase = e^(i phi).
+            s_conj, c_conj = s * phase.conjugate(), c * phase.conjugate()
+            for row in a:
+                x, y = row[p], row[q]
+                row[p] = c * x + s_conj * y
+                row[q] = c_conj * y - s * x
+            row_p, row_q = a[p], a[q]
+            s_phase, c_phase = s * phase, c * phase
+            for k in range(n):
+                x, y = row_p[k], row_q[k]
+                row_p[k] = c * x + s_phase * y
+                row_q[k] = c_phase * y - s * x
     raise RuntimeError("Jacobi eigenvalue iteration did not converge")
 
 

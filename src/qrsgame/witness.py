@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import SQRT3, CustomLocal, HonestQuantum, LhsDeterministic, LocalComponent, Strategy
-from .game import BinaryPovm, CountTable, joint_probabilities
+from .game import BinaryPovm, CountTable, check_rate, joint_probabilities
 from .qmath import bloch_to_density, density_to_bloch, identity, pauli, tensor
 from .states import SETTING_KEYS, RefereeEnsemble
 
@@ -84,8 +84,7 @@ def t_operator(
     ensemble: RefereeEnsemble, assignment: tuple[int, int, int], r: float
 ) -> np.ndarray:
     """Witness operator T_a(r) = (A - r B) . sigma - 2 sqrt(3) r."""
-    if r < 0.0:
-        raise ValueError(f"penalty rate r must be nonnegative, got {r}")
+    r = check_rate(r)
     vec_a, vec_b = assignment_vectors(ensemble, assignment)
     t = vec_a - r * vec_b
     out = -TWO_SQRT3 * r * identity(2)
@@ -96,8 +95,7 @@ def t_operator(
 
 def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float) -> np.ndarray:
     # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a at once.
-    if r < 0.0:
-        raise ValueError(f"penalty rate r must be nonnegative, got {r}")
+    r = check_rate(r)
     return np.linalg.norm(rows - r * vec_b, axis=1) - TWO_SQRT3 * r
 
 
@@ -295,8 +293,7 @@ def regime_classify(w: float, r: float) -> str:
     """Place a Werner weight on the steering/Bell map for a game at rate r."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
-    if r < 0.0:
-        raise ValueError(f"penalty rate r must be nonnegative, got {r}")
+    r = check_rate(r)
     if w <= r / SQRT3:
         return REGIME_UNSTEERABLE
     if w > W_KNOWN_BELL:

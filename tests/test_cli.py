@@ -119,6 +119,15 @@ class TestPayoff:
         assert main(["payoff", "--W", "0.5", "--r", "fast"]) == 2
         assert "--r must be a number or 'auto'" in capsys.readouterr().err
 
+    def test_non_finite_rate_rejected(self, capsys):
+        for rate in ("nan", "inf"):
+            for argv in (["payoff", "--W", "0.5"], ["sweep", "--steps", "3"],
+                         ["simulate", "--W", "0.5", "--n", "10"]):
+                assert main(argv + ["--r", rate]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "penalty rate r must be finite" in captured.err
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "payoff.txt"
         assert main(["payoff", "--W", "1", "--r", "1", "--out", str(path)]) == 0

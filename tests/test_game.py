@@ -30,7 +30,7 @@ from qrsgame.game import (
     simulate_runs,
     singlet_projector_bc,
 )
-from qrsgame.qmath import bloch_to_density, identity, pauli
+from qrsgame.qmath import PSD_TOL, bloch_to_density, identity, pauli
 from qrsgame.states import (
     SETTING_KEYS,
     BellIndex,
@@ -41,6 +41,7 @@ from qrsgame.states import (
     rotate_ensemble,
     werner_state,
 )
+from qrsgame.witness import channel_dual
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
@@ -67,6 +68,20 @@ def brute_force_lhs(strategy, ensemble, j, s):
     q = float(np.trace(strategy.bob_povm.b1 @ state).real)
     a = strategy.alice_signs[j - 1]
     return {(a, 1): q, (a, 0): 1.0 - q, (-a, 1): 0.0, (-a, 0): 0.0}
+
+
+def pairing_local(strategy, ensemble, j, s):
+    """Local route pairing each component's effect with the referee
+    density matrix: p(a, 1) = sum_c w_c p_c(a|j) tr(omega_(j,s) E_c)."""
+    omega = referee_state(ensemble, j, s)
+    out = {cell: 0.0 for cell in CELLS}
+    for comp in strategy.components:
+        q = float(np.trace(omega @ comp.effect).real)
+        p_plus = comp.alice_plus[j]
+        for a, p_a in ((1, p_plus), (-1, 1.0 - p_plus)):
+            out[(a, 1)] += comp.weight * p_a * q
+            out[(a, 0)] += comp.weight * p_a * (1.0 - q)
+    return out
 
 
 def random_rotation(rng):
@@ -97,6 +112,11 @@ class TestGameSpec:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             canonical_game(-0.5)
+
+    def test_non_finite_rate_rejected(self):
+        for r in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="penalty rate"):
+                canonical_game(r)
 
 
 class TestPovms:
@@ -131,6 +151,32 @@ class TestPovms:
         with pytest.raises(ValueError, match="sum to the identity"):
             BinaryPovm(identity(4) / 2.0, identity(4) / 4.0)
 
+    def test_psd_boundary_matches_eigvalsh(self):
+        """Elements whose lowest eigenvalue sits 1e-8 either side of zero,
+        or 1e-11 either side of -PSD_TOL, are accepted exactly when numpy's
+        eigvalsh finds both elements PSD within PSD_TOL."""
+        rng = np.random.default_rng(106)
+        decisions = set()
+        for _ in range(40):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = g + g.conj().T
+            eigs = np.linalg.eigvalsh(h)
+            # Spectrum [0, 1/2], so only the shifted end can reach the boundary.
+            half = 0.5 * (h - eigs[0] * identity(4)) / (eigs[-1] - eigs[0])
+            for shift in (-1e-8, 1e-8, -PSD_TOL - 1e-11, -PSD_TOL + 1e-11):
+                low = half + shift * identity(4)
+                for b0, b1 in ((identity(4) - low, low), (low, identity(4) - low)):
+                    want = all(np.linalg.eigvalsh(el)[0] >= -PSD_TOL for el in (b0, b1))
+                    try:
+                        BinaryPovm(b0, b1)
+                        got = True
+                    except ValueError as exc:
+                        assert "positive semidefinite" in str(exc)
+                        got = False
+                    assert got == want
+                    decisions.add(got)
+        assert decisions == {True, False}
+
 
 class TestStrategyValidation:
     def test_honest_needs_density_matrix(self):
@@ -162,6 +208,16 @@ class TestStrategyValidation:
             LocalComponent(1.0, {1: 0.5, 2: 1.5, 3: 0.5}, identity(2) / 2.0)
         with pytest.raises(ValueError, match="0 <= E <= 1"):
             LocalComponent(1.0, alice, 2.0 * identity(2))
+
+    def test_non_finite_component_rejected(self):
+        alice = {1: 0.5, 2: 0.5, 3: 0.5}
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="weight"):
+                LocalComponent(w, alice, identity(2) / 2.0)
+        effect = identity(2) / 2.0
+        effect[0, 0] = math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            LocalComponent(1.0, alice, effect)
 
     def test_mixture_weights_must_sum_to_one(self):
         comp = LocalComponent(0.4, {1: 0.5, 2: 0.5, 3: 0.5}, identity(2) / 2.0)
@@ -209,6 +265,33 @@ class TestJointProbabilities:
             want = joint_probabilities(lhs, ens, *key)
             for cell in CELLS:
                 assert math.isclose(got[cell], want[cell], abs_tol=1e-12)
+
+    def test_effect_table_matches_component_pairing(self):
+        """The compiled Bloch-form table agrees with pairing every
+        component's effect against the referee density matrix, for random
+        mixtures, their channel duals and random LHS adversaries."""
+        rng = np.random.default_rng(105)
+        kraus = (
+            np.sqrt(0.8) * identity(2),
+            np.sqrt(0.2) * pauli(1),
+        )
+        strategies = []
+        for _ in range(10):
+            mix = random_local_strategy(rng, n_components=int(rng.integers(1, 5)))
+            strategies.append(mix)
+            strategies.append(CustomLocal(tuple(
+                LocalComponent(c.weight, dict(c.alice_plus), channel_dual(kraus, c.effect))
+                for c in mix.components
+            )))
+            strategies.append(random_lhs_strategy(rng))
+        for strat in strategies:
+            ens = perturbed_ensemble(rng)
+            for key in SETTING_KEYS:
+                got = joint_probabilities(strat, ens, *key)
+                want = pairing_local(strat, ens, *key)
+                assert list(got) == list(CELLS)
+                for cell in CELLS:
+                    assert abs(got[cell] - want[cell]) <= 1e-12
 
     def test_singlet_anticorrelates_with_referee(self):
         """At W = 1 a click forces Alice's sign to match the referee's s."""
@@ -370,6 +453,14 @@ class TestSimulation:
             TallyTable({(1, 1, 1, 1): -5})
         # Zero cells are dropped on construction.
         assert TallyTable({(1, 1, 1, 1): 0}).counts == {}
+
+    def test_non_integral_counts_rejected(self):
+        for n in (2.7, 2.0, True, np.float64(3.0), np.True_):
+            with pytest.raises(ValueError, match=r"cell \(1, 1, 1, 1\) is not an integer"):
+                TallyTable({(1, 1, 1, 1): n})
+        table = TallyTable({(1, 1, 1, 1): 3, (1, 1, 1, 0): np.int64(4)})
+        assert table.counts == {(1, 1, 1, 1): 3, (1, 1, 1, 0): 4}
+        assert all(type(n) is int for n in table.counts.values())
 
 
 class TestEstimator:

@@ -5,9 +5,14 @@ Jacobi for two-qubit operators); numpy's eigvalsh is used here only as an
 independent oracle.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qrsgame
+from qrsgame.game import partial_bsm_povm
 from qrsgame.qmath import (
     DensityCheck,
     bloch_to_density,
@@ -156,6 +161,29 @@ class TestEigHermitian:
             want = [(1 + 3 * w) / 4] + [(1 - w) / 4] * 3
             assert np.allclose(eigs, want, atol=1e-12)
 
+    def test_structured_two_qubit_operators_vs_numpy(self):
+        """The operators the package validates: Werner states, partial-BSM
+        elements, rank-one product projectors, the identity, and diagonal
+        matrices whose off-diagonal zeros carry a sign or phase."""
+        rng = np.random.default_rng(24)
+        shapes = [werner_state(w) for w in np.linspace(0.0, 1.0, 11)]
+        for v in np.linspace(0.0, 1.0, 11):
+            povm = partial_bsm_povm(float(v))
+            shapes += [povm.b0, povm.b1]
+        for _ in range(20):
+            m, n = rng.normal(size=3), rng.normal(size=3)
+            shapes.append(tensor(bloch_to_density(m / np.linalg.norm(m)),
+                                 bloch_to_density(n / np.linalg.norm(n))))
+        shapes.append(identity(4))
+        diag = np.diag([0.7, -0.2, 0.7, 1e-3]).astype(complex)
+        diag[0, 1], diag[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+        diag[2, 3], diag[3, 2] = complex(0.0, -0.0), complex(-0.0, 0.0)
+        shapes.append(diag)
+        for m in shapes:
+            got = eig_hermitian(m)
+            want = np.linalg.eigvalsh(m)[::-1]
+            assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -227,3 +255,21 @@ def test_real_trace_product_matches_numpy():
             a = random_hermitian(rng, dim)
             b = random_hermitian(rng, dim)
             assert np.isclose(real_trace_product(a, b), np.trace(a @ b).real)
+
+
+_NUMPY_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def test_package_never_calls_numpy_eigensolver():
+    """numpy's eigensolver is a test oracle only; the package's numeric
+    path uses the closed forms and the Jacobi sweep in qmath."""
+    offenders = []
+    for path in sorted(Path(qrsgame.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in _NUMPY_EIGENSOLVERS:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module and "linalg" in node.module:
+                for alias in node.names:
+                    if alias.name in _NUMPY_EIGENSOLVERS:
+                        offenders.append(f"{path.name}:{node.lineno} import {alias.name}")
+    assert not offenders, f"numpy eigensolver used in the package: {offenders}"

@@ -134,6 +134,15 @@ class TestWitnessOperator:
         with pytest.raises(ValueError, match="nonnegative"):
             t_operator(referee_ideal(), (1, 1, 1), -0.1)
 
+    def test_non_finite_rate_rejected(self):
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="penalty rate"):
+                t_operator(referee_ideal(), (1, 1, 1), r)
+            with pytest.raises(ValueError, match="penalty rate"):
+                lhs_bound(referee_ideal(), r)
+            with pytest.raises(ValueError, match="penalty rate"):
+                regime_classify(0.5, r)
+
     def test_ideal_bound_formula(self):
         for r in (0.0, 0.5, 0.9, 1.0, 1.5):
             assert math.isclose(
@@ -373,6 +382,9 @@ class TestTomography:
             CountRecord({(1, 1, 4, 1): 5})
         with pytest.raises(ValueError, match="negative"):
             CountRecord({(1, 1, 1, 1): -2})
+        for n in (2.7, True):
+            with pytest.raises(ValueError, match="not an integer"):
+                CountRecord({(1, 1, 1, 1): n})
 
     def test_average_fidelity(self):
         assert math.isclose(average_fidelity(referee_ideal()), 1.0)
