@@ -40,6 +40,7 @@ import numpy as np
 from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
+    _eig2,
     bloch_to_density,
     eig_hermitian,
     hermiticity_defect,
@@ -47,6 +48,7 @@ from .qmath import (
     is_density_matrix,
     partial_trace,
     pauli,
+    psd_within,
     real_trace_product,
     tensor,
 )
@@ -59,7 +61,13 @@ _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
 @dataclass
 class BinaryPovm:
-    """Two-outcome POVM {b0, b1} on the Bob + referee pair."""
+    """Two-outcome POVM {b0, b1} on the Bob + referee pair.
+
+    Each element must be a finite, Hermitian 4x4 operator, and the two must
+    sum to the identity. An element is positive when el + PSD_TOL*1 is
+    positive definite, decided by ``psd_within`` from Cholesky pivots with no
+    eigenvalue computed; the exact boundary lambda_min = -PSD_TOL fails.
+    """
 
     b0: np.ndarray
     b1: np.ndarray
@@ -70,11 +78,13 @@ class BinaryPovm:
         for name, el in (("b0", self.b0), ("b1", self.b1)):
             if el.shape != (4, 4):
                 raise ValueError(f"POVM element {name} must be 4x4, got {el.shape}")
+            if not np.isfinite(el).all():
+                raise ValueError(f"POVM element {name} is not finite")
             if hermiticity_defect(el) > HERMITIAN_TOL:
                 raise ValueError(f"POVM element {name} is not Hermitian")
-            if eig_hermitian(el)[-1] < -PSD_TOL:
+            if not psd_within(el):
                 raise ValueError(f"POVM element {name} is not positive semidefinite")
-        if np.max(np.abs(self.b0 + self.b1 - identity(4))) > HERMITIAN_TOL:
+        if np.abs(self.b0 + self.b1 - identity(4)).max() > HERMITIAN_TOL:
             raise ValueError("POVM elements must sum to the identity")
 
 
@@ -170,8 +180,8 @@ class LocalComponent:
             raise ValueError("component effect is not finite")
         if hermiticity_defect(self.effect) > HERMITIAN_TOL:
             raise ValueError("component effect is not Hermitian")
-        eigs = eig_hermitian(self.effect)
-        if eigs[-1] < -PSD_TOL or eigs[0] > 1.0 + PSD_TOL:
+        high, low = _eig2(self.effect)
+        if low < -PSD_TOL or high > 1.0 + PSD_TOL:
             raise ValueError("component effect must satisfy 0 <= E <= 1")
 
 

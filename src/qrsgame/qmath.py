@@ -6,7 +6,9 @@ in dimension 2 and a cyclic complex Jacobi sweep in dimension 4, so the
 numeric path does not depend on an external eigensolver. The sweep runs on
 a 4x4 list of Python complex scalars: each rotation is applied in place to
 the two columns and then the two rows it mixes, p and q, which is all that
-U^dag A U changes. All functions are pure.
+U^dag A U changes. Eigenvalues are computed only where a value is needed;
+a yes/no positivity question is answered by ``psd_within``, which reads the
+pivots of a Cholesky factorization instead. All functions are pure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Global numeric policy. Hermiticity is judged by the largest entry of
-# M - M^dag, positivity by the most negative eigenvalue.
+# M - M^dag, positivity by the lowest eigenvalue of the Hermitian part H
+# against -PSD_TOL. psd_within decides positivity without eigenvalues, as
+# H + PSD_TOL*1 positive definite, so it rejects the exact boundary.
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 BLOCH_NORM_TOL = 1e-9
@@ -87,7 +91,7 @@ def partial_trace(m: np.ndarray, subsystem: str) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry of |M - M^dag|."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def _jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -124,17 +128,47 @@ def _jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
     raise RuntimeError("Jacobi eigenvalue iteration did not converge")
 
 
+def _eig2(m: np.ndarray) -> tuple[float, float]:
+    # Unchecked closed form for a Hermitian 2x2 m = c*1 + v.sigma: the
+    # eigenvalues are c +/- |v| exactly, returned as (high, low).
+    center = 0.5 * (m[0, 0] + m[1, 1]).real
+    radius = math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
+    return center + radius, center - radius
+
+
 def eig_hermitian(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, sorted descending."""
     m = _as_operator(m)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix is not finite")
     if hermiticity_defect(m) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     if m.shape[0] == 2:
-        # m = c*1 + v.sigma has eigenvalues c +/- |v| exactly.
-        center = 0.5 * (m[0, 0] + m[1, 1]).real
-        radius = math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
-        return np.array([center + radius, center - radius])
+        return np.array(_eig2(m))
     return _jacobi_eigenvalues(0.5 * (m + m.conj().T))
+
+
+# 2*PSD_TOL*1 per dimension, built once: psd_within factors
+# m + m^dag + _PSD_SHIFT = 2(H + PSD_TOL*1), and the factor 2 is exact.
+_PSD_SHIFT = {dim: 2.0 * PSD_TOL * np.eye(dim) for dim in (2, 4)}
+
+
+def psd_within(m: np.ndarray) -> bool:
+    """True when no eigenvalue of the Hermitian part of m lies below -PSD_TOL.
+
+    H + PSD_TOL*1, with H = (m + m^dag)/2, must be positive definite, which
+    numpy's Cholesky factorization decides from its pivots without computing
+    an eigenvalue. The exact boundary lambda_min = -PSD_TOL gives a zero
+    pivot and is rejected. Non-finite input is rejected.
+    """
+    m = _as_operator(m)
+    if not np.isfinite(m).all():
+        return False
+    try:
+        np.linalg.cholesky(m + m.conj().T + _PSD_SHIFT[m.shape[0]])
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass
@@ -153,6 +187,8 @@ class DensityCheck:
 def is_density_matrix(m: np.ndarray) -> DensityCheck:
     """Check Hermiticity, unit trace and positivity under the global policy."""
     m = _as_operator(m)
+    if not np.isfinite(m).all():
+        return DensityCheck(False, math.nan, math.nan, math.nan)
     herm = hermiticity_defect(m)
     trace_error = abs(np.trace(m) - 1.0)
     eigs = eig_hermitian(0.5 * (m + m.conj().T))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qrsgame import qmath
 from qrsgame.game import (
     SQRT3,
     BinaryPovm,
@@ -151,6 +152,17 @@ class TestPovms:
         with pytest.raises(ValueError, match="sum to the identity"):
             BinaryPovm(identity(4) / 2.0, identity(4) / 4.0)
 
+    def test_non_finite_element_rejected(self):
+        valid = partial_bsm_povm(0.5).b1
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+            for i, j in ((0, 0), (0, 1), (3, 2)):
+                broken = valid.copy()
+                broken[i, j] = bad
+                with pytest.raises(ValueError, match="POVM element b1 is not finite"):
+                    BinaryPovm(identity(4) - valid, broken)
+                with pytest.raises(ValueError, match="POVM element b0 is not finite"):
+                    BinaryPovm(broken, identity(4) - valid)
+
     def test_psd_boundary_matches_eigvalsh(self):
         """Elements whose lowest eigenvalue sits 1e-8 either side of zero,
         or 1e-11 either side of -PSD_TOL, are accepted exactly when numpy's
@@ -178,10 +190,40 @@ class TestPovms:
         assert decisions == {True, False}
 
 
+def test_povm_validation_never_reaches_jacobi(monkeypatch):
+    """Building a valid analyzer decides positivity without eigenvalues:
+    with the 4x4 Jacobi made to fail, every constructor still succeeds."""
+    rng = np.random.default_rng(109)
+    # random_lhs_strategy may scale its analyzer with eig_hermitian, so the
+    # strategies are drawn before the solver is disabled.
+    adversaries = [random_lhs_strategy(rng) for _ in range(20)]
+
+    def no_jacobi(m):
+        raise AssertionError("4x4 Jacobi reached during POVM validation")
+
+    monkeypatch.setattr(qmath, "_jacobi_eigenvalues", no_jacobi)
+    with pytest.raises(AssertionError, match="Jacobi reached"):
+        qmath.eig_hermitian(identity(4))
+    singlet_projector_bc()
+    for v in np.linspace(0.0, 1.0, 11):
+        partial_bsm_povm(float(v))
+    for r in (0.5, 1.0, 2.0):
+        for ens in (referee_ideal(), perturbed_ensemble(rng)):
+            realize_lhs_best(canonical_game(r), ens)
+    for adv in adversaries:
+        povm = BinaryPovm(adv.bob_povm.b0, adv.bob_povm.b1)
+        LhsDeterministic(adv.alice_signs, adv.hidden_state, povm)
+
+
 class TestStrategyValidation:
     def test_honest_needs_density_matrix(self):
         with pytest.raises(ValueError, match="shared_state"):
             HonestQuantum(identity(4), singlet_projector_bc())
+        for bad in (math.nan, math.inf):
+            state = identity(4) / 4.0
+            state[1, 2] = bad
+            with pytest.raises(ValueError, match="shared_state"):
+                HonestQuantum(state, singlet_projector_bc())
 
     def test_lhs_sign_validation(self):
         with pytest.raises(ValueError, match="alice_signs"):

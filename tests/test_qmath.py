@@ -1,8 +1,8 @@
 """Linear-algebra layer: frozen identities plus oracle checks against numpy.
 
 The package ships its own eigensolver (closed form for qubits, cyclic
-Jacobi for two-qubit operators); numpy's eigvalsh is used here only as an
-independent oracle.
+Jacobi for two-qubit operators) and a Cholesky positivity predicate;
+numpy's eigvalsh is used here only as an independent oracle for both.
 """
 
 import ast
@@ -21,8 +21,10 @@ from qrsgame.qmath import (
     hermiticity_defect,
     identity,
     is_density_matrix,
+    PSD_TOL,
     partial_trace,
     pauli,
+    psd_within,
     real_trace_product,
     tensor,
 )
@@ -189,10 +191,100 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="not Hermitian"):
             eig_hermitian(m)
 
+    def test_rejects_non_finite(self):
+        """NaN and +/-inf anywhere fail at once, as a ValueError, instead of
+        slipping past the Hermiticity test into the solver."""
+        bad_values = (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
+        for dim in (2, 4):
+            for bad in bad_values:
+                for i, j in ((0, 0), (0, 1), (dim - 1, 0), (dim - 1, dim - 1)):
+                    m = identity(dim) / dim
+                    m[i, j] = bad
+                    with pytest.raises(ValueError, match="matrix is not finite"):
+                        eig_hermitian(m)
+
     def test_hermiticity_defect(self):
         assert hermiticity_defect(pauli(2)) == 0.0
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert hermiticity_defect(m) > 0.4
+
+
+def eigvalsh_decision(m):
+    return bool(np.linalg.eigvalsh(m)[0] >= -PSD_TOL)
+
+
+class TestPsdWithin:
+    def test_matches_eigvalsh_near_boundaries(self):
+        """Random Hermitian matrices shifted so the lowest eigenvalue sits
+        1e-8 either side of 0 or 1e-11 either side of -PSD_TOL: the Cholesky
+        decision equals numpy's every time."""
+        rng = np.random.default_rng(51)
+        targets = (1e-8, -1e-8, -PSD_TOL + 1e-11, -PSD_TOL - 1e-11)
+        for dim in (2, 4):
+            decisions = []
+            for _ in range(2000):
+                h = random_hermitian(rng, dim)
+                lowest = np.linalg.eigvalsh(h)[0]
+                for target in targets:
+                    m = h + (target - lowest) * identity(dim)
+                    got = psd_within(m)
+                    assert got == eigvalsh_decision(m)
+                    decisions.append(got)
+            assert decisions.count(True) == decisions.count(False) == 4000
+
+    def test_reads_only_the_hermitian_part(self):
+        rng = np.random.default_rng(52)
+        for dim in (2, 4):
+            for _ in range(200):
+                h = random_hermitian(rng, dim)
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                for target in (1e-8, -1e-8):
+                    m = h + (target - np.linalg.eigvalsh(h)[0]) * identity(dim)
+                    assert psd_within(m + (g - g.conj().T)) == (target > 0)
+
+    def test_singular_and_degenerate(self):
+        """Cases where an unshifted pivot would be exactly zero."""
+        rng = np.random.default_rng(53)
+        zero_lead_psd = np.diag([0.0, 1.0, 0.5, 0.25]).astype(complex)
+        zero_lead_indefinite = zero_lead_psd.copy()
+        zero_lead_indefinite[0, 2], zero_lead_indefinite[2, 0] = 0.5j, -0.5j
+        accepted = [np.zeros((2, 2)), np.zeros((4, 4)), identity(2), identity(4), zero_lead_psd,
+                    np.array([[0.0, 0.0], [0.0, 1.0]])]
+        for v in (0.0, 1.0):
+            povm = partial_bsm_povm(v)
+            accepted += [povm.b0, povm.b1]
+        for _ in range(20):
+            m, n = rng.normal(size=3), rng.normal(size=3)
+            proj = tensor(bloch_to_density(m / np.linalg.norm(m)),
+                          bloch_to_density(n / np.linalg.norm(n)))
+            accepted += [proj, identity(4) - proj]
+        rejected = [zero_lead_indefinite, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                    -bell_state(BellIndex.PSI_MINUS), np.diag([1.0, 1.0, 1.0, -1e-8])]
+        for m in accepted:
+            assert psd_within(m) and eigvalsh_decision(m)
+        for m in rejected:
+            assert not psd_within(m) and not eigvalsh_decision(m)
+
+    def test_rejects_the_exact_boundary(self):
+        """lambda_min = -PSD_TOL exactly gives a zero pivot: the strict pivot
+        test rejects it where the eigenvalue test would accept."""
+        for m in (-PSD_TOL * identity(4), np.diag([1.0, -PSD_TOL, 0.5, 1.0]),
+                  -PSD_TOL * identity(2)):
+            assert eigvalsh_decision(m)
+            assert not psd_within(m)
+
+    def test_non_finite_never_accepted(self):
+        for dim in (2, 4):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)):
+                for i in range(dim):
+                    for j in range(dim):
+                        m = identity(dim)
+                        m[i, j] = bad
+                        assert not psd_within(m)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="dimension 3"):
+            psd_within(np.eye(3))
 
 
 class TestDensityChecks:
@@ -217,6 +309,19 @@ class TestDensityChecks:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]])
         assert not is_density_matrix(m)
+
+    def test_rejects_non_finite(self):
+        """NaN or +/-inf gives a failing check with NaN defects, not an
+        exception."""
+        for dim in (2, 4):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+                for i, j in ((0, 0), (0, 1), (dim - 1, dim - 1)):
+                    m = identity(dim) / dim
+                    m[i, j] = bad
+                    check = is_density_matrix(m)
+                    assert not check
+                    assert np.isnan([check.hermiticity, check.trace_error,
+                                     check.min_eigenvalue]).all()
 
     def test_bool_protocol(self):
         assert bool(DensityCheck(True, 0.0, 0.0, 0.0))

@@ -196,6 +196,8 @@ class TestFidelity:
     def test_state_must_be_density(self):
         with pytest.raises(ValueError, match="density matrix"):
             fidelity_pure(identity(2), np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="density matrix"):
+            fidelity_pure(np.diag([np.nan, 1.0]), np.array([0.0, 0.0, 1.0]))
 
 
 class TestJsonRoundTrip:
