@@ -1,9 +1,9 @@
 """Command-line front end: payoff evaluation, calibration, sweeps, sampling.
 
 Exit codes: 0 on success, 2 for invalid configuration or parse failures,
-3 when calibration cannot certify a sound penalty rate. All floats are
-printed with 10 significant digits and every run is reproducible from its
-seed.
+3 when calibration cannot certify a sound penalty rate. Computed values
+are printed to 10 significant digits, inputs such as --W are echoed as
+given, and every run is reproducible from its seed.
 """
 
 from __future__ import annotations

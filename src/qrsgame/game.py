@@ -16,16 +16,16 @@ Strategies come in two forms. HonestQuantum shares a two-qubit state and
 lets Bob project his half together with the referee qubit onto a partial
 Bell-state analyzer. Every no-steering adversary is a mixture of local
 components: Alice answers from a response table and Bob clicks according
-to an effect on the referee qubit alone. CustomLocal is the general
-mixture and the fuzzing family of the adversarial tests; LhsDeterministic
-is its one-component case, with fixed Alice signs and the effect induced
-by a local hidden qubit. Both compile at construction into one effect
-table: for each input j and sign a, Alice's marginal p(a|j) and the Bloch
-form (tr F/2, tr(sigma_i F)/2) of the referee effect
-F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine in the
-referee Bloch vector. All functions are pure and every random draw is
-made from an explicit per-setting substream of the caller's seed, so
-results never depend on scheduling or thread count.
+to an effect E_c on the referee qubit alone, whose Bloch form is read and
+checked once. CustomLocal is the general mixture and the fuzzing family
+of the adversarial tests; LhsDeterministic is its one-component case, with
+fixed Alice signs and the effect induced by a local hidden qubit. Both
+compile at construction into one effect table: for each input j and sign
+a, Alice's marginal p(a|j) and the Bloch form of the referee effect
+F_(j,a) = sum_c w_c p_c(a|j) E_c, a weighted sum of the stored forms, so a
+click probability is affine in the referee Bloch vector. All functions are
+pure and every random draw is made from an explicit per-setting substream
+of the caller's seed, so results never depend on scheduling or thread count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
-    _eig2,
     bloch_to_density,
     eig_hermitian,
     hermiticity_defect,
@@ -117,11 +116,7 @@ class HonestQuantum:
         self.shared_state = np.asarray(self.shared_state, dtype=complex)
         check = is_density_matrix(self.shared_state)
         if not check:
-            raise ValueError(
-                "shared_state is not a density matrix "
-                f"(hermiticity {check.hermiticity:.2e}, trace error "
-                f"{check.trace_error:.2e}, min eigenvalue {check.min_eigenvalue:.2e})"
-            )
+            raise ValueError(f"shared_state is not a density matrix ({check.describe()})")
 
 
 @dataclass
@@ -159,11 +154,16 @@ class LhsDeterministic:
 
 @dataclass
 class LocalComponent:
-    """One hidden variable: Alice's response table plus Bob's referee effect."""
+    """One hidden variable: Alice's response table plus Bob's referee effect.
+
+    ``bloch`` is the effect's Bloch form (e0, e1, e2, e3), E = e0*1 + e.sigma,
+    read once from the matrix; 0 <= E <= 1 is checked on it as e0 +/- |e|.
+    """
 
     weight: float
     alice_plus: dict[int, float]
     effect: np.ndarray
+    bloch: tuple[float, float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.weight) and self.weight >= 0.0):
@@ -180,9 +180,12 @@ class LocalComponent:
             raise ValueError("component effect is not finite")
         if hermiticity_defect(self.effect) > HERMITIAN_TOL:
             raise ValueError("component effect is not Hermitian")
-        high, low = _eig2(self.effect)
-        if low < -PSD_TOL or high > 1.0 + PSD_TOL:
+        (e00, e01), (_, e11) = self.effect.tolist()
+        e0, e3 = 0.5 * (e00.real + e11.real), 0.5 * (e00.real - e11.real)
+        radius = math.hypot(e3, abs(e01))
+        if e0 - radius < -PSD_TOL or e0 + radius > 1.0 + PSD_TOL:
             raise ValueError("component effect must satisfy 0 <= E <= 1")
+        self.bloch = (e0, e01.real, -e01.imag, e3)
 
 
 @dataclass
@@ -202,23 +205,18 @@ class CustomLocal:
         self.effect_table = _effect_table(self.components)
 
 
-# The identity and the Pauli matrices, for Bloch-form coordinates.
-_BLOCH_BASIS = np.array([identity(2), pauli(1), pauli(2), pauli(3)])
-
-
 def _effect_table(components: tuple[LocalComponent, ...]) -> list:
     # Row [j - 1][0 for a = +1, 1 for a = -1] is (p(a|j), f0, f1, f2, f3):
     # Alice's marginal and F_(j,a) = sum_c w_c p_c(a|j) E_c as
     # f0 = tr F / 2, f_i = tr(sigma_i F) / 2, so that for the referee state
     # (1 + n.sigma)/2 the click probability is tr(omega F) = f0 + n.f.
-    weights = np.array([c.weight for c in components])
-    plus = np.array([[c.alice_plus[j] for j in (1, 2, 3)] for c in components])
-    alice = np.stack([plus, 1.0 - plus], axis=2)
-    effects = np.array([c.effect for c in components])
-    bloch = 0.5 * np.einsum("kxy,cyx->ck", _BLOCH_BASIS, effects).real
-    marginals = np.einsum("c,cja->ja", weights, alice)
-    forms = np.einsum("c,cja,ck->jak", weights, alice, bloch)
-    return np.concatenate([marginals[:, :, None], forms], axis=2).tolist()
+    table = [[[0.0] * 5, [0.0] * 5] for _ in (1, 2, 3)]
+    for c in components:
+        for j, rows in zip((1, 2, 3), table):
+            for row, p in zip(rows, (c.alice_plus[j], 1.0 - c.alice_plus[j])):
+                for k, f in enumerate((1.0, *c.bloch)):
+                    row[k] += c.weight * p * f
+    return table
 
 
 Strategy = HonestQuantum | LhsDeterministic | CustomLocal

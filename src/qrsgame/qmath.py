@@ -8,7 +8,8 @@ a 4x4 list of Python complex scalars: each rotation is applied in place to
 the two columns and then the two rows it mixes, p and q, which is all that
 U^dag A U changes. Eigenvalues are computed only where a value is needed;
 a yes/no positivity question is answered by ``psd_within``, which reads the
-pivots of a Cholesky factorization instead. All functions are pure.
+pivots of a Cholesky factorization instead. ``check_bloch`` is the one
+Bloch-vector check (shape, finiteness, norm). All functions are pure.
 """
 
 from __future__ import annotations
@@ -128,14 +129,6 @@ def _jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
     raise RuntimeError("Jacobi eigenvalue iteration did not converge")
 
 
-def _eig2(m: np.ndarray) -> tuple[float, float]:
-    # Unchecked closed form for a Hermitian 2x2 m = c*1 + v.sigma: the
-    # eigenvalues are c +/- |v| exactly, returned as (high, low).
-    center = 0.5 * (m[0, 0] + m[1, 1]).real
-    radius = math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
-    return center + radius, center - radius
-
-
 def eig_hermitian(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, sorted descending."""
     m = _as_operator(m)
@@ -144,7 +137,10 @@ def eig_hermitian(m: np.ndarray) -> np.ndarray:
     if hermiticity_defect(m) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     if m.shape[0] == 2:
-        return np.array(_eig2(m))
+        # Closed form for m = c*1 + v.sigma: the eigenvalues are c +/- |v|.
+        center = 0.5 * (m[0, 0] + m[1, 1]).real
+        radius = math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
+        return np.array([center + radius, center - radius])
     return _jacobi_eigenvalues(0.5 * (m + m.conj().T))
 
 
@@ -183,6 +179,10 @@ class DensityCheck:
     def __bool__(self) -> bool:
         return self.ok
 
+    def describe(self) -> str:
+        h, t, e = self.hermiticity, self.trace_error, self.min_eigenvalue
+        return f"hermiticity {h:.2e}, trace error {t:.2e}, min eigenvalue {e:.2e}"
+
 
 def is_density_matrix(m: np.ndarray) -> DensityCheck:
     """Check Hermiticity, unit trace and positivity under the global policy."""
@@ -197,13 +197,22 @@ def is_density_matrix(m: np.ndarray) -> DensityCheck:
     return DensityCheck(ok, herm, float(trace_error), min_eig)
 
 
-def bloch_to_density(n: np.ndarray) -> np.ndarray:
-    """Qubit state (1 + n.sigma)/2 for a Bloch vector with |n| <= 1."""
+def check_bloch(n: np.ndarray, name: str = "Bloch vector") -> np.ndarray:
+    """n as a float array; raises unless it has shape (3,), is finite and |n| <= 1."""
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
-        raise ValueError(f"Bloch vector must have shape (3,), got {n.shape}")
-    if np.linalg.norm(n) > 1.0 + BLOCH_NORM_TOL:
-        raise ValueError(f"Bloch vector norm {np.linalg.norm(n):.6f} exceeds 1")
+        raise ValueError(f"{name} must have shape (3,), got {n.shape}")
+    norm = math.hypot(*n.tolist())  # inf or nan when a component is
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} is not finite: {n}")
+    if norm > 1.0 + BLOCH_NORM_TOL:
+        raise ValueError(f"{name} norm {norm:.6f} exceeds 1")
+    return n
+
+
+def bloch_to_density(n: np.ndarray) -> np.ndarray:
+    """Qubit state (1 + n.sigma)/2 for a Bloch vector checked by check_bloch."""
+    n = check_bloch(n)
     out = 0.5 * identity(2)
     for i in (1, 2, 3):
         out += 0.5 * n[i - 1] * _PAULI[i - 1]

@@ -22,6 +22,7 @@ import numpy as np
 from .qmath import (
     BLOCH_NORM_TOL,
     bloch_to_density,
+    check_bloch,
     identity,
     is_density_matrix,
     real_trace_product,
@@ -93,18 +94,9 @@ class RefereeEnsemble:
                 f"ensemble must cover exactly the keys {sorted(SETTING_KEYS)}, "
                 f"got {sorted(self.vectors)}"
             )
-        clean = {}
-        for key in SETTING_KEYS:
-            v = np.asarray(self.vectors[key], dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"Bloch vector for {key} must have shape (3,)")
-            if not np.isfinite(v).all():
-                raise ValueError(f"Bloch vector for {key} is not finite: {v}")
-            norm = float(np.linalg.norm(v))
-            if norm > 1.0 + BLOCH_NORM_TOL:
-                raise ValueError(f"Bloch vector for {key} has norm {norm:.6f} > 1")
-            clean[key] = v
-        self.vectors = clean
+        self.vectors = {
+            key: check_bloch(self.vectors[key], f"Bloch vector for {key}") for key in SETTING_KEYS
+        }
 
     def vector(self, j: int, s: int) -> np.ndarray:
         if (j, s) not in self.vectors:
@@ -139,6 +131,8 @@ def rotate_ensemble(ensemble: RefereeEnsemble, rot: np.ndarray) -> RefereeEnsemb
     rot = np.asarray(rot, dtype=float)
     if rot.shape != (3, 3):
         raise ValueError(f"rotation must be a 3x3 matrix, got shape {rot.shape}")
+    if not np.isfinite(rot).all():
+        raise ValueError("rotation is not finite")
     if np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-9 or np.linalg.det(rot) < 0.0:
         raise ValueError("rotation must be orthogonal with determinant +1")
     return RefereeEnsemble({k: rot @ v for k, v in ensemble.vectors.items()})
@@ -149,16 +143,12 @@ def fidelity_pure(rho: np.ndarray, m: np.ndarray) -> float:
 
     For a target projector (1 + m.sigma)/2 this is (1 + n_rho . m)/2.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3,) or abs(np.linalg.norm(m) - 1.0) > BLOCH_NORM_TOL:
+    m = check_bloch(m, "target Bloch vector")
+    if abs(np.linalg.norm(m) - 1.0) > BLOCH_NORM_TOL:
         raise ValueError("target Bloch vector must be a unit vector")
     check = is_density_matrix(rho)
     if not check:
-        raise ValueError(
-            "fidelity_pure expects a density matrix "
-            f"(hermiticity {check.hermiticity:.2e}, trace error {check.trace_error:.2e}, "
-            f"min eigenvalue {check.min_eigenvalue:.2e})"
-        )
+        raise ValueError(f"fidelity_pure expects a density matrix ({check.describe()})")
     return real_trace_product(np.asarray(rho), bloch_to_density(m))
 
 
@@ -172,16 +162,18 @@ def ensemble_to_dict(ensemble: RefereeEnsemble) -> dict:
 
 
 def ensemble_from_dict(data: dict) -> RefereeEnsemble:
-    """Inverse of ensemble_to_dict; duplicate or missing keys are rejected."""
-    if not isinstance(data, dict) or "vectors" not in data:
+    """Inverse of ensemble_to_dict; duplicate, missing or non-integer keys are rejected."""
+    if not isinstance(data, dict) or not isinstance(data.get("vectors"), list):
         raise ValueError("ensemble JSON must be an object with a 'vectors' list")
     vectors: dict[tuple[int, int], np.ndarray] = {}
     for rec in data["vectors"]:
         try:
-            key = (int(rec["j"]), int(rec["s"]))
+            key = (rec["j"], rec["s"])
             vec = np.asarray(rec["n"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed ensemble record {rec!r}") from exc
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in key):
+            raise ValueError(f"ensemble record {rec!r} has a key that is not an integer")
         if key in vectors:
             raise ValueError(f"duplicate referee key (j={key[0]}, s={key[1]})")
         vectors[key] = vec

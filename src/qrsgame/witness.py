@@ -305,8 +305,8 @@ def regime_classify(w: float, r: float) -> str:
 
 def _check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
-    if not ops or any(k.shape != (2, 2) for k in ops):
-        raise ValueError("channel must be given as 2x2 Kraus operators")
+    if not ops or any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
+        raise ValueError("channel must be given as finite 2x2 Kraus operators")
     total = sum(k.conj().T @ k for k in ops)
     if np.max(np.abs(total - identity(2))) > 1e-9:
         raise ValueError("Kraus operators violate completeness beyond 1e-9")
@@ -379,7 +379,7 @@ def channel_covariance_check(
         p_state_route = joint_probabilities(strategy, moved_states, *key)
         p_povm_route = joint_probabilities(moved_povm, ensemble, *key)
         for cell in p_state_route:
-            if abs(p_state_route[cell] - p_povm_route[cell]) > tol:
+            if not abs(p_state_route[cell] - p_povm_route[cell]) <= tol:
                 return False
     return True
 

@@ -49,6 +49,19 @@ class TestPayoff:
         assert captured.out == ""
         assert "(3, 1) is not finite" in captured.err
 
+    def test_malformed_ensemble_json_exits_2(self, tmp_path, capsys):
+        records = ensemble_to_dict(referee_ideal())["vectors"]
+        bad_data = [{"vectors": 5}, {"vectors": None}]
+        for field, bad in (("j", 1.7), ("s", True), ("j", "1")):
+            bad_data.append({"vectors": [dict(records[0], **{field: bad})] + records[1:]})
+        for i, data in enumerate(bad_data):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(data))
+            assert main(["payoff", "--W", "0.5", "--ensemble", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "ensemble" in captured.err
+
     def test_golden_point(self, capsys):
         assert main(["payoff", "--W", "0.698", "--r", "1.081"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -31,7 +31,7 @@ from qrsgame.game import (
     simulate_runs,
     singlet_projector_bc,
 )
-from qrsgame.qmath import PSD_TOL, bloch_to_density, identity, pauli
+from qrsgame.qmath import PSD_TOL, bloch_to_density, density_to_bloch, identity, pauli
 from qrsgame.states import (
     SETTING_KEYS,
     BellIndex,
@@ -260,6 +260,51 @@ class TestStrategyValidation:
         effect[0, 0] = math.nan
         with pytest.raises(ValueError, match="not finite"):
             LocalComponent(1.0, alice, effect)
+
+    def test_non_finite_hidden_state_rejected(self):
+        for i in range(3):
+            hidden = np.zeros(3)
+            hidden[i] = math.nan
+            with pytest.raises(ValueError, match="Bloch vector is not finite"):
+                LhsDeterministic((1, 1, 1), hidden, singlet_projector_bc())
+
+    def test_component_stores_bloch_form(self):
+        rng = np.random.default_rng(112)
+        for _ in range(100):
+            mix, lhs = random_local_strategy(rng), random_lhs_strategy(rng)
+            for c in mix.components + lhs.components:
+                want = (np.trace(c.effect).real / 2.0, *(density_to_bloch(c.effect) / 2.0))
+                assert len(c.bloch) == 4
+                assert np.allclose(c.bloch, want, rtol=0.0, atol=1e-12)
+
+    def test_effect_bounds_match_closed_form_rule(self):
+        # Eigenvalues e0 -/+ |e| placed 1e-11 inside or outside -PSD_TOL and
+        # 1 + PSD_TOL: the component decides as the closed-form rule
+        # reject iff c - |v| < -PSD_TOL or c + |v| > 1 + PSD_TOL does.
+        def closed_form_accepts(e):
+            center = 0.5 * (e[0, 0] + e[1, 1]).real
+            radius = math.hypot(0.5 * (e[0, 0] - e[1, 1]).real, abs(e[0, 1]))
+            return not (center - radius < -PSD_TOL or center + radius > 1.0 + PSD_TOL)
+
+        alice = {1: 0.5, 2: 0.5, 3: 0.5}
+        rng = np.random.default_rng(113)
+        for _ in range(500):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            radius = rng.uniform(0.01, 0.49)
+            vec = sum(radius * u[i] * pauli(i + 1) for i in range(3))
+            for offset in (-1e-11, 1e-11):
+                for center, inside in (
+                    (-PSD_TOL + radius + offset, offset > 0.0),
+                    (1.0 + PSD_TOL - radius + offset, offset < 0.0),
+                ):
+                    effect = center * identity(2) + vec
+                    assert closed_form_accepts(effect) == inside
+                    if inside:
+                        LocalComponent(1.0, alice, effect)
+                    else:
+                        with pytest.raises(ValueError, match="0 <= E <= 1"):
+                            LocalComponent(1.0, alice, effect)
 
     def test_mixture_weights_must_sum_to_one(self):
         comp = LocalComponent(0.4, {1: 0.5, 2: 0.5, 3: 0.5}, identity(2) / 2.0)

@@ -349,6 +349,14 @@ class TestBlochMaps:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shape"):
             bloch_to_density(np.zeros(2))
+
+    def test_rejects_non_finite(self):
+        for i in range(3):
+            for bad in (np.nan, np.inf, -np.inf):
+                n = np.zeros(3)
+                n[i] = bad
+                with pytest.raises(ValueError, match="Bloch vector is not finite"):
+                    bloch_to_density(n)
         with pytest.raises(ValueError):
             density_to_bloch(identity(4))
 

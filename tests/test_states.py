@@ -176,6 +176,14 @@ class TestEnsembleTransforms:
         with pytest.raises(ValueError, match="3x3"):
             rotate_ensemble(referee_ideal(), np.eye(2))
 
+    def test_rotation_must_be_finite(self):
+        # The rotation is blamed, not the first Bloch vector it would spoil.
+        for bad in (np.nan, np.inf):
+            rot = np.eye(3)
+            rot[1, 2] = bad
+            with pytest.raises(ValueError, match="rotation is not finite"):
+                rotate_ensemble(referee_ideal(), rot)
+
 
 class TestFidelity:
     def test_pure_targets(self):
@@ -192,6 +200,13 @@ class TestFidelity:
     def test_target_must_be_unit(self):
         with pytest.raises(ValueError, match="unit vector"):
             fidelity_pure(identity(2) / 2.0, np.array([0.5, 0.0, 0.0]))
+
+    def test_target_must_be_finite(self):
+        for i in range(3):
+            m = np.zeros(3)
+            m[i] = np.nan
+            with pytest.raises(ValueError, match="target Bloch vector is not finite"):
+                fidelity_pure(identity(2) / 2.0, m)
 
     def test_state_must_be_density(self):
         with pytest.raises(ValueError, match="density matrix"):
@@ -227,6 +242,24 @@ class TestJsonRoundTrip:
             ensemble_from_dict({"vectors": [{"j": 1, "s": 1}]})
         with pytest.raises(ValueError, match="'vectors'"):
             ensemble_from_dict([1, 2, 3])
+
+    def test_vectors_must_be_a_list(self):
+        for bad in (5, None, "abc", {"j": 1, "s": 1, "n": [0.0, 0.0, 1.0]}):
+            with pytest.raises(ValueError, match="'vectors' list"):
+                ensemble_from_dict({"vectors": bad})
+
+    def test_keys_must_be_integers(self):
+        for field, bad in (("j", 1.7), ("j", 1.0), ("s", True), ("j", "1"), ("s", None)):
+            data = ensemble_to_dict(referee_ideal())
+            data["vectors"][0][field] = bad
+            with pytest.raises(ValueError, match="not an integer"):
+                ensemble_from_dict(data)
+        data = ensemble_to_dict(referee_ideal())
+        for rec in data["vectors"]:
+            rec["j"] = np.int64(rec["j"])
+        back = ensemble_from_dict(data)
+        for j, s in SETTING_KEYS:
+            assert np.array_equal(back.vector(j, s), referee_ideal().vector(j, s))
 
     def test_unparsable_file(self, tmp_path):
         path = tmp_path / "broken.json"

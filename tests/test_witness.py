@@ -548,6 +548,19 @@ class TestChannels:
         with pytest.raises(ValueError, match="2x2"):
             channel_apply((identity(4),), identity(2) / 2.0)
 
+    def test_non_finite_kraus_rejected(self):
+        for bad in (np.nan, np.inf):
+            k = identity(2)
+            k[0, 1] = bad
+            with pytest.raises(ValueError, match="finite 2x2 Kraus"):
+                channel_dual((k,), identity(2) / 2.0)
+
+    def test_covariance_nan_tolerance_fails(self):
+        strat = HonestQuantum(werner_state(0.7), singlet_projector_bc())
+        assert not channel_covariance_check(
+            referee_ideal(), (identity(2),), strat, tol=math.nan
+        )
+
     def test_covariance_identity_channel(self):
         strat = HonestQuantum(werner_state(0.7), singlet_projector_bc())
         assert channel_covariance_check(referee_ideal(), (identity(2),), strat)
