@@ -41,10 +41,11 @@ from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
     bloch_to_density,
+    check_hermitian,
     eig_hermitian,
-    hermiticity_defect,
     identity,
     is_density_matrix,
+    is_integer,
     partial_trace,
     pauli,
     psd_within,
@@ -72,15 +73,9 @@ class BinaryPovm:
     b1: np.ndarray
 
     def __post_init__(self) -> None:
-        self.b0 = np.asarray(self.b0, dtype=complex)
-        self.b1 = np.asarray(self.b1, dtype=complex)
+        self.b0 = check_hermitian(self.b0, 4, "POVM element b0")
+        self.b1 = check_hermitian(self.b1, 4, "POVM element b1")
         for name, el in (("b0", self.b0), ("b1", self.b1)):
-            if el.shape != (4, 4):
-                raise ValueError(f"POVM element {name} must be 4x4, got {el.shape}")
-            if not np.isfinite(el).all():
-                raise ValueError(f"POVM element {name} is not finite")
-            if hermiticity_defect(el) > HERMITIAN_TOL:
-                raise ValueError(f"POVM element {name} is not Hermitian")
             if not psd_within(el):
                 raise ValueError(f"POVM element {name} is not positive semidefinite")
         if np.abs(self.b0 + self.b1 - identity(4)).max() > HERMITIAN_TOL:
@@ -113,7 +108,7 @@ class HonestQuantum:
     bob_povm: BinaryPovm
 
     def __post_init__(self) -> None:
-        self.shared_state = np.asarray(self.shared_state, dtype=complex)
+        self.shared_state = check_hermitian(self.shared_state, 4, "shared_state")
         check = is_density_matrix(self.shared_state)
         if not check:
             raise ValueError(f"shared_state is not a density matrix ({check.describe()})")
@@ -140,9 +135,10 @@ class LhsDeterministic:
     effect_table: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.alice_signs = tuple(int(a) for a in self.alice_signs)
-        if len(self.alice_signs) != 3 or any(a not in (-1, 1) for a in self.alice_signs):
-            raise ValueError(f"alice_signs must be three values of +/-1, got {self.alice_signs}")
+        signs = tuple(self.alice_signs)
+        if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
+            raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
+        self.alice_signs = tuple(int(a) for a in signs)
         rho = bloch_to_density(self.hidden_state)
         self.hidden_state = np.asarray(self.hidden_state, dtype=float)
         # E = tr_hidden[(rho x 1) b1], contracted in one step.
@@ -173,13 +169,7 @@ class LocalComponent:
         for j, p in self.alice_plus.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
-        self.effect = np.asarray(self.effect, dtype=complex)
-        if self.effect.shape != (2, 2):
-            raise ValueError("component effect must be a 2x2 operator")
-        if not np.isfinite(self.effect).all():
-            raise ValueError("component effect is not finite")
-        if hermiticity_defect(self.effect) > HERMITIAN_TOL:
-            raise ValueError("component effect is not Hermitian")
+        self.effect = check_hermitian(self.effect, 2, "component effect")
         (e00, e01), (_, e11) = self.effect.tolist()
         e0, e3 = 0.5 * (e00.real + e11.real), 0.5 * (e00.real - e11.real)
         radius = math.hypot(e3, abs(e01))
@@ -318,13 +308,12 @@ class CountTable:
     def check_cell(cls, cell: tuple[int, int, int, int], n: int) -> int:
         """The count of one cell as an int; raises if either is out of range.
 
-        A count must be an integer (Python or numpy); floats and bools are
-        rejected rather than truncated.
+        A count must pass ``is_integer``: floats and bools are rejected, not truncated.
         """
         j, s, x, y = cell
         if (j, s) not in SETTING_KEYS or (x, y) not in cls.CELLS:
             raise ValueError(f"malformed {cls.NAME} cell {cell}")
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_integer(n):
             raise ValueError(f"count {n!r} for cell {cell} is not an integer")
         n = int(n)
         if n < 0:
@@ -403,10 +392,10 @@ def simulate_runs(
     the tally is reproducible no matter how the settings are scheduled.
     The draws do not depend on the rate in ``spec``.
     """
-    if n_per_setting < 1:
-        raise ValueError(f"n_per_setting must be at least 1, got {n_per_setting}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not is_integer(n_per_setting) or n_per_setting < 1:
+        raise ValueError(f"n_per_setting must be an integer >= 1, got {n_per_setting!r}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     counts: dict[tuple[int, int, int, int], int] = {}
     for j, s in SETTING_KEYS:
         probs = joint_probabilities(strategy, ensemble, j, s)

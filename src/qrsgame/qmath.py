@@ -8,8 +8,8 @@ a 4x4 list of Python complex scalars: each rotation is applied in place to
 the two columns and then the two rows it mixes, p and q, which is all that
 U^dag A U changes. Eigenvalues are computed only where a value is needed;
 a yes/no positivity question is answered by ``psd_within``, which reads the
-pivots of a Cholesky factorization instead. ``check_bloch`` is the one
-Bloch-vector check (shape, finiteness, norm). All functions are pure.
+pivots of a Cholesky factorization instead. Input checks: ``check_hermitian``
+for operators, ``check_bloch`` for Bloch vectors. All functions are pure.
 """
 
 from __future__ import annotations
@@ -129,13 +129,26 @@ def _jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
     raise RuntimeError("Jacobi eigenvalue iteration did not converge")
 
 
+def check_hermitian(m: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """m as a complex dim x dim array; raises unless finite and Hermitian to HERMITIAN_TOL."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{name} must be {dim}x{dim}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} is not finite")
+    if hermiticity_defect(m) > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian within tolerance")
+    return m
+
+
+def is_integer(x: object) -> bool:
+    """True for a Python or numpy integer; bools, floats and strings are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def eig_hermitian(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, sorted descending."""
-    m = _as_operator(m)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix is not finite")
-    if hermiticity_defect(m) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    m = check_hermitian(m, _as_operator(m).shape[0], "matrix")
     if m.shape[0] == 2:
         # Closed form for m = c*1 + v.sigma: the eigenvalues are c +/- |v|.
         center = 0.5 * (m[0, 0] + m[1, 1]).real
@@ -220,10 +233,8 @@ def bloch_to_density(n: np.ndarray) -> np.ndarray:
 
 
 def density_to_bloch(m: np.ndarray) -> np.ndarray:
-    """Bloch vector of a qubit operator, component i = Re tr(m sigma_i)."""
-    m = _as_operator(m)
-    if m.shape[0] != 2:
-        raise ValueError("density_to_bloch expects a dimension-2 operator")
+    """Bloch vector of a Hermitian qubit operator, component i = Re tr(m sigma_i)."""
+    m = check_hermitian(m, 2, "density_to_bloch operator")
     return np.array([np.trace(m @ _PAULI[i]).real for i in range(3)])
 
 

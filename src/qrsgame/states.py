@@ -23,8 +23,10 @@ from .qmath import (
     BLOCH_NORM_TOL,
     bloch_to_density,
     check_bloch,
+    check_hermitian,
     identity,
     is_density_matrix,
+    is_integer,
     real_trace_product,
 )
 
@@ -146,10 +148,11 @@ def fidelity_pure(rho: np.ndarray, m: np.ndarray) -> float:
     m = check_bloch(m, "target Bloch vector")
     if abs(np.linalg.norm(m) - 1.0) > BLOCH_NORM_TOL:
         raise ValueError("target Bloch vector must be a unit vector")
+    rho = check_hermitian(rho, 2, "fidelity_pure density matrix")
     check = is_density_matrix(rho)
     if not check:
         raise ValueError(f"fidelity_pure expects a density matrix ({check.describe()})")
-    return real_trace_product(np.asarray(rho), bloch_to_density(m))
+    return real_trace_product(rho, bloch_to_density(m))
 
 
 def ensemble_to_dict(ensemble: RefereeEnsemble) -> dict:
@@ -169,10 +172,13 @@ def ensemble_from_dict(data: dict) -> RefereeEnsemble:
     for rec in data["vectors"]:
         try:
             key = (rec["j"], rec["s"])
+            numeric = not any(isinstance(x, (bool, str)) for x in rec["n"])
             vec = np.asarray(rec["n"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed ensemble record {rec!r}") from exc
-        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in key):
+        if not numeric:
+            raise ValueError(f"ensemble record {rec!r} has a Bloch component that is not a number")
+        if not all(is_integer(k) for k in key):
             raise ValueError(f"ensemble record {rec!r} has a key that is not an integer")
         if key in vectors:
             raise ValueError(f"duplicate referee key (j={key[0]}, s={key[1]})")

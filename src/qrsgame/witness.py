@@ -26,7 +26,7 @@ import numpy as np
 
 from .game import SQRT3, CustomLocal, HonestQuantum, LhsDeterministic, LocalComponent, Strategy
 from .game import BinaryPovm, CountTable, check_rate, joint_probabilities
-from .qmath import bloch_to_density, density_to_bloch, identity, pauli, tensor
+from .qmath import bloch_to_density, density_to_bloch, identity, is_integer, pauli, tensor
 from .states import SETTING_KEYS, RefereeEnsemble
 
 TWO_SQRT3 = 2.0 * SQRT3
@@ -189,29 +189,12 @@ class CountRecord(CountTable):
 
 
 def bloch_from_counts(record: CountRecord, key: tuple[int, int]) -> np.ndarray:
-    """Direct-inversion Bloch vector for one referee key.
+    """Direct-inversion Bloch vector for one key of a complete record (all six keys).
 
     Component i is (N+ - N-)/(N+ + N-) on axis i; vectors that land outside
     the unit ball from counting noise are clipped radially back onto it.
     """
-    return _invert_counts(record, key)[0]
-
-
-def _invert_counts(record: CountRecord, key: tuple[int, int]) -> tuple[np.ndarray, bool]:
-    # The inverted vector and whether it had to be clipped onto the sphere.
-    j, s = key
-    vec = np.zeros(3)
-    for axis in (1, 2, 3):
-        plus = record.cell(j, s, axis, 1)
-        minus = record.cell(j, s, axis, -1)
-        total = plus + minus
-        if total == 0:
-            raise ValueError(f"no counts for key (j={j}, s={s}) on axis {axis}")
-        vec[axis - 1] = (plus - minus) / total
-    norm = float(np.linalg.norm(vec))
-    if norm > 1.0:
-        vec /= norm
-    return vec, norm > 1.0
+    return ensemble_from_counts(record)[0].vector(*key)
 
 
 def ensemble_from_counts(
@@ -220,10 +203,20 @@ def ensemble_from_counts(
     """Reconstruct all six referee states; also report which got clipped."""
     vectors = {}
     clipped = []
-    for key in SETTING_KEYS:
-        vectors[key], was_clipped = _invert_counts(record, key)
-        if was_clipped:
-            clipped.append(key)
+    for j, s in SETTING_KEYS:
+        vec = np.zeros(3)
+        for axis in (1, 2, 3):
+            plus = record.cell(j, s, axis, 1)
+            minus = record.cell(j, s, axis, -1)
+            total = plus + minus
+            if total == 0:
+                raise ValueError(f"no counts for key (j={j}, s={s}) on axis {axis}")
+            vec[axis - 1] = (plus - minus) / total
+        norm = float(np.linalg.norm(vec))
+        if norm > 1.0:
+            vec /= norm
+            clipped.append((j, s))
+        vectors[(j, s)] = vec
     return RefereeEnsemble(vectors), tuple(clipped)
 
 
@@ -254,10 +247,10 @@ def bootstrap_calibration(
     Every trial draws from its own substream of ``seed``; trials whose
     resampled counts cannot be calibrated are excluded and counted.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     values = []
     failures = 0
     cells = sorted(record.counts)

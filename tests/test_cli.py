@@ -62,6 +62,16 @@ class TestPayoff:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "ensemble" in captured.err
 
+    def test_non_numeric_bloch_component_exits_2(self, tmp_path, capsys):
+        records = ensemble_to_dict(referee_ideal())["vectors"]
+        for i, bad in enumerate((["1", "0", "0"], [True, False, False])):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps({"vectors": [dict(records[0], n=bad)] + records[1:]}))
+            assert main(["payoff", "--W", "0.5", "--ensemble", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Bloch component that is not a number" in captured.err
+
     def test_golden_point(self, capsys):
         assert main(["payoff", "--W", "0.698", "--r", "1.081"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -225,6 +225,20 @@ class TestStrategyValidation:
             with pytest.raises(ValueError, match="shared_state"):
                 HonestQuantum(state, singlet_projector_bc())
 
+    def test_honest_state_must_be_4x4(self):
+        """A qubit state is refused where it enters, not later inside numpy."""
+        with pytest.raises(ValueError, match=r"shared_state must be 4x4, got \(2, 2\)"):
+            HonestQuantum(identity(2) / 2.0, singlet_projector_bc())
+
+    def test_lhs_signs_must_be_integers(self):
+        """Signs are not truncated or parsed: 1.7, "1" and True are refused."""
+        for signs in ((1.7, -1, 1), ("1", -1, 1), (True, -1, 1), (1.0, -1, 1)):
+            with pytest.raises(ValueError, match="alice_signs"):
+                LhsDeterministic(signs, np.zeros(3), singlet_projector_bc())
+        strat = LhsDeterministic((np.int64(1), -1, 1), np.zeros(3), singlet_projector_bc())
+        assert strat.alice_signs == (1, -1, 1)
+        assert all(type(a) is int for a in strat.alice_signs)
+
     def test_lhs_sign_validation(self):
         with pytest.raises(ValueError, match="alice_signs"):
             LhsDeterministic((1, 0, 1), np.zeros(3), singlet_projector_bc())
@@ -532,6 +546,20 @@ class TestSimulation:
             simulate_runs(spec, strat, referee_ideal(), 0, seed=0)
         with pytest.raises(ValueError, match="seed"):
             simulate_runs(spec, strat, referee_ideal(), 10, seed=-1)
+
+    def test_non_integer_arguments_rejected(self):
+        """2.5 rounds are not truncated to 2, True is not one round, and a
+        fractional seed fails as a ValueError naming it."""
+        spec = canonical_game(1.0)
+        strat = HonestQuantum(werner_state(0.5), singlet_projector_bc())
+        for n in (2.5, True, 2.0):
+            with pytest.raises(ValueError, match="n_per_setting"):
+                simulate_runs(spec, strat, referee_ideal(), n, seed=0)
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                simulate_runs(spec, strat, referee_ideal(), 10, seed=seed)
+        tally = simulate_runs(spec, strat, referee_ideal(), np.int64(10), seed=np.int64(3))
+        assert tally.counts == simulate_runs(spec, strat, referee_ideal(), 10, seed=3).counts
 
     def test_tally_validation(self):
         with pytest.raises(ValueError, match="malformed tally cell"):

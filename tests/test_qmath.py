@@ -16,11 +16,13 @@ from qrsgame.game import partial_bsm_povm
 from qrsgame.qmath import (
     DensityCheck,
     bloch_to_density,
+    check_hermitian,
     density_to_bloch,
     eig_hermitian,
     hermiticity_defect,
     identity,
     is_density_matrix,
+    is_integer,
     PSD_TOL,
     partial_trace,
     pauli,
@@ -386,3 +388,47 @@ def test_package_never_calls_numpy_eigensolver():
                     if alias.name in _NUMPY_EIGENSOLVERS:
                         offenders.append(f"{path.name}:{node.lineno} import {alias.name}")
     assert not offenders, f"numpy eigensolver used in the package: {offenders}"
+
+
+def test_only_qmath_measures_hermiticity():
+    """check_hermitian is the one operator check: no module outside qmath
+    calls hermiticity_defect to judge an operator on its own."""
+    offenders = []
+    for path in sorted(Path(qrsgame.__file__).parent.glob("*.py")):
+        if path.name == "qmath.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "hermiticity_defect":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"hermiticity_defect called outside qmath: {offenders}"
+
+
+class TestCheckHermitian:
+    def test_returns_complex_array(self):
+        m = check_hermitian([[1, 0], [0, 0]], 2, "probe")
+        assert m.dtype == complex
+        assert np.array_equal(m, np.diag([1.0, 0.0]))
+
+    def test_messages_name_the_operator(self):
+        with pytest.raises(ValueError, match=r"probe must be 4x4, got \(2, 2\)"):
+            check_hermitian(identity(2), 4, "probe")
+        with pytest.raises(ValueError, match=r"probe must be 2x2, got \(3,\)"):
+            check_hermitian(np.zeros(3), 2, "probe")
+        with pytest.raises(ValueError, match="probe is not finite"):
+            check_hermitian(np.diag([np.nan, 1.0]), 2, "probe")
+        with pytest.raises(ValueError, match="probe is not Hermitian"):
+            check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 2, "probe")
+
+    def test_density_to_bloch_needs_hermitian_qubit_operator(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            density_to_bloch(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+def test_is_integer():
+    for x in (0, -3, np.int64(5), np.uint8(2)):
+        assert is_integer(x)
+    for x in (True, np.True_, 1.0, 2.5, "1", None, np.float64(1.0)):
+        assert not is_integer(x)

@@ -215,6 +215,12 @@ class TestFidelity:
             fidelity_pure(np.diag([np.nan, 1.0]), np.array([0.0, 0.0, 1.0]))
 
 
+    def test_state_must_be_a_qubit(self):
+        """A two-qubit state fails at the check, not inside numpy's matmul."""
+        with pytest.raises(ValueError, match="density matrix must be 2x2"):
+            fidelity_pure(werner_state(0.5), np.array([0.0, 0.0, 1.0]))
+
+
 class TestJsonRoundTrip:
     def test_dict_round_trip(self):
         rng = np.random.default_rng(17)
@@ -260,6 +266,15 @@ class TestJsonRoundTrip:
         back = ensemble_from_dict(data)
         for j, s in SETTING_KEYS:
             assert np.array_equal(back.vector(j, s), referee_ideal().vector(j, s))
+
+    def test_bloch_components_must_be_numbers(self):
+        """Strings and bools are not converted: "1" and true are not 1.0."""
+        for bad in (["1", "0", "0"], [True, False, False], [1.0, 0.0, False], "100"):
+            data = ensemble_to_dict(referee_ideal())
+            data["vectors"][0]["n"] = bad
+            with pytest.raises(ValueError, match="Bloch component that is not a number") as err:
+                ensemble_from_dict(data)
+            assert "'j': 1, 's': 1" in str(err.value)
 
     def test_unparsable_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -359,6 +359,17 @@ class TestTomography:
         for key in SETTING_KEYS:
             assert np.allclose(bloch_from_counts(record, key), ens.vector(*key))
 
+    def test_single_key_reads_the_full_inversion(self):
+        """bloch_from_counts is one row of ensemble_from_counts, so it needs
+        a complete record even for a key whose own counts are present."""
+        record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.8), 1000)
+        ens, _ = ensemble_from_counts(record)
+        for key in SETTING_KEYS:
+            assert np.array_equal(bloch_from_counts(record, key), ens.vector(*key))
+        partial = CountRecord({c: n for c, n in record.counts.items() if c[:2] == (1, 1)})
+        with pytest.raises(ValueError, match="no counts for key"):
+            bloch_from_counts(partial, (1, 1))
+
     def test_noisy_vector_is_clipped(self):
         counts = {(1, 1, axis, 1): 10 for axis in (1, 2, 3)}
         counts.update({(1, 1, axis, -1): 0 for axis in (1, 2, 3)})
@@ -454,6 +465,14 @@ class TestBootstrap:
         counts[(3, -1, 1, -1)] = 0
         with pytest.raises(CalibrationError, match="every bootstrap trial"):
             bootstrap_calibration(CountRecord(counts), trials=10, seed=0)
+
+    def test_non_integer_arguments_rejected(self):
+        record = counts_from_ensemble(referee_ideal(), 100)
+        for trials in (True, 2.5):
+            with pytest.raises(ValueError, match="trials"):
+                bootstrap_calibration(record, trials=trials)
+        with pytest.raises(ValueError, match="seed"):
+            bootstrap_calibration(record, trials=2, seed=1.5)
 
     def test_argument_validation(self):
         record = counts_from_ensemble(referee_ideal(), 100)
