@@ -132,8 +132,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         report = calibrate(ensemble=load_ensemble(args.ensemble_path))
     else:
         record = CountRecord.load(args.counts_path)
-        trials = 200 if args.trials is None else args.trials
-        report = calibrate(counts=record, trials=trials, seed=args.seed or 0)
+        report = calibrate(counts=record, trials=args.trials, seed=args.seed)
     data = report_to_dict(report)
     for key in ("r_star_oracle", "r_star_printed", "r_star_legal", "avg_fidelity"):
         data[key] = _round10(data[key])

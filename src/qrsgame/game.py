@@ -14,7 +14,10 @@ plays: a GameSpec holds nothing but the rate r.
 
 Strategies come in two forms. HonestQuantum shares a two-qubit state and
 lets Bob project his half together with the referee qubit onto a partial
-Bell-state analyzer. Every no-steering adversary is a mixture of local
+Bell-state analyzer. Alice's measurement does not involve the referee, so
+the state it leaves on Bob's qubit, cond_(j,a), and its trace p(a|j) are
+computed once at construction; a setting then pairs cond_(j,a) x omega
+with the analyzer. Every no-steering adversary is a mixture of local
 components: Alice answers from a response table and Bob clicks according
 to an effect E_c on the referee qubit alone, whose Bloch form is read and
 checked once. CustomLocal is the general mixture and the fuzzing family
@@ -102,16 +105,36 @@ def partial_bsm_povm(visibility: float) -> BinaryPovm:
 
 @dataclass
 class HonestQuantum:
-    """Shared two-qubit state; Alice measures sigma_j, Bob runs the analyzer."""
+    """Shared two-qubit state; Alice measures sigma_j, Bob runs the analyzer.
+
+    Alice's side does not depend on the referee, so it is compiled once
+    here: ``conditional_states[j - 1]`` holds, for a = +1 then a = -1, the
+    pair (p(a|j), cond_(j,a)) with cond_(j,a) = tr_A[(P_(j,a) x 1) rho] the
+    unnormalized state Alice's outcome leaves on Bob's qubit and p(a|j) its
+    trace. They are computed by the same expressions, in the same order, as
+    an evaluation that rebuilds them for every setting, so each probability
+    is bitwise the one that evaluation gives; the tests keep it as oracle.
+    """
 
     shared_state: np.ndarray
     bob_povm: BinaryPovm
+    conditional_states: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bob_povm, BinaryPovm):
+            raise ValueError("bob_povm must be a BinaryPovm")
         self.shared_state = check_hermitian(self.shared_state, 4, "shared_state")
         check = is_density_matrix(self.shared_state)
         if not check:
             raise ValueError(f"shared_state is not a density matrix ({check.describe()})")
+        self.conditional_states = []
+        for j in (1, 2, 3):
+            rows = []
+            for a in (1, -1):
+                proj = 0.5 * (identity(2) + a * pauli(j))
+                cond = partial_trace(tensor(proj, identity(2)) @ self.shared_state, "first")
+                rows.append((float(np.trace(cond).real), cond))
+            self.conditional_states.append(rows)
 
 
 @dataclass
@@ -135,6 +158,8 @@ class LhsDeterministic:
     effect_table: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bob_povm, BinaryPovm):
+            raise ValueError("bob_povm must be a BinaryPovm")
         signs = tuple(self.alice_signs)
         if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
             raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
@@ -237,11 +262,7 @@ def canonical_game(r: float) -> GameSpec:
 
 def _joint_honest(strategy: HonestQuantum, omega: np.ndarray, j: int) -> dict:
     probs = {}
-    for a in (1, -1):
-        proj = 0.5 * (identity(2) + a * pauli(j))
-        # Unnormalized Bob state after Alice's outcome a; its trace is p(a).
-        cond = partial_trace(tensor(proj, identity(2)) @ strategy.shared_state, "first")
-        p_a = float(np.trace(cond).real)
+    for a, (p_a, cond) in zip((1, -1), strategy.conditional_states[j - 1]):
         p_click = real_trace_product(tensor(cond, omega), strategy.bob_povm.b1)
         probs[(a, 1)] = p_click
         probs[(a, 0)] = p_a - p_click

@@ -405,23 +405,31 @@ def calibrate(
     ensemble: RefereeEnsemble | None = None,
     counts: CountRecord | None = None,
     *,
-    trials: int = 200,
-    seed: int = 0,
+    trials: int | None = None,
+    seed: int | None = None,
 ) -> CalibrationReport:
     """Full calibration from either a known ensemble or tomography counts.
 
     With counts, the ensemble is reconstructed by direct inversion and the
-    boundary's spread is bootstrapped; with a known ensemble only the
-    deterministic readouts are produced. The printed closed form is set to
-    NaN when its domain condition fails, never silently substituted.
+    boundary's spread is bootstrapped over ``trials`` resamplings drawn from
+    ``seed`` (200 and 0 when not given); with a known ensemble only the
+    deterministic readouts are produced, and giving ``trials`` or ``seed``
+    raises. The printed closed form is set to NaN when its domain condition
+    fails, never silently substituted.
     """
     if (ensemble is None) == (counts is None):
         raise ValueError("provide exactly one of ensemble or counts")
     clipped: tuple[tuple[int, int], ...] = ()
     boot = None
-    if counts is not None:
+    if counts is None:
+        unused = [name for name, value in (("trials", trials), ("seed", seed)) if value is not None]
+        if unused:
+            raise ValueError(f"calibrate with an ensemble does not use {' or '.join(unused)}")
+    else:
         ensemble, clipped = ensemble_from_counts(counts)
-        boot = bootstrap_calibration(counts, trials=trials, seed=seed)
+        boot = bootstrap_calibration(
+            counts, trials=200 if trials is None else trials, seed=0 if seed is None else seed
+        )
     assert ensemble is not None
     oracle = rstar_oracle(ensemble)
     try:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qrsgame import qmath
+from qrsgame import game, qmath
 from qrsgame.game import (
     SQRT3,
     BinaryPovm,
@@ -31,7 +31,15 @@ from qrsgame.game import (
     simulate_runs,
     singlet_projector_bc,
 )
-from qrsgame.qmath import PSD_TOL, bloch_to_density, density_to_bloch, identity, pauli
+from qrsgame.qmath import (
+    PSD_TOL,
+    bloch_to_density,
+    density_to_bloch,
+    identity,
+    partial_trace,
+    pauli,
+    real_trace_product,
+)
 from qrsgame.states import (
     SETTING_KEYS,
     BellIndex,
@@ -42,7 +50,7 @@ from qrsgame.states import (
     rotate_ensemble,
     werner_state,
 )
-from qrsgame.witness import channel_dual
+from qrsgame.witness import _dual_strategy, channel_dual
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
@@ -59,6 +67,35 @@ def brute_force_honest(strategy, ensemble, j, s):
             op = np.kron(proj, povm[b])
             out[(a, b)] = float(np.trace(op @ state).real)
     return out
+
+
+def per_setting_honest(strategy, ensemble, j, s):
+    """The honest cell probabilities computed afresh for one setting, with
+    np.kron for the tensor products: the evaluation the constructor's
+    compiled conditional states must reproduce bit for bit."""
+    omega = referee_state(ensemble, j, s)
+    out = {}
+    for a in (1, -1):
+        proj = 0.5 * (identity(2) + a * pauli(j))
+        cond = partial_trace(np.kron(proj, identity(2)) @ strategy.shared_state, "first")
+        p_a = float(np.trace(cond).real)
+        p_click = real_trace_product(np.kron(cond, omega), strategy.bob_povm.b1)
+        out[(a, 1)] = p_click
+        out[(a, 0)] = p_a - p_click
+    return out
+
+
+def random_density_matrix(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_analyzer(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    s = g.conj().T @ g
+    b1 = rng.random() * s / np.linalg.eigvalsh(s)[-1]
+    return BinaryPovm(identity(4) - b1, b1)
 
 
 def brute_force_lhs(strategy, ensemble, j, s):
@@ -215,7 +252,38 @@ def test_povm_validation_never_reaches_jacobi(monkeypatch):
         LhsDeterministic(adv.alice_signs, adv.hidden_state, povm)
 
 
+def test_honest_evaluation_never_reaches_partial_trace(monkeypatch):
+    """Alice's side is compiled when the strategy is built: with
+    partial_trace made to fail afterwards, every evaluation still succeeds."""
+    strat = HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9))
+    ens = referee_ideal()
+
+    def no_partial_trace(m, subsystem):
+        raise AssertionError("partial_trace reached in a per-setting evaluation")
+
+    monkeypatch.setattr(game, "partial_trace", no_partial_trace)
+    with pytest.raises(AssertionError, match="partial_trace reached"):
+        HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9))
+    for key in SETTING_KEYS:
+        joint_probabilities(strat, ens, *key)
+    exact_payoff(canonical_game(1.0), strat, ens)
+    simulate_runs(canonical_game(1.0), strat, ens, 100, 0)
+
+
 class TestStrategyValidation:
+    def test_honest_analyzer_must_be_binary_povm(self):
+        """A missing or raw-matrix analyzer is refused at construction."""
+        b1 = singlet_projector_bc().b1
+        for bad in (None, b1, (identity(4) - b1, b1)):
+            with pytest.raises(ValueError, match="bob_povm must be a BinaryPovm"):
+                HonestQuantum(werner_state(0.5), bad)
+
+    def test_lhs_analyzer_must_be_binary_povm(self):
+        b1 = singlet_projector_bc().b1
+        for bad in (None, b1, (identity(4) - b1, b1)):
+            with pytest.raises(ValueError, match="bob_povm must be a BinaryPovm"):
+                LhsDeterministic((1, 1, 1), np.zeros(3), bad)
+
     def test_honest_needs_density_matrix(self):
         with pytest.raises(ValueError, match="shared_state"):
             HonestQuantum(identity(4), singlet_projector_bc())
@@ -341,6 +409,32 @@ class TestJointProbabilities:
                 want = brute_force_honest(strat, ens, *key)
                 for cell in CELLS:
                     assert math.isclose(got[cell], want[cell], abs_tol=1e-12)
+
+    def test_honest_compile_is_bitwise_per_setting_evaluation(self):
+        """The compiled conditional states give exactly the probabilities of
+        a fresh per-setting evaluation: on the bench's 21 x 11 grid of
+        Werner weight and visibility, on random states, analyzers and
+        ensembles, and on the channel duals of those strategies."""
+        def assert_bitwise(strat, ens):
+            for key in SETTING_KEYS:
+                assert joint_probabilities(strat, ens, *key) == per_setting_honest(
+                    strat, ens, *key
+                )
+
+        ideal = referee_ideal()
+        for w in np.linspace(0.0, 1.0, 21):
+            for v in np.linspace(0.5, 1.0, 11):
+                strat = HonestQuantum(werner_state(float(w)), partial_bsm_povm(float(v)))
+                assert_bitwise(strat, ideal)
+        rng = np.random.default_rng(117)
+        for k in range(40):
+            povm = partial_bsm_povm(float(rng.random())) if k % 2 else random_analyzer(rng)
+            strat = HonestQuantum(random_density_matrix(rng), povm)
+            ens = perturbed_ensemble(rng)
+            assert_bitwise(strat, ens)
+            g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+            q, _ = np.linalg.qr(g)
+            assert_bitwise(_dual_strategy((q[:2], q[2:]), strat), ens)
 
     def test_lhs_matches_brute_force(self):
         rng = np.random.default_rng(102)

@@ -80,11 +80,19 @@ class TestPauliAlgebra:
 
 class TestTensorAndTrace:
     def test_tensor_matches_kron(self):
+        """np.kron is the oracle, byte for byte: on Hermitian pairs, on
+        general complex pairs and on Paulis with the identity."""
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = random_hermitian(rng, 2)
-            b = random_hermitian(rng, 2)
-            assert np.allclose(tensor(a, b), np.kron(a, b))
+        pairs = [(random_hermitian(rng, 2), random_hermitian(rng, 2)) for _ in range(20)]
+        for _ in range(2000):
+            a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+            pairs.append((a, b))
+        ops = [identity(2), *(pauli(j) for j in (1, 2, 3))]
+        pairs += [(a, b) for a in ops for b in ops]
+        for a, b in pairs:
+            got, want = tensor(a, b), np.kron(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_tensor_rejects_large_result(self):
         with pytest.raises(ValueError, match="unsupported dimension"):

@@ -645,6 +645,23 @@ class TestCalibrationReport:
                 counts=counts_from_ensemble(referee_ideal(), 10),
             )
 
+    def test_bootstrap_arguments_rejected_with_ensemble(self):
+        """trials and seed only drive the counts path; with an ensemble they
+        are refused by name, not silently ignored."""
+        for kwargs, named in (
+            ({"trials": 2.5}, "trials"),
+            ({"seed": -1}, "seed"),
+            ({"trials": 200, "seed": 0}, "trials or seed"),
+        ):
+            with pytest.raises(ValueError, match=f"does not use {named}$"):
+                calibrate(ensemble=referee_ideal(), **kwargs)
+
+    def test_bootstrap_defaults_on_counts(self):
+        record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 2000)
+        default = calibrate(counts=record).bootstrap
+        assert default == calibrate(counts=record, trials=200, seed=0).bootstrap
+        assert default == bootstrap_calibration(record, trials=200, seed=0)
+
     def test_report_self_checks(self):
         with pytest.raises(ValueError, match="negative"):
             CalibrationReport(-1.0, 2.0, 1.0, (1, 1, 1), 1.0, {-1.0: 0.0}, (), None)
