@@ -70,8 +70,11 @@ def _resolve_r(args: argparse.Namespace, ensemble) -> float:
         raise ValueError(f"--r must be a number or 'auto', got {args.r!r}") from exc
 
 
-def _honest_strategy(args: argparse.Namespace) -> HonestQuantum:
-    return HonestQuantum(werner_state(args.w), partial_bsm_povm(args.visibility))
+def _honest_strategies(weights, visibility: float) -> list[HonestQuantum]:
+    """Honest Werner players, one per weight, sharing one analyzer."""
+    shared = [werner_state(float(w)) for w in weights]  # a bad --W is reported first
+    analyzer = partial_bsm_povm(visibility)
+    return [HonestQuantum(rho, analyzer) for rho in shared]
 
 
 def _estimate_dict(estimate: PayoffEstimate) -> dict:
@@ -89,7 +92,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
     ensemble = _load_ensemble(args)
     r = _resolve_r(args, ensemble)
     spec = canonical_game(r)
-    strategy = _honest_strategy(args)
+    [strategy] = _honest_strategies([args.w], args.visibility)
     exact = exact_payoff(spec, strategy, ensemble)
     reference = 3.0 * args.w - SQRT3 * r
     regime = regime_classify(args.w, r)
@@ -162,8 +165,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"# threshold CHSH W = {_fmt(W_CHSH)}",
         "W,exact_payoff,regime",
     ]
-    for w in grid:
-        strategy = HonestQuantum(werner_state(float(w)), partial_bsm_povm(args.visibility))
+    for w, strategy in zip(grid, _honest_strategies(grid, args.visibility)):
         payoff = exact_payoff(spec, strategy, ensemble)
         lines.append(f"{_fmt(w)},{_fmt(payoff)},{regime_classify(float(w), r)}")
     _emit("\n".join(lines) + "\n", args.output_path)
@@ -176,7 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ensemble = _load_ensemble(args)
     r = _resolve_r(args, ensemble)
     spec = canonical_game(r)
-    strategy = _honest_strategy(args)
+    [strategy] = _honest_strategies([args.w], args.visibility)
     tally = simulate_runs(spec, strategy, ensemble, args.n_per_setting, args.seed or 0)
     estimate = estimate_payoff(spec, tally)
     if args.output_path is not None:

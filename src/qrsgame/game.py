@@ -21,14 +21,15 @@ with the analyzer. Every no-steering adversary is a mixture of local
 components: Alice answers from a response table and Bob clicks according
 to an effect E_c on the referee qubit alone, whose Bloch form is read and
 checked once. CustomLocal is the general mixture and the fuzzing family
-of the adversarial tests; LhsDeterministic is its one-component case, with
-fixed Alice signs and the effect induced by a local hidden qubit. Both
-compile at construction into one effect table: for each input j and sign
-a, Alice's marginal p(a|j) and the Bloch form of the referee effect
-F_(j,a) = sum_c w_c p_c(a|j) E_c, a weighted sum of the stored forms, so a
-click probability is affine in the referee Bloch vector. All functions are
-pure and every random draw is made from an explicit per-setting substream
-of the caller's seed, so results never depend on scheduling or thread count.
+of the adversarial tests; LhsDeterministic is the CustomLocal with one
+component, fixed Alice signs and the effect of a local hidden qubit. A
+CustomLocal compiles at construction into one effect table: for each input
+j and sign a, Alice's marginal p(a|j) and the Bloch form of the referee
+effect F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine
+in the referee Bloch vector. Strategies are frozen, so a compiled form
+cannot go stale. All functions are pure and every random draw is made from
+an explicit per-setting substream of the caller's seed, so results never
+depend on scheduling or thread count.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ SQRT3 = math.sqrt(3.0)
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryPovm:
     """Two-outcome POVM {b0, b1} on the Bob + referee pair.
 
@@ -76,8 +77,8 @@ class BinaryPovm:
     b1: np.ndarray
 
     def __post_init__(self) -> None:
-        self.b0 = check_hermitian(self.b0, 4, "POVM element b0")
-        self.b1 = check_hermitian(self.b1, 4, "POVM element b1")
+        object.__setattr__(self, "b0", check_hermitian(self.b0, 4, "POVM element b0"))
+        object.__setattr__(self, "b1", check_hermitian(self.b1, 4, "POVM element b1"))
         for name, el in (("b0", self.b0), ("b1", self.b1)):
             if not psd_within(el):
                 raise ValueError(f"POVM element {name} is not positive semidefinite")
@@ -103,7 +104,7 @@ def partial_bsm_povm(visibility: float) -> BinaryPovm:
     return BinaryPovm(identity(4) - b1, b1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HonestQuantum:
     """Shared two-qubit state; Alice measures sigma_j, Bob runs the analyzer.
 
@@ -123,57 +124,22 @@ class HonestQuantum:
     def __post_init__(self) -> None:
         if not isinstance(self.bob_povm, BinaryPovm):
             raise ValueError("bob_povm must be a BinaryPovm")
-        self.shared_state = check_hermitian(self.shared_state, 4, "shared_state")
-        check = is_density_matrix(self.shared_state)
+        rho = check_hermitian(self.shared_state, 4, "shared_state")
+        object.__setattr__(self, "shared_state", rho)
+        check = is_density_matrix(rho)
         if not check:
             raise ValueError(f"shared_state is not a density matrix ({check.describe()})")
-        self.conditional_states = []
+        object.__setattr__(self, "conditional_states", [])
         for j in (1, 2, 3):
             rows = []
             for a in (1, -1):
                 proj = 0.5 * (identity(2) + a * pauli(j))
-                cond = partial_trace(tensor(proj, identity(2)) @ self.shared_state, "first")
+                cond = partial_trace(tensor(proj, identity(2)) @ rho, "first")
                 rows.append((float(np.trace(cond).real), cond))
             self.conditional_states.append(rows)
 
 
-@dataclass
-class LhsDeterministic:
-    """Fixed Alice signs plus a local hidden qubit on Bob's side.
-
-    Bob holds ``hidden_state`` (a Bloch vector) instead of half of an
-    entangled pair and measures ``bob_povm`` on hidden qubit + referee
-    qubit. His response to any referee state is therefore governed by the
-    induced effect on the referee qubit alone, computed once here. The
-    strategy is the one-component local mixture whose Alice table answers
-    alice_signs with certainty; ``components`` holds that component and
-    ``effect_table`` its compiled form.
-    """
-
-    alice_signs: tuple[int, int, int]
-    hidden_state: np.ndarray
-    bob_povm: BinaryPovm
-    effect: np.ndarray = field(init=False, repr=False)
-    components: tuple[LocalComponent, ...] = field(init=False, repr=False)
-    effect_table: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.bob_povm, BinaryPovm):
-            raise ValueError("bob_povm must be a BinaryPovm")
-        signs = tuple(self.alice_signs)
-        if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
-            raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
-        self.alice_signs = tuple(int(a) for a in signs)
-        rho = bloch_to_density(self.hidden_state)
-        self.hidden_state = np.asarray(self.hidden_state, dtype=float)
-        # E = tr_hidden[(rho x 1) b1], contracted in one step.
-        self.effect = np.einsum("im,mjil->jl", rho, self.bob_povm.b1.reshape(2, 2, 2, 2))
-        alice_plus = {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), self.alice_signs)}
-        self.components = (LocalComponent(1.0, alice_plus, self.effect),)
-        self.effect_table = _effect_table(self.components)
-
-
-@dataclass
+@dataclass(frozen=True)
 class LocalComponent:
     """One hidden variable: Alice's response table plus Bob's referee effect.
 
@@ -194,16 +160,16 @@ class LocalComponent:
         for j, p in self.alice_plus.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
-        self.effect = check_hermitian(self.effect, 2, "component effect")
+        object.__setattr__(self, "effect", check_hermitian(self.effect, 2, "component effect"))
         (e00, e01), (_, e11) = self.effect.tolist()
         e0, e3 = 0.5 * (e00.real + e11.real), 0.5 * (e00.real - e11.real)
         radius = math.hypot(e3, abs(e01))
         if e0 - radius < -PSD_TOL or e0 + radius > 1.0 + PSD_TOL:
             raise ValueError("component effect must satisfy 0 <= E <= 1")
-        self.bloch = (e0, e01.real, -e01.imag, e3)
+        object.__setattr__(self, "bloch", (e0, e01.real, -e01.imag, e3))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CustomLocal:
     """Mixture of local response tables; the general no-steering adversary."""
 
@@ -211,30 +177,58 @@ class CustomLocal:
     effect_table: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.components = tuple(self.components)
+        object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("CustomLocal needs at least one component")
         total = sum(c.weight for c in self.components)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total}")
-        self.effect_table = _effect_table(self.components)
+        # Row [j - 1][0 for a = +1, 1 for a = -1] is (p(a|j), f0, f1, f2, f3):
+        # Alice's marginal and F_(j,a) = sum_c w_c p_c(a|j) E_c as
+        # f0 = tr F / 2, f_i = tr(sigma_i F) / 2, so that for the referee state
+        # (1 + n.sigma)/2 the click probability is tr(omega F) = f0 + n.f.
+        table = [[[0.0] * 5, [0.0] * 5] for _ in (1, 2, 3)]
+        for c in self.components:
+            for j, rows in zip((1, 2, 3), table):
+                for row, p in zip(rows, (c.alice_plus[j], 1.0 - c.alice_plus[j])):
+                    for k, f in enumerate((1.0, *c.bloch)):
+                        row[k] += c.weight * p * f
+        object.__setattr__(self, "effect_table", table)
 
 
-def _effect_table(components: tuple[LocalComponent, ...]) -> list:
-    # Row [j - 1][0 for a = +1, 1 for a = -1] is (p(a|j), f0, f1, f2, f3):
-    # Alice's marginal and F_(j,a) = sum_c w_c p_c(a|j) E_c as
-    # f0 = tr F / 2, f_i = tr(sigma_i F) / 2, so that for the referee state
-    # (1 + n.sigma)/2 the click probability is tr(omega F) = f0 + n.f.
-    table = [[[0.0] * 5, [0.0] * 5] for _ in (1, 2, 3)]
-    for c in components:
-        for j, rows in zip((1, 2, 3), table):
-            for row, p in zip(rows, (c.alice_plus[j], 1.0 - c.alice_plus[j])):
-                for k, f in enumerate((1.0, *c.bloch)):
-                    row[k] += c.weight * p * f
-    return table
+@dataclass(frozen=True, init=False)
+class LhsDeterministic(CustomLocal):
+    """Fixed Alice signs plus a local hidden qubit on Bob's side.
+
+    Bob measures ``bob_povm`` on his hidden qubit (Bloch vector
+    ``hidden_state``) and the referee qubit, so he clicks by the induced
+    ``effect`` on the referee qubit alone, computed once here. This is the
+    one-component CustomLocal whose Alice answers ``alice_signs`` for sure.
+    """
+
+    alice_signs: tuple[int, int, int]
+    hidden_state: np.ndarray
+    bob_povm: BinaryPovm
+    effect: np.ndarray = field(repr=False)
+
+    def __init__(self, alice_signs: tuple, hidden_state: np.ndarray, bob_povm: BinaryPovm) -> None:
+        if not isinstance(bob_povm, BinaryPovm):
+            raise ValueError("bob_povm must be a BinaryPovm")
+        signs = tuple(alice_signs)
+        if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
+            raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
+        object.__setattr__(self, "alice_signs", tuple(int(a) for a in signs))
+        rho = bloch_to_density(hidden_state)
+        object.__setattr__(self, "hidden_state", np.asarray(hidden_state, dtype=float))
+        object.__setattr__(self, "bob_povm", bob_povm)
+        # E = tr_hidden[(rho x 1) b1], contracted in one step.
+        effect = np.einsum("im,mjil->jl", rho, bob_povm.b1.reshape(2, 2, 2, 2))
+        object.__setattr__(self, "effect", effect)
+        alice_plus = {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), self.alice_signs)}
+        super().__init__((LocalComponent(1.0, alice_plus, effect),))
 
 
-Strategy = HonestQuantum | LhsDeterministic | CustomLocal
+Strategy = HonestQuantum | CustomLocal
 
 
 def check_rate(r: float) -> float:
@@ -269,7 +263,7 @@ def _joint_honest(strategy: HonestQuantum, omega: np.ndarray, j: int) -> dict:
     return probs
 
 
-def _joint_local(strategy: LhsDeterministic | CustomLocal, n: list[float], j: int) -> dict:
+def _joint_local(strategy: CustomLocal, n: list[float], j: int) -> dict:
     x, y, z = n
     probs = {}
     for a, (marginal, f0, f1, f2, f3) in zip((1, -1), strategy.effect_table[j - 1]):
@@ -285,7 +279,7 @@ def joint_probabilities(
     """p(a, b) for one setting, as a dict over the four (a, b) cells."""
     if isinstance(strategy, HonestQuantum):
         return _joint_honest(strategy, referee_state(ensemble, j, s), j)
-    if isinstance(strategy, (LhsDeterministic, CustomLocal)):
+    if isinstance(strategy, CustomLocal):
         return _joint_local(strategy, ensemble.vector(j, s).tolist(), j)
     raise ValueError(f"unknown strategy type {type(strategy).__name__}")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import SQRT3, CustomLocal, HonestQuantum, LhsDeterministic, LocalComponent, Strategy
+from .game import SQRT3, CustomLocal, HonestQuantum, LocalComponent, Strategy
 from .game import BinaryPovm, CountTable, check_rate, joint_probabilities
 from .qmath import bloch_to_density, density_to_bloch, identity, is_integer, pauli, tensor
 from .states import SETTING_KEYS, RefereeEnsemble
@@ -342,7 +342,7 @@ def _dual_povm(kraus: tuple[np.ndarray, ...], povm: BinaryPovm) -> BinaryPovm:
 def _dual_strategy(kraus: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
     if isinstance(strategy, HonestQuantum):
         return HonestQuantum(strategy.shared_state, _dual_povm(kraus, strategy.bob_povm))
-    if isinstance(strategy, (LhsDeterministic, CustomLocal)):
+    if isinstance(strategy, CustomLocal):
         components = tuple(
             LocalComponent(c.weight, dict(c.alice_plus), channel_dual(kraus, c.effect))
             for c in strategy.components

@@ -72,6 +72,13 @@ class TestPayoff:
             assert captured.out == ""
             assert "Bloch component that is not a number" in captured.err
 
+    def test_bad_weight_reported_before_bad_visibility(self, capsys):
+        for command in (["payoff"], ["simulate", "--n", "5"]):
+            assert main(command + ["--W", "2", "--visibility", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: Werner weight must lie in [0, 1], got 2.0\n"
+
     def test_golden_point(self, capsys):
         assert main(["payoff", "--W", "0.698", "--r", "1.081"]) == 0
         out = capsys.readouterr().out.splitlines()

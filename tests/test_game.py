@@ -5,6 +5,7 @@ evaluating p(a, b) = tr[(Pi_a x B_b)(rho_AB x omega_C)] on 8x8 matrices so
 the two routes share no code beyond the state constructors.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -395,6 +396,26 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match="at least one"):
             CustomLocal(())
 
+    def test_built_strategies_are_frozen(self):
+        """Reassigning a field would leave the compiled form scoring the old
+        strategy, so every field of a built strategy, component or POVM
+        refuses assignment and the payoff stays the one it was built with."""
+        spec, ens = canonical_game(1.0), referee_ideal()
+        honest = HonestQuantum(werner_state(1.0), singlet_projector_bc())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            honest.shared_state = werner_state(0.0)
+        assert math.isclose(exact_payoff(spec, honest, ens), 3.0 - SQRT3, abs_tol=1e-12)
+        lhs = LhsDeterministic((1, 1, 1), [0, 0, 1], singlet_projector_bc())
+        before = exact_payoff(spec, lhs, ens)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lhs.alice_signs = (-1, -1, -1)
+        assert exact_payoff(spec, lhs, ens) == before
+        mix = random_local_strategy(np.random.default_rng(7))
+        for obj in (honest, honest.bob_povm, lhs, mix, mix.components[0]):
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, None)
+
 
 class TestJointProbabilities:
     def test_honest_matches_brute_force(self):
@@ -455,6 +476,8 @@ class TestJointProbabilities:
         lhs = random_lhs_strategy(rng)
         alice = {j: 1.0 if lhs.alice_signs[j - 1] == 1 else 0.0 for j in (1, 2, 3)}
         mix = CustomLocal((LocalComponent(1.0, alice, lhs.effect),))
+        assert isinstance(lhs, CustomLocal)
+        assert lhs.effect_table == mix.effect_table
         for key in SETTING_KEYS:
             got = joint_probabilities(mix, ens, *key)
             want = joint_probabilities(lhs, ens, *key)
