@@ -323,7 +323,10 @@ class CountTable:
     def check_cell(cls, cell: tuple[int, int, int, int], n: int) -> int:
         """The count of one cell as an int; raises if either is out of range.
 
-        A count must pass ``is_integer``: floats and bools are rejected, not truncated.
+        A count must pass ``is_integer``: floats and bools are rejected, not
+        truncated. It may not exceed 2^52, so that two counts and their sum
+        are exact floats and a ratio of counts is the same in array
+        arithmetic as in Python's integer division.
         """
         j, s, x, y = cell
         if (j, s) not in SETTING_KEYS or (x, y) not in cls.CELLS:
@@ -333,6 +336,8 @@ class CountTable:
         n = int(n)
         if n < 0:
             raise ValueError(f"negative count {n} for cell {cell}")
+        if n > 2**52:
+            raise ValueError(f"count {n} for cell {cell} exceeds 2^52")
         return n
 
     def cell(self, j: int, s: int, x: int, y: int) -> int:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Global numeric policy. Hermiticity is judged by the largest entry of
-# M - M^dag, positivity by the lowest eigenvalue of the Hermitian part H
-# against -PSD_TOL. psd_within decides positivity without eigenvalues, as
-# H + PSD_TOL*1 positive definite, so it rejects the exact boundary.
+# M - M^dag. Positivity means no eigenvalue of the Hermitian part H at or
+# below -PSD_TOL: psd_within decides it, as H + PSD_TOL*1 positive definite,
+# without computing an eigenvalue.
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 BLOCH_NORM_TOL = 1e-9
@@ -184,7 +184,11 @@ def psd_within(m: np.ndarray) -> bool:
 
 @dataclass
 class DensityCheck:
-    """Outcome of a density-matrix test with the measured defects."""
+    """Outcome of a density-matrix test with the measured defects.
+
+    ``min_eigenvalue`` is measured only when the check fails; it is NaN on
+    a passing check.
+    """
 
     ok: bool
     hermiticity: float
@@ -200,16 +204,21 @@ class DensityCheck:
 
 
 def is_density_matrix(m: np.ndarray) -> DensityCheck:
-    """Check Hermiticity, unit trace and positivity under the global policy."""
+    """Check Hermiticity, unit trace and positivity under the global policy.
+
+    Positivity is decided by ``psd_within``. The lowest eigenvalue of the
+    Hermitian part is computed only for a failing check, for its message;
+    a passing check carries NaN as ``min_eigenvalue``.
+    """
     m = _as_operator(m)
     if not np.isfinite(m).all():
         return DensityCheck(False, math.nan, math.nan, math.nan)
     herm = hermiticity_defect(m)
-    trace_error = abs(np.trace(m) - 1.0)
-    eigs = eig_hermitian(0.5 * (m + m.conj().T))
-    min_eig = float(eigs[-1])
-    ok = bool(herm <= HERMITIAN_TOL and trace_error <= 1e-9 and min_eig >= -PSD_TOL)
-    return DensityCheck(ok, herm, float(trace_error), min_eig)
+    trace_error = float(abs(np.trace(m) - 1.0))
+    if herm <= HERMITIAN_TOL and trace_error <= 1e-9 and psd_within(m):
+        return DensityCheck(True, herm, trace_error, math.nan)
+    min_eig = float(eig_hermitian(0.5 * (m + m.conj().T))[-1])
+    return DensityCheck(False, herm, trace_error, min_eig)
 
 
 def check_bloch(n: np.ndarray, name: str = "Bloch vector") -> np.ndarray:

@@ -54,16 +54,29 @@ class CalibrationError(RuntimeError):
 
 _SIGNS = np.array(SIGN_TRIPLES, dtype=float)
 
+# The witness arithmetic below works on stacks of sign tables (leading
+# axes ...), one per ensemble or bootstrap trial, and gives each table the
+# same bits as a stack of one. Where one table took a dot product with `@`
+# or np.linalg.norm of a vector, matmul runs the same BLAS dot and gemv
+# kernels on the stack; a summed product would round differently.
+
+
+def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # From (..., 6, 3) Bloch vectors in SETTING_KEYS order: the eight A rows
+    # as (..., 8, 3) in SIGN_TRIPLES order, and B as (..., 3).
+    plus, minus = vectors[..., 0::2, :], vectors[..., 1::2, :]
+    diffs = (plus - minus)[..., None, :, :]
+    rows = (
+        _SIGNS[:, 0:1] * diffs[..., 0, :]
+        + _SIGNS[:, 1:2] * diffs[..., 1, :]
+        + _SIGNS[:, 2:3] * diffs[..., 2, :]
+    )
+    sums = (plus + minus) / SQRT3
+    return rows, sums[..., 0, :] + sums[..., 1, :] + sums[..., 2, :]
+
 
 def _sign_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    # The eight A rows as an (8, 3) array in SIGN_TRIPLES order, and B.
-    vectors = ensemble.vectors
-    diffs = [vectors[(j, 1)] - vectors[(j, -1)] for j in (1, 2, 3)]
-    rows = _SIGNS[:, 0:1] * diffs[0] + _SIGNS[:, 1:2] * diffs[1] + _SIGNS[:, 2:3] * diffs[2]
-    vec_b = np.zeros(3)
-    for j in (1, 2, 3):
-        vec_b += (vectors[(j, 1)] + vectors[(j, -1)]) / SQRT3
-    return rows, vec_b
+    return _sign_tables(np.array([ensemble.vectors[key] for key in SETTING_KEYS]))
 
 
 def assignment_vectors(
@@ -93,21 +106,18 @@ def t_operator(
     return out
 
 
-def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float) -> np.ndarray:
-    # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a at once.
-    r = check_rate(r)
-    return np.linalg.norm(rows - r * vec_b, axis=1) - TWO_SQRT3 * r
+def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float | np.ndarray) -> np.ndarray:
+    # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a, with
+    # one rate per table (r of shape ...). The norm is the sum of squares
+    # np.linalg.norm(axis=-1) takes, without its dispatch.
+    r = np.asarray(r, dtype=float)
+    t = rows - r[..., None, None] * vec_b[..., None, :]
+    return np.sqrt(np.add.reduce(t * t, axis=-1)) - TWO_SQRT3 * r[..., None]
 
 
-def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
-    """Best no-steering payoff at rate r: max over signs of the top
-    witness eigenvalue."""
-    return float(np.max(_top_eigenvalues(*_sign_table(ensemble), r)))
-
-
-def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
-    """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
-    values = _top_eigenvalues(*_sign_table(ensemble), r)
+def _first_max(values: np.ndarray) -> tuple[int, int, int]:
+    # The sign assignment of the largest value; lexicographically smallest
+    # on ties within 1e-15.
     best = 0
     for i in range(1, len(values)):
         if values[i] > values[best] + 1e-15:
@@ -115,20 +125,74 @@ def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int
     return SIGN_TRIPLES[best]
 
 
-def _largest_root(rows: np.ndarray, vec_b: np.ndarray, c: float) -> float:
-    # Largest over assignments of the positive root of
+def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
+    """Best no-steering payoff at rate r: max over signs of the top
+    witness eigenvalue."""
+    return float(np.max(_top_eigenvalues(*_sign_table(ensemble), check_rate(r))))
+
+
+def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
+    """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
+    return _first_max(_top_eigenvalues(*_sign_table(ensemble), check_rate(r)))
+
+
+def _largest_root(rows: np.ndarray, vec_b: np.ndarray, c: float) -> np.ndarray:
+    # Per table, the largest over assignments of the positive root of
     # (c - B.B) r^2 + 2 (A.B) r - A.A = 0, in the cancellation-free form
     # A.A / (A.B + sqrt((A.B)^2 + (c - B.B) A.A)); A.A = 0 gives 0.
-    aa = np.einsum("ij,ij->i", rows, rows)
-    ab = rows @ vec_b
+    aa = np.einsum("...ij,...ij->...i", rows, rows)
+    ab = np.matmul(rows, vec_b[..., None])[..., 0]
+    bb = np.matmul(vec_b[..., None, :], vec_b[..., None])[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = aa / (ab + np.sqrt(ab * ab + (c - float(vec_b @ vec_b)) * aa))
-    return float(np.max(np.where(aa == 0.0, 0.0, roots)))
+        roots = aa / (ab + np.sqrt(ab * ab + (c - bb) * aa))
+    return np.where(aa == 0.0, 0.0, roots).max(axis=-1)
 
 
 # r* is reported on the grid where a bisection on [0, 4] to 1e-10 ends, so
 # it matches the bisection oracle in the tests to within one grid step.
 _RSTAR_GRID = 2.0 ** -34
+
+
+def _sound(rows: np.ndarray, vec_b: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # Per table, whether lhs_bound(k * grid) <= 0.
+    return _top_eigenvalues(rows, vec_b, k * _RSTAR_GRID).max(axis=-1) <= 0.0
+
+
+def _step_rstar(rows: np.ndarray, vec_b: np.ndarray, root: float) -> float:
+    # The exact grid walk for one table: from the rounded-up root, step up
+    # until sound, then down while the step below is still sound. NaN when
+    # no sound rate lies below 4.
+    if not root <= 4.0:
+        return math.nan
+    k = math.ceil(root / _RSTAR_GRID)
+    while not _sound(rows, vec_b, k):
+        k += 1
+        if k * _RSTAR_GRID > 4.0:
+            return math.nan
+    while k > 0 and _sound(rows, vec_b, k - 1):
+        k -= 1
+    return k * _RSTAR_GRID
+
+
+def _rstar_tables(rows: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
+    # rstar_oracle for each of T tables, (T, 8, 3) and (T, 3); NaN where it
+    # raises. A rounded root k that is sound with k - 1 unsound is already
+    # the walk's answer; only the other tables take the walk.
+    root = _largest_root(rows, vec_b, 12.0)
+    usable = root <= 4.0
+    k = np.ceil(np.where(usable, root, 0.0) / _RSTAR_GRID).astype(np.int64)
+    done = usable & _sound(rows, vec_b, k) & ((k == 0) | ~_sound(rows, vec_b, k - 1))
+    out = k * _RSTAR_GRID
+    for t in np.flatnonzero(~done):
+        out[t] = _step_rstar(rows[t], vec_b[t], root[t])
+    return out
+
+
+def _rstar(rows: np.ndarray, vec_b: np.ndarray) -> float:
+    rstar = float(_rstar_tables(rows[None], vec_b[None])[0])
+    if math.isnan(rstar):
+        raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
+    return rstar
 
 
 def rstar_oracle(ensemble: RefereeEnsemble) -> float:
@@ -145,22 +209,14 @@ def rstar_oracle(ensemble: RefereeEnsemble) -> float:
     2 sqrt(3) r, so r* <= sqrt(3) for every ensemble in the unit ball; the
     "below 4" error only guards roots that come out NaN or infinite.
     """
-    rows, vec_b = _sign_table(ensemble)
-    root = _largest_root(rows, vec_b, 12.0)
-    if not root <= 4.0:
-        raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
+    return _rstar(*_sign_table(ensemble))
 
-    def sound(k: int) -> bool:
-        return np.max(_top_eigenvalues(rows, vec_b, k * _RSTAR_GRID)) <= 0.0
 
-    k = math.ceil(root / _RSTAR_GRID)
-    while not sound(k):
-        k += 1
-        if k * _RSTAR_GRID > 4.0:
-            raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
-    while k > 0 and sound(k - 1):
-        k -= 1
-    return k * _RSTAR_GRID
+def _printed(rows: np.ndarray, vec_b: np.ndarray) -> float:
+    bb = float(vec_b @ vec_b)
+    if 3.0 - bb <= 0.0:
+        raise ValueError(f"printed closed form undefined: B.B = {bb:.6f} >= 3")
+    return float(_largest_root(rows, vec_b, 3.0))
 
 
 def rstar_printed(ensemble: RefereeEnsemble) -> float:
@@ -172,11 +228,7 @@ def rstar_printed(ensemble: RefereeEnsemble) -> float:
     2, twice the operational boundary found by rstar_oracle; calibration
     reports carry both so the discrepancy stays visible.
     """
-    rows, vec_b = _sign_table(ensemble)
-    bb = float(vec_b @ vec_b)
-    if 3.0 - bb <= 0.0:
-        raise ValueError(f"printed closed form undefined: B.B = {bb:.6f} >= 3")
-    return _largest_root(rows, vec_b, 3.0)
+    return _printed(*_sign_table(ensemble))
 
 
 class CountRecord(CountTable):
@@ -197,27 +249,42 @@ def bloch_from_counts(record: CountRecord, key: tuple[int, int]) -> np.ndarray:
     return ensemble_from_counts(record)[0].vector(*key)
 
 
+# Position of each (j, s, axis, outcome) cell in a flattened (6, 3, 2)
+# count array: key in SETTING_KEYS order, axis, then outcome +1 before -1.
+_CELL_POSITION = {
+    cell: i
+    for i, cell in enumerate(
+        (j, s, axis, o) for j, s in SETTING_KEYS for axis in (1, 2, 3) for o in (1, -1)
+    )
+}
+
+
+def _invert(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Direct inversion of (T, 6, 3, 2) counts into (T, 6, 3) Bloch vectors,
+    # clipped radially onto the unit ball, and which were clipped, (T, 6).
+    # An axis without counts leaves NaN in its vector.
+    plus, minus = counts[..., 0], counts[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vectors = (plus - minus) / (plus + minus)
+    norms = np.sqrt(np.matmul(vectors[..., None, :], vectors[..., None])[..., 0, 0])
+    clipped = norms > 1.0
+    np.divide(vectors, norms[..., None], out=vectors, where=clipped[..., None])
+    return vectors, clipped
+
+
 def ensemble_from_counts(
     record: CountRecord,
 ) -> tuple[RefereeEnsemble, tuple[tuple[int, int], ...]]:
     """Reconstruct all six referee states; also report which got clipped."""
-    vectors = {}
-    clipped = []
-    for j, s in SETTING_KEYS:
-        vec = np.zeros(3)
-        for axis in (1, 2, 3):
-            plus = record.cell(j, s, axis, 1)
-            minus = record.cell(j, s, axis, -1)
-            total = plus + minus
-            if total == 0:
-                raise ValueError(f"no counts for key (j={j}, s={s}) on axis {axis}")
-            vec[axis - 1] = (plus - minus) / total
-        norm = float(np.linalg.norm(vec))
-        if norm > 1.0:
-            vec /= norm
-            clipped.append((j, s))
-        vectors[(j, s)] = vec
-    return RefereeEnsemble(vectors), tuple(clipped)
+    counts = np.array([record.counts.get(cell, 0) for cell in _CELL_POSITION], dtype=np.int64)
+    vectors, clipped = _invert(counts.reshape(1, 6, 3, 2))
+    empty = np.argwhere(np.isnan(vectors[0]))
+    if len(empty):
+        key, axis = empty[0]
+        j, s = SETTING_KEYS[key]
+        raise ValueError(f"no counts for key (j={j}, s={s}) on axis {axis + 1}")
+    ensemble = RefereeEnsemble(dict(zip(SETTING_KEYS, vectors[0])))
+    return ensemble, tuple(key for key, c in zip(SETTING_KEYS, clipped[0]) if c)
 
 
 def average_fidelity(ensemble: RefereeEnsemble) -> float:
@@ -239,35 +306,48 @@ class BootstrapResult:
     failures: int
 
 
+# Bootstrap trials resampled and calibrated per array pass, so the working
+# arrays stay a few hundred kB whatever the number of trials; what grows is
+# the calibrated rates, 8 bytes per trial, as they are computed.
+_BOOTSTRAP_BLOCK = 1024
+
+
 def bootstrap_calibration(
     record: CountRecord, trials: int = 200, seed: int = 0
 ) -> BootstrapResult:
-    """Poisson-resample the counts and recalibrate, trial by trial.
+    """Poisson-resample the counts and recalibrate.
 
-    Every trial draws from its own substream of ``seed``; trials whose
-    resampled counts cannot be calibrated are excluded and counted.
+    Every trial draws from its own substream of ``seed``, so a trial's
+    counts do not depend on how many trials run; trials are inverted and
+    calibrated as arrays, _BOOTSTRAP_BLOCK at a time. Trials whose
+    resampled counts cannot be calibrated (an axis without counts, or no
+    sound rate below 4) are excluded and counted.
     """
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    values = []
-    failures = 0
     cells = sorted(record.counts)
     base = np.array([record.counts[c] for c in cells], dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        resampled = rng.poisson(base)
-        counts = {cell: int(n) for cell, n in zip(cells, resampled)}
-        try:
-            ensemble, _ = ensemble_from_counts(CountRecord(counts))
-            values.append(rstar_oracle(ensemble))
-        except (ValueError, CalibrationError):
-            failures += 1
-    if not values:
+    index = np.array([_CELL_POSITION[c] for c in cells], dtype=np.intp)
+    calibrated = []
+    for start in range(0, trials, _BOOTSTRAP_BLOCK):
+        block = range(start, min(start + _BOOTSTRAP_BLOCK, trials))
+        counts = np.zeros((len(block), len(_CELL_POSITION)), dtype=np.int64)
+        for row, trial in enumerate(block):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            counts[row, index] = rng.poisson(base)
+        vectors, _ = _invert(counts.reshape(-1, 6, 3, 2))
+        # RefereeEnsemble's check as a mask: clipped vectors lie in the
+        # unit ball, so only the finiteness half can fail.
+        ok = np.isfinite(vectors).all(axis=(1, 2))
+        rstar = _rstar_tables(*_sign_tables(vectors[ok]))
+        calibrated.append(rstar[~np.isnan(rstar)])
+    values = np.concatenate(calibrated)
+    if not len(values):
         raise CalibrationError("every bootstrap trial failed to calibrate")
     spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return BootstrapResult(float(np.mean(values)), spread, failures)
+    return BootstrapResult(float(np.mean(values)), spread, trials - len(values))
 
 
 def chsh_werner(w: float) -> float:
@@ -431,18 +511,20 @@ def calibrate(
             counts, trials=200 if trials is None else trials, seed=0 if seed is None else seed
         )
     assert ensemble is not None
-    oracle = rstar_oracle(ensemble)
+    table = _sign_table(ensemble)
+    oracle = _rstar(*table)
     try:
-        printed = rstar_printed(ensemble)
+        printed = _printed(*table)
     except ValueError:
         printed = float("nan")
-    bound_at = {r: lhs_bound(ensemble, r) for r in _BOUND_GRID}
-    bound_at[oracle] = lhs_bound(ensemble, oracle)
+    rates = (*_BOUND_GRID, oracle)
+    values = _top_eigenvalues(*table, np.array(rates))
+    bound_at = dict(zip(rates, np.max(values, axis=-1).tolist()))
     return CalibrationReport(
         r_star_oracle=oracle,
         r_star_printed=printed,
         r_star_legal=max(oracle, 1.0),
-        worst_assignment=worst_assignment(ensemble, oracle),
+        worst_assignment=_first_max(values[-1]),
         avg_fidelity=average_fidelity(ensemble),
         bound_at_r=bound_at,
         clipped_keys=clipped,

@@ -245,6 +245,12 @@ class TestCalibrate:
         assert main(["calibrate", "--counts", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_count_beyond_exact_floats_names_line(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"j,s,axis,outcome,count\n1,+1,1,+1,10\n1,+1,1,-1,{10**19}\n")
+        assert main(["calibrate", "--counts", str(path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_and_thresholds(self, capsys):

@@ -338,6 +338,47 @@ class TestDensityChecks:
         assert not bool(DensityCheck(False, 0.0, 0.0, 0.0))
 
 
+class TestDensityPositivityRule:
+    def test_decided_by_psd_within(self):
+        """Positivity of a state is the POVM rule: the exact boundary
+        lambda_min = -PSD_TOL is rejected, and the failing check still
+        reports that eigenvalue."""
+        for dim in (2, 4):
+            diag = np.full(dim, 1.0 / (dim - 1))
+            diag[0] += PSD_TOL
+            diag[-1] = -PSD_TOL
+            boundary = np.diag(diag).astype(complex)
+            check = is_density_matrix(boundary)
+            assert check.hermiticity == 0.0 and check.trace_error <= 1e-15
+            assert not psd_within(boundary) and not check
+            assert check.min_eigenvalue == pytest.approx(-PSD_TOL, abs=1e-15)
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            m = random_hermitian(rng, 4)
+            m = m - (np.trace(m).real - 1.0) / 4.0 * identity(4)
+            assert bool(is_density_matrix(m)) == psd_within(m)
+
+    def test_passing_check_runs_no_eigensolver(self, monkeypatch):
+        """A passing check carries NaN as its minimum eigenvalue; only a
+        failing check runs the Jacobi sweep, to fill in the message."""
+        def refuse(m):
+            raise AssertionError("eigenvalues computed for a passing check")
+
+        monkeypatch.setattr(qrsgame.qmath, "eig_hermitian", refuse)
+        check = is_density_matrix(werner_state(0.6))
+        assert check and np.isnan(check.min_eigenvalue)
+
+    def test_failure_message_bytes(self):
+        check = is_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+        assert check.describe() == (
+            "hermiticity 0.00e+00, trace error 0.00e+00, min eigenvalue -5.00e-01"
+        )
+        check = is_density_matrix(identity(2))
+        assert check.describe() == (
+            "hermiticity 0.00e+00, trace error 1.00e+00, min eigenvalue 1.00e+00"
+        )
+
+
 class TestBlochMaps:
     def test_round_trip(self):
         rng = np.random.default_rng(41)

@@ -1,10 +1,12 @@
 """Witness operators, calibration oracle, tomography ingestion, channels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qrsgame import witness
 from qrsgame.game import (
     SQRT3,
     HonestQuantum,
@@ -396,6 +398,10 @@ class TestTomography:
         for n in (2.7, True):
             with pytest.raises(ValueError, match="not an integer"):
                 CountRecord({(1, 1, 1, 1): n})
+        assert CountRecord({(1, 1, 1, 1): 2**52}).cell(1, 1, 1, 1) == 2**52
+        for n in (2**52 + 1, 2**63, np.uint64(2**64 - 1)):
+            with pytest.raises(ValueError, match="exceeds 2\\^52"):
+                CountRecord({(1, 1, 1, 1): n})
 
     def test_average_fidelity(self):
         assert math.isclose(average_fidelity(referee_ideal()), 1.0)
@@ -724,3 +730,237 @@ class TestCountsCsv:
         path.write_text("j,s,axis,outcome,count\n1,+1,1,+1,10\n1,+1,1,+1,3\n")
         with pytest.raises(ValueError, match="duplicate"):
             CountRecord.load(str(path))
+
+
+# The calibration path as it ran before it was batched: one Python loop per
+# record and one grid walk per ensemble. The array-native code must give
+# the same numbers, bit for bit.
+
+
+def _loop_sign_table(ensemble):
+    signs = np.array(SIGN_TRIPLES, dtype=float)
+    vectors = ensemble.vectors
+    diffs = [vectors[(j, 1)] - vectors[(j, -1)] for j in (1, 2, 3)]
+    rows = signs[:, 0:1] * diffs[0] + signs[:, 1:2] * diffs[1] + signs[:, 2:3] * diffs[2]
+    vec_b = np.zeros(3)
+    for j in (1, 2, 3):
+        vec_b += (vectors[(j, 1)] + vectors[(j, -1)]) / SQRT3
+    return rows, vec_b
+
+
+def _loop_root(rows, vec_b, c):
+    aa = np.einsum("ij,ij->i", rows, rows)
+    ab = rows @ vec_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = aa / (ab + np.sqrt(ab * ab + (c - float(vec_b @ vec_b)) * aa))
+    return float(np.max(np.where(aa == 0.0, 0.0, roots)))
+
+
+def _loop_printed(ensemble):
+    rows, vec_b = _loop_sign_table(ensemble)
+    if 3.0 - float(vec_b @ vec_b) <= 0.0:
+        return "undefined"
+    return _loop_root(rows, vec_b, 3.0)
+
+
+def _loop_rstar(ensemble):
+    rows, vec_b = _loop_sign_table(ensemble)
+    root = _loop_root(rows, vec_b, 12.0)
+    if not root <= 4.0:
+        raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
+
+    def sound(k):
+        r = k * GRID
+        return np.max(np.linalg.norm(rows - r * vec_b, axis=1) - TWO_SQRT3 * r) <= 0.0
+
+    k = math.ceil(root / GRID)
+    while not sound(k):
+        k += 1
+        if k * GRID > 4.0:
+            raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
+    while k > 0 and sound(k - 1):
+        k -= 1
+    return k * GRID
+
+
+def _loop_invert(record):
+    vectors = {}
+    clipped = []
+    for j, s in SETTING_KEYS:
+        vec = np.zeros(3)
+        for axis in (1, 2, 3):
+            plus = record.cell(j, s, axis, 1)
+            minus = record.cell(j, s, axis, -1)
+            total = plus + minus
+            if total == 0:
+                raise ValueError(f"no counts for key (j={j}, s={s}) on axis {axis}")
+            vec[axis - 1] = (plus - minus) / total
+        norm = float(np.linalg.norm(vec))
+        if norm > 1.0:
+            vec /= norm
+            clipped.append((j, s))
+        vectors[(j, s)] = vec
+    return RefereeEnsemble(vectors), tuple(clipped)
+
+
+def _loop_bootstrap(record, trials, seed):
+    values = []
+    failures = 0
+    cells = sorted(record.counts)
+    base = np.array([record.counts[c] for c in cells], dtype=np.int64)
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        resampled = rng.poisson(base)
+        counts = {cell: int(n) for cell, n in zip(cells, resampled)}
+        try:
+            values.append(_loop_rstar(_loop_invert(CountRecord(counts))[0]))
+        except (ValueError, CalibrationError):
+            failures += 1
+    if not values:
+        raise CalibrationError("every bootstrap trial failed to calibrate")
+    spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return BootstrapResult(float(np.mean(values)), spread, failures)
+
+
+def _bootstrap_outcome(run, record, trials, seed):
+    try:
+        result = run(record, trials=trials, seed=seed)
+    except CalibrationError as exc:
+        return str(exc)
+    return result.mean, result.std, result.failures
+
+
+def _bootstrap_records():
+    rng = np.random.default_rng(230)
+    fragile = dict(counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 2000).counts)
+    fragile[(1, 1, 2, 1)] = 1
+    fragile[(1, 1, 2, -1)] = 0
+    balanced = {(j, s, axis, o): 1000 for j, s in SETTING_KEYS
+                for axis in (1, 2, 3) for o in (1, -1)}
+    return {
+        "ideal": counts_from_ensemble(referee_ideal(), 2000),
+        "dense": counts_from_ensemble(perturbed_ensemble(rng), 2000),
+        "sparse": counts_from_ensemble(perturbed_ensemble(rng), 5),
+        "fragile": CountRecord(fragile),
+        "balanced": CountRecord(balanced),
+    }
+
+
+class TestBatchedCalibration:
+    def test_bootstrap_matches_trial_loop(self):
+        """Mean, std and failures equal the per-trial loop's exactly, within
+        one block, at a block boundary and past it."""
+        for name, record in _bootstrap_records().items():
+            for trials in (1, 2, 5, witness._BOOTSTRAP_BLOCK + 3):
+                for seed in (0, 17, 2**40):
+                    got = _bootstrap_outcome(bootstrap_calibration, record, trials, seed)
+                    want = _bootstrap_outcome(_loop_bootstrap, record, trials, seed)
+                    assert got == want, (name, trials, seed)
+
+    def test_small_blocks_match_trial_loop(self, monkeypatch):
+        """Block edges at every few trials: each block starts its trials at
+        the right substream."""
+        monkeypatch.setattr(witness, "_BOOTSTRAP_BLOCK", 4)
+        for name, record in _bootstrap_records().items():
+            for trials in (3, 4, 7, 9):
+                for seed in (1, 2, 3):
+                    got = _bootstrap_outcome(bootstrap_calibration, record, trials, seed)
+                    want = _bootstrap_outcome(_loop_bootstrap, record, trials, seed)
+                    assert got == want, (name, trials, seed)
+
+    def test_inversion_matches_loop(self):
+        rng = np.random.default_rng(231)
+        records = list(_bootstrap_records().values())
+        for total in (1, 3, 10, 2000, 2**52):
+            records += [counts_from_ensemble(perturbed_ensemble(rng), total) for _ in range(20)]
+        for record in records:
+            ens, clipped = ensemble_from_counts(record)
+            want, want_clipped = _loop_invert(record)
+            assert clipped == want_clipped
+            for key in SETTING_KEYS:
+                assert ens.vector(*key).tobytes() == want.vector(*key).tobytes()
+
+    def test_rstar_matches_grid_walk(self, monkeypatch):
+        """Over random, depolarized, ideal and zero-vector ensembles, one
+        at a time and stacked, r* equals the scalar walk's exactly, and the
+        printed root the one-table root's; some depolarized ensembles need
+        the walk's correction step."""
+        walks = []
+        step = witness._step_rstar
+
+        def spy(rows, vec_b, root):
+            walks.append(root)
+            return step(rows, vec_b, root)
+
+        monkeypatch.setattr(witness, "_step_rstar", spy)
+        rng = np.random.default_rng(232)
+        ensembles = [perturbed_ensemble(rng) for _ in range(400)]
+        for _ in range(400):
+            v = rng.normal(size=(6, 3))
+            v *= rng.random(size=(6, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+            ensembles.append(RefereeEnsemble(dict(zip(SETTING_KEYS, v))))
+        ensembles += [depolarize_ensemble(referee_ideal(), m / 4096) for m in range(0, 4097, 16)]
+        ensembles += [depolarize_ensemble(referee_ideal(), m / 4096) for m in (5, 9, 10, 15)]
+        ensembles += [referee_ideal(), aligned_ensemble()]
+        balanced, _ = ensemble_from_counts(_bootstrap_records()["balanced"])
+        ensembles.append(balanced)
+        want = [_loop_rstar(ens) for ens in ensembles]
+        assert len(ensembles) >= 1000
+        assert [rstar_oracle(ens) for ens in ensembles] == want
+        assert any(root <= 4.0 for root in walks)
+        stacked = np.array([[ens.vectors[k] for k in SETTING_KEYS] for ens in ensembles])
+        assert witness._rstar_tables(*witness._sign_tables(stacked)).tolist() == want
+        assert rstar_oracle(balanced) == 0.0
+
+        def printed(ens):
+            try:
+                return rstar_printed(ens)
+            except ValueError:
+                return "undefined"
+
+        assert [printed(ens) for ens in ensembles] == [_loop_printed(ens) for ens in ensembles]
+
+    def test_walk_corrects_a_displaced_root(self, monkeypatch):
+        """A root a few grid steps off either way still ends on the least
+        sound grid point."""
+        rng = np.random.default_rng(233)
+        ensembles = [perturbed_ensemble(rng) for _ in range(20)] + [referee_ideal()]
+        want = [rstar_oracle(ens) for ens in ensembles]
+        largest_root = witness._largest_root
+        for shift in (-3, 3):
+            monkeypatch.setattr(
+                witness, "_largest_root",
+                lambda rows, vec_b, c, shift=shift: largest_root(rows, vec_b, c) + shift * GRID,
+            )
+            assert [rstar_oracle(ens) for ens in ensembles] == want
+
+    def test_report_derives_from_one_table(self):
+        rng = np.random.default_rng(234)
+        for ens in [perturbed_ensemble(rng) for _ in range(30)] + [aligned_ensemble()]:
+            report = calibrate(ensemble=ens)
+            rstar = rstar_oracle(ens)
+            assert report.r_star_oracle == rstar
+            try:
+                printed = rstar_printed(ens)
+            except ValueError:
+                assert math.isnan(report.r_star_printed)
+            else:
+                assert report.r_star_printed == printed
+            grid = (0.0, 0.5, 1.0, 1.5, 2.0, rstar)
+            assert report.bound_at_r == {r: lhs_bound(ens, r) for r in grid}
+            assert report.worst_assignment == worst_assignment(ens, rstar)
+
+    def test_empty_axes_raise_no_warnings(self):
+        """Trials with an empty axis fail by mask, silently; so does a
+        record with no counts at all on one key."""
+        records = _bootstrap_records()
+        dead = dict(records["ideal"].counts)
+        dead[(3, -1, 1, 1)] = dead[(3, -1, 1, -1)] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("sparse", "fragile"):
+                assert bootstrap_calibration(records[name], trials=300, seed=0).failures > 0
+            with pytest.raises(CalibrationError, match="every bootstrap trial"):
+                bootstrap_calibration(CountRecord(dead), trials=20, seed=0)
+            with pytest.raises(ValueError, match=r"\(j=3, s=-1\) on axis 1"):
+                ensemble_from_counts(CountRecord(dead))
