@@ -33,9 +33,10 @@ from .witness import (
     CountRecord,
     calibrate,
     chsh_werner,
-    regime_classify,
+    regime_at,
     report_to_dict,
     rstar_oracle,
+    werner_threshold,
 )
 
 
@@ -95,7 +96,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
     [strategy] = _honest_strategies([args.w], args.visibility)
     exact = exact_payoff(spec, strategy, ensemble)
     reference = 3.0 * args.w - SQRT3 * r
-    regime = regime_classify(args.w, r)
+    regime = regime_at(args.w, werner_threshold(spec, strategy.bob_povm, ensemble))
     estimate = None
     if args.n_per_setting > 0:
         tally = simulate_runs(spec, strategy, ensemble, args.n_per_setting, args.seed or 0)
@@ -158,16 +159,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     r = _resolve_r(args, ensemble)
     spec = canonical_game(r)
     grid = np.linspace(args.w_min, args.w_max, args.steps)
+    strategies = _honest_strategies(grid, args.visibility)
+    w_game = werner_threshold(spec, strategies[0].bob_povm, ensemble)
     lines = [
-        f"# threshold this-game W = {_fmt(r / SQRT3)}",
+        f"# threshold this-game W = {_fmt(w_game)}",
         f"# threshold no-Bell-possible-below W = {_fmt(W_NO_BELL)}",
         f"# threshold known-Bell-above W = {_fmt(W_KNOWN_BELL)}",
         f"# threshold CHSH W = {_fmt(W_CHSH)}",
         "W,exact_payoff,regime",
     ]
-    for w, strategy in zip(grid, _honest_strategies(grid, args.visibility)):
+    for w, strategy in zip(grid, strategies):
         payoff = exact_payoff(spec, strategy, ensemble)
-        lines.append(f"{_fmt(w)},{_fmt(payoff)},{regime_classify(float(w), r)}")
+        lines.append(f"{_fmt(w)},{_fmt(payoff)},{regime_at(float(w), w_game)}")
     _emit("\n".join(lines) + "\n", args.output_path)
     return 0
 

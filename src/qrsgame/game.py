@@ -26,7 +26,9 @@ component, fixed Alice signs and the effect of a local hidden qubit. A
 CustomLocal compiles at construction into one effect table: for each input
 j and sign a, Alice's marginal p(a|j) and the Bloch form of the referee
 effect F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine
-in the referee Bloch vector. Strategies are frozen, so a compiled form
+in the referee Bloch vector, and the exact payoff of a local strategy is
+the witness pairing of that table with the ensemble. Strategies are frozen
+and keep read-only copies of the arrays they are given, so a compiled form
 cannot go stale. All functions are pure and every random draw is made from
 an explicit per-setting substream of the caller's seed, so results never
 depend on scheduling or thread count.
@@ -62,6 +64,17 @@ SQRT3 = math.sqrt(3.0)
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
+_IDENTITY4 = identity(4)
+_IDENTITY4.setflags(write=False)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # A read-only copy: the caller keeps its array writable, and no write
+    # to it can reach what a strategy compiled from the copy.
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
 
 @dataclass(frozen=True)
 class BinaryPovm:
@@ -70,20 +83,28 @@ class BinaryPovm:
     Each element must be a finite, Hermitian 4x4 operator, and the two must
     sum to the identity. An element is positive when el + PSD_TOL*1 is
     positive definite, decided by ``psd_within`` from Cholesky pivots with no
-    eigenvalue computed; the exact boundary lambda_min = -PSD_TOL fails.
+    eigenvalue computed; the exact boundary lambda_min = -PSD_TOL fails. Both
+    elements are decided by one call on the stacked pair, and each alone
+    only when that fails, to name the one at fault. The POVM keeps read-only
+    copies of the two elements.
     """
 
     b0: np.ndarray
     b1: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b0", check_hermitian(self.b0, 4, "POVM element b0"))
-        object.__setattr__(self, "b1", check_hermitian(self.b1, 4, "POVM element b1"))
-        for name, el in (("b0", self.b0), ("b1", self.b1)):
-            if not psd_within(el):
-                raise ValueError(f"POVM element {name} is not positive semidefinite")
-        if np.abs(self.b0 + self.b1 - identity(4)).max() > HERMITIAN_TOL:
+        b0 = check_hermitian(self.b0, 4, "POVM element b0")
+        b1 = check_hermitian(self.b1, 4, "POVM element b1")
+        pair = np.array((b0, b1))
+        pair.setflags(write=False)
+        if not psd_within(pair):
+            for name, el in (("b0", b0), ("b1", b1)):
+                if not psd_within(el):
+                    raise ValueError(f"POVM element {name} is not positive semidefinite")
+        if np.abs(pair[0] + pair[1] - _IDENTITY4).max() > HERMITIAN_TOL:
             raise ValueError("POVM elements must sum to the identity")
+        object.__setattr__(self, "b0", pair[0])
+        object.__setattr__(self, "b1", pair[1])
 
 
 def singlet_projector_bc() -> BinaryPovm:
@@ -115,28 +136,33 @@ class HonestQuantum:
     trace. They are computed by the same expressions, in the same order, as
     an evaluation that rebuilds them for every setting, so each probability
     is bitwise the one that evaluation gives; the tests keep it as oracle.
+    The strategy keeps a read-only copy of the shared state, and the
+    compiled states are read-only too.
     """
 
     shared_state: np.ndarray
     bob_povm: BinaryPovm
-    conditional_states: list = field(init=False, repr=False, compare=False)
+    conditional_states: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.bob_povm, BinaryPovm):
             raise ValueError("bob_povm must be a BinaryPovm")
         rho = check_hermitian(self.shared_state, 4, "shared_state")
-        object.__setattr__(self, "shared_state", rho)
         check = is_density_matrix(rho)
         if not check:
             raise ValueError(f"shared_state is not a density matrix ({check.describe()})")
-        object.__setattr__(self, "conditional_states", [])
+        rho = _frozen(rho)
+        object.__setattr__(self, "shared_state", rho)
+        compiled = []
         for j in (1, 2, 3):
             rows = []
             for a in (1, -1):
                 proj = 0.5 * (identity(2) + a * pauli(j))
                 cond = partial_trace(tensor(proj, identity(2)) @ rho, "first")
+                cond.setflags(write=False)
                 rows.append((float(np.trace(cond).real), cond))
-            self.conditional_states.append(rows)
+            compiled.append(tuple(rows))
+        object.__setattr__(self, "conditional_states", tuple(compiled))
 
 
 @dataclass(frozen=True)
@@ -145,6 +171,8 @@ class LocalComponent:
 
     ``bloch`` is the effect's Bloch form (e0, e1, e2, e3), E = e0*1 + e.sigma,
     read once from the matrix; 0 <= E <= 1 is checked on it as e0 +/- |e|.
+    The component keeps its own copy of the response table and a read-only
+    copy of the effect.
     """
 
     weight: float
@@ -160,7 +188,10 @@ class LocalComponent:
         for j, p in self.alice_plus.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
-        object.__setattr__(self, "effect", check_hermitian(self.effect, 2, "component effect"))
+        object.__setattr__(self, "alice_plus", dict(self.alice_plus))
+        object.__setattr__(
+            self, "effect", _frozen(check_hermitian(self.effect, 2, "component effect"))
+        )
         (e00, e01), (_, e11) = self.effect.tolist()
         e0, e3 = 0.5 * (e00.real + e11.real), 0.5 * (e00.real - e11.real)
         radius = math.hypot(e3, abs(e01))
@@ -174,7 +205,7 @@ class CustomLocal:
     """Mixture of local response tables; the general no-steering adversary."""
 
     components: tuple[LocalComponent, ...]
-    effect_table: list = field(init=False, repr=False, compare=False)
+    effect_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
@@ -187,13 +218,17 @@ class CustomLocal:
         # Alice's marginal and F_(j,a) = sum_c w_c p_c(a|j) E_c as
         # f0 = tr F / 2, f_i = tr(sigma_i F) / 2, so that for the referee state
         # (1 + n.sigma)/2 the click probability is tr(omega F) = f0 + n.f.
-        table = [[[0.0] * 5, [0.0] * 5] for _ in (1, 2, 3)]
-        for c in self.components:
-            for j, rows in zip((1, 2, 3), table):
-                for row, p in zip(rows, (c.alice_plus[j], 1.0 - c.alice_plus[j])):
-                    for k, f in enumerate((1.0, *c.bloch)):
-                        row[k] += c.weight * p * f
-        object.__setattr__(self, "effect_table", table)
+        # Each sum runs over the components in order, on scalars.
+        table = []
+        for j in (1, 2, 3):
+            p0 = p1 = p2 = p3 = p4 = m0 = m1 = m2 = m3 = m4 = 0.0
+            for c in self.components:
+                wp, wm = c.weight * c.alice_plus[j], c.weight * (1.0 - c.alice_plus[j])
+                e0, e1, e2, e3 = c.bloch
+                p0, p1, p2, p3, p4 = p0 + wp, p1 + wp * e0, p2 + wp * e1, p3 + wp * e2, p4 + wp * e3
+                m0, m1, m2, m3, m4 = m0 + wm, m1 + wm * e0, m2 + wm * e1, m3 + wm * e2, m4 + wm * e3
+            table.append(((p0, p1, p2, p3, p4), (m0, m1, m2, m3, m4)))
+        object.__setattr__(self, "effect_table", tuple(table))
 
 
 @dataclass(frozen=True, init=False)
@@ -204,6 +239,7 @@ class LhsDeterministic(CustomLocal):
     ``hidden_state``) and the referee qubit, so he clicks by the induced
     ``effect`` on the referee qubit alone, computed once here. This is the
     one-component CustomLocal whose Alice answers ``alice_signs`` for sure.
+    It keeps a read-only copy of the hidden state.
     """
 
     alice_signs: tuple[int, int, int]
@@ -219,13 +255,16 @@ class LhsDeterministic(CustomLocal):
             raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
         object.__setattr__(self, "alice_signs", tuple(int(a) for a in signs))
         rho = bloch_to_density(hidden_state)
-        object.__setattr__(self, "hidden_state", np.asarray(hidden_state, dtype=float))
+        object.__setattr__(self, "hidden_state", _frozen(np.asarray(hidden_state, dtype=float)))
         object.__setattr__(self, "bob_povm", bob_povm)
-        # E = tr_hidden[(rho x 1) b1], contracted in one step.
-        effect = np.einsum("im,mjil->jl", rho, bob_povm.b1.reshape(2, 2, 2, 2))
-        object.__setattr__(self, "effect", effect)
+        # E_jl = sum_(i,m) rho_im b1[(m, j), (i, l)] = tr_hidden[(rho x 1) b1],
+        # as one product of rho, flattened over (i, m), with b1 reordered
+        # to rows (i, m) and columns (j, l).
+        b1 = bob_povm.b1.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
+        effect = np.dot(rho.reshape(4), b1).reshape(2, 2)
         alice_plus = {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), self.alice_signs)}
         super().__init__((LocalComponent(1.0, alice_plus, effect),))
+        object.__setattr__(self, "effect", self.components[0].effect)
 
 
 Strategy = HonestQuantum | CustomLocal
@@ -284,8 +323,37 @@ def joint_probabilities(
     raise ValueError(f"unknown strategy type {type(strategy).__name__}")
 
 
+def _witness_pairing(r: float, strategy: CustomLocal, ensemble: RefereeEnsemble) -> float:
+    # Summing the per-setting payoff over s in closed form: with t = r/sqrt(3),
+    # D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-),
+    #   payoff = 2 sum_(j,a) [-2t f0_(j,a) + (a D_j - t S_j).f_(j,a)],
+    # tr(E T_a(r)) for a deterministic Alice. The tests keep the per-setting
+    # sum as oracle.
+    t = r / SQRT3
+    value = 0.0
+    for j, rows in zip((1, 2, 3), strategy.effect_table):
+        px, py, pz = ensemble.vector(j, 1).tolist()
+        mx, my, mz = ensemble.vector(j, -1).tolist()
+        dx, dy, dz = px - mx, py - my, pz - mz
+        sx, sy, sz = px + mx, py + my, pz + mz
+        for a, (_, f0, fx, fy, fz) in zip((1, -1), rows):
+            value += (
+                (a * dx - t * sx) * fx
+                + (a * dy - t * sy) * fy
+                + (a * dz - t * sz) * fz
+                - 2.0 * t * f0
+            )
+    return 2.0 * value
+
+
 def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) -> float:
-    """Expected payoff of a strategy, from exact joint probabilities."""
+    """Expected payoff of a strategy, from exact joint probabilities.
+
+    A local strategy is scored by the witness pairing of its effect table
+    with the ensemble; an honest one by its per-setting joint probabilities.
+    """
+    if isinstance(strategy, CustomLocal):
+        return _witness_pairing(spec.r, strategy, ensemble)
     tax = spec.r / SQRT3
     value = 0.0
     for j, s in SETTING_KEYS:
@@ -485,11 +553,11 @@ def lhs_best_deterministic(
     the value reached when Bob projects onto the optimal direction at full
     strength. Ties pick the lexicographically smallest sign assignment.
     """
-    from .witness import assignment_vectors, worst_assignment
+    from .witness import SIGN_TRIPLES, _first_max, _sign_table, _top_eigenvalues
 
-    signs = worst_assignment(ensemble, spec.r)
-    vec_a, vec_b = assignment_vectors(ensemble, signs)
-    t = vec_a - spec.r * vec_b
+    rows, vec_b = _sign_table(ensemble)
+    signs = _first_max(_top_eigenvalues(rows, vec_b, check_rate(spec.r)))
+    t = rows[SIGN_TRIPLES.index(signs)] - spec.r * vec_b
     norm = float(np.linalg.norm(t))
     direction = t / norm if norm > 1e-15 else np.zeros(3)
     return signs, direction, norm - 2.0 * SQRT3 * spec.r

@@ -51,12 +51,21 @@ def pauli(j: int) -> np.ndarray:
     return _PAULI[j - 1].copy()
 
 
-def _as_operator(m: np.ndarray) -> np.ndarray:
+def _as_operators(m: np.ndarray) -> np.ndarray:
+    # A stack (..., d, d) of operators; one operator is the stack with no
+    # leading axes.
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in (2, 4):
-        raise ValueError(f"unsupported dimension {a.shape[0]}, expected 2 or 4")
+    if a.shape[-1] not in (2, 4):
+        raise ValueError(f"unsupported dimension {a.shape[-1]}, expected 2 or 4")
+    return a
+
+
+def _as_operator(m: np.ndarray) -> np.ndarray:
+    a = _as_operators(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -170,13 +179,15 @@ def psd_within(m: np.ndarray) -> bool:
     H + PSD_TOL*1, with H = (m + m^dag)/2, must be positive definite, which
     numpy's Cholesky factorization decides from its pivots without computing
     an eigenvalue. The exact boundary lambda_min = -PSD_TOL gives a zero
-    pivot and is rejected. Non-finite input is rejected.
+    pivot and is rejected. Non-finite input is rejected. A stack (..., d, d)
+    is one decision, true when every operator in it passes: numpy factors
+    each matrix of the stack as it would factor that matrix alone.
     """
-    m = _as_operator(m)
+    m = _as_operators(m)
     if not np.isfinite(m).all():
         return False
     try:
-        np.linalg.cholesky(m + m.conj().T + _PSD_SHIFT[m.shape[0]])
+        np.linalg.cholesky(m + m.conj().swapaxes(-1, -2) + _PSD_SHIFT[m.shape[-1]])
     except np.linalg.LinAlgError:
         return False
     return True
@@ -235,12 +246,14 @@ def check_bloch(n: np.ndarray, name: str = "Bloch vector") -> np.ndarray:
 
 
 def bloch_to_density(n: np.ndarray) -> np.ndarray:
-    """Qubit state (1 + n.sigma)/2 for a Bloch vector checked by check_bloch."""
-    n = check_bloch(n)
-    out = 0.5 * identity(2)
-    for i in (1, 2, 3):
-        out += 0.5 * n[i - 1] * _PAULI[i - 1]
-    return out
+    """Qubit state (1 + n.sigma)/2 for a Bloch vector checked by check_bloch.
+
+    Built entry by entry in closed form; every entry has the value the sum
+    1/2 + sum_i (n_i / 2) sigma_i gives, which the tests keep as oracle.
+    """
+    x, y, z = check_bloch(n).tolist()
+    x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
+    return np.array([[0.5 + z, complex(x, -y)], [complex(x, y), 0.5 - z]], dtype=complex)
 
 
 def density_to_bloch(m: np.ndarray) -> np.ndarray:

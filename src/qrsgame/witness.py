@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import SQRT3, CustomLocal, HonestQuantum, LocalComponent, Strategy
-from .game import BinaryPovm, CountTable, check_rate, joint_probabilities
+from .game import SQRT3, CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
+from .game import BinaryPovm, CountTable, check_rate, exact_payoff, joint_probabilities
 from .qmath import bloch_to_density, density_to_bloch, identity, is_integer, pauli, tensor
-from .states import SETTING_KEYS, RefereeEnsemble
+from .states import SETTING_KEYS, RefereeEnsemble, werner_state
 
 TWO_SQRT3 = 2.0 * SQRT3
 
@@ -350,6 +350,11 @@ def bootstrap_calibration(
     return BootstrapResult(float(np.mean(values)), spread, trials - len(values))
 
 
+def _check_weight(w: float) -> None:
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
+
+
 def chsh_werner(w: float) -> float:
     """CHSH value 2 sqrt(2) w of werner_state(w) at the optimal angles.
 
@@ -357,23 +362,47 @@ def chsh_werner(w: float) -> float:
     the tests recompute the four correlators from the density matrix as
     the oracle for this closed form.
     """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
+    _check_weight(w)
     return 2.0 * math.sqrt(2.0) * w
 
 
-def regime_classify(w: float, r: float) -> str:
-    """Place a Werner weight on the steering/Bell map for a game at rate r."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
-    r = check_rate(r)
-    if w <= r / SQRT3:
+def werner_threshold(spec: GameSpec, analyzer: BinaryPovm, ensemble: RefereeEnsemble) -> float:
+    """W_game: the Werner weight up to which honest players do not win.
+
+    werner_state is affine in W and the payoff is linear in the shared
+    state, so the honest payoff with this analyzer and ensemble is affine
+    in W, P(W) = P(0) + (P(1) - P(0)) W, and is positive exactly above
+    -P(0) / (P(1) - P(0)). When P(1) <= P(0) no weight wins, and the
+    threshold is inf. With the ideal analyzer and ensemble it is r/sqrt(3);
+    at visibility v on the ideal ensemble, sqrt(3) r (2 - v) / (3 v).
+    """
+    p0, p1 = (
+        exact_payoff(spec, HonestQuantum(werner_state(w), analyzer), ensemble) for w in (0.0, 1.0)
+    )
+    if p1 <= p0:
+        return math.inf
+    return -p0 / (p1 - p0)
+
+
+def regime_at(w: float, w_game: float) -> str:
+    """Place a Werner weight on the steering/Bell map of a game whose
+    honest players win exactly above the weight w_game (see
+    werner_threshold). The Bell landmarks are properties of the state."""
+    _check_weight(w)
+    if w <= w_game:
         return REGIME_UNSTEERABLE
     if w > W_KNOWN_BELL:
         return REGIME_BELL
     if w > W_NO_BELL:
         return REGIME_OPEN_WINDOW
     return REGIME_STEERABLE_NO_BELL
+
+
+def regime_classify(w: float, r: float) -> str:
+    """Place a Werner weight on the steering/Bell map for a game at rate r
+    played with the ideal analyzer and ensemble, where W_game = r/sqrt(3)."""
+    _check_weight(w)  # before the rate, so a bad weight is the error reported
+    return regime_at(w, check_rate(r) / SQRT3)
 
 
 def _check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from qrsgame.cli import main
-from qrsgame.game import TallyTable, canonical_game, estimate_payoff
+from qrsgame.game import SQRT3, TallyTable, canonical_game, estimate_payoff
 from qrsgame.states import (
     SETTING_KEYS,
     RefereeEnsemble,
@@ -97,6 +97,26 @@ class TestPayoff:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "exact_payoff = -0.2320508076"
         assert out[2] == "regime = unsteerable-by-this-game"
+
+    def test_regime_follows_the_game_as_played(self, tmp_path, capsys):
+        """The label is set by the threshold of the game actually played, at
+        the run's visibility and ensemble: a losing honest payoff is never
+        labelled steerable."""
+        assert main(["payoff", "--W", "0.6", "--visibility", "0.9"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "exact_payoff = -0.2852558883"
+        assert out[2] == "regime = unsteerable-by-this-game"
+        assert main(["payoff", "--W", "0.6", "--visibility", "0.9", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["regime"] == "unsteerable-by-this-game"
+        path = str(tmp_path / "depol.json")
+        save_ensemble(depolarize_ensemble(referee_ideal(), 0.9), path)
+        for w, regime in (("0.62", "unsteerable-by-this-game"),
+                          ("0.7", "steerable-open-Bell-window")):
+            assert main(["payoff", "--W", w, "--ensemble", path]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[2] == f"regime = {regime}"
+            payoff = float(out[0].split(" = ")[1])
+            assert (payoff <= 0.0) == (regime == "unsteerable-by-this-game")
 
     def test_estimate_lines(self, capsys):
         assert main(["payoff", "--W", "0.698", "--r", "1.081", "--n", "20000",
@@ -266,6 +286,18 @@ class TestSweep:
         assert out[6] == "0.5,-0.2320508076,unsteerable-by-this-game"
         assert out[7] == "1,1.267949192,Bell-violating"
         assert len(out) == 8
+
+    def test_threshold_and_labels_at_reduced_visibility(self, capsys):
+        """At visibility 0.9 the header prints W_game = sqrt(3)(2 - v)/(3v)
+        and every row is labelled unsteerable exactly when its payoff is not
+        positive."""
+        assert main(["sweep", "--visibility", "0.9", "--steps", "101"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "# threshold this-game W = 0.705650329"
+        assert math.isclose(float(out[0].split(" = ")[1]), SQRT3 * 1.1 / 2.7, rel_tol=1e-9)
+        for row in out[5:]:
+            _, payoff, regime = row.split(",")
+            assert (regime == "unsteerable-by-this-game") == (float(payoff) <= 0.0)
 
     def test_single_point_golden_row(self, capsys):
         assert main(["sweep", "--r", "1.081", "--w-min", "0.698", "--w-max", "0.698",

@@ -5,8 +5,10 @@ evaluating p(a, b) = tr[(Pi_a x B_b)(rho_AB x omega_C)] on 8x8 matrices so
 the two routes share no code beyond the state constructors.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +125,26 @@ def pairing_local(strategy, ensemble, j, s):
     return out
 
 
+def per_setting_payoff(spec, strategy, ensemble):
+    """The payoff as a sum over the six settings of their joint
+    probabilities: how exact_payoff scores an honest player, and the oracle
+    for the witness pairing it uses on local strategies."""
+    tax = spec.r / SQRT3
+    value = 0.0
+    for j, s in SETTING_KEYS:
+        probs = joint_probabilities(strategy, ensemble, j, s)
+        value += s * (probs[(1, 1)] - probs[(-1, 1)])
+        value -= tax * (probs[(1, 1)] + probs[(-1, 1)])
+    return 2.0 * value
+
+
+def random_kraus(rng):
+    """Two Kraus operators of a random qubit channel, from a 4x2 isometry."""
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    q, _ = np.linalg.qr(g)
+    return (q[:2], q[2:])
+
+
 def random_rotation(rng):
     g = rng.normal(size=(3, 3))
     q, r = np.linalg.qr(g)
@@ -227,6 +249,29 @@ class TestPovms:
                     decisions.add(got)
         assert decisions == {True, False}
 
+    def test_error_order_and_messages(self):
+        """With several faults at once the first in the order b0 Hermitian,
+        b1 Hermitian, b0 positive, b1 positive, sum is reported, with the
+        same message bytes as when it is the only fault."""
+        good = partial_bsm_povm(0.7)
+        skew = good.b1.copy()
+        skew[0, 1] += 1.0
+        negative = good.b1 - 0.2 * identity(4)
+        cases = (
+            ((skew, skew), "POVM element b0 is not Hermitian within tolerance"),
+            ((good.b0, skew), "POVM element b1 is not Hermitian within tolerance"),
+            ((negative, negative), "POVM element b0 is not positive semidefinite"),
+            ((negative, skew), "POVM element b1 is not Hermitian within tolerance"),
+            ((good.b0, negative), "POVM element b1 is not positive semidefinite"),
+            ((good.b1, negative), "POVM element b1 is not positive semidefinite"),
+            ((negative, good.b1), "POVM element b0 is not positive semidefinite"),
+            ((good.b1, good.b1), "POVM elements must sum to the identity"),
+        )
+        for (b0, b1), message in cases:
+            with pytest.raises(ValueError) as err:
+                BinaryPovm(b0, b1)
+            assert str(err.value) == message
+
 
 def test_povm_validation_never_reaches_jacobi(monkeypatch):
     """Building a valid analyzer decides positivity without eigenvalues:
@@ -323,6 +368,17 @@ class TestStrategyValidation:
             want = (identity(2) - sum(m[i - 1] * pauli(i) for i in (1, 2, 3))) / 4.0
             assert np.allclose(strat.effect, want, atol=1e-12)
 
+    def test_lhs_effect_matches_einsum_contraction(self):
+        """The induced effect E = tr_hidden[(rho x 1) b1], taken as one
+        vector-matrix product, agrees with the index contraction."""
+        rng = np.random.default_rng(118)
+        for _ in range(200):
+            strat = random_lhs_strategy(rng)
+            rho = bloch_to_density(strat.hidden_state)
+            b1 = strat.bob_povm.b1.reshape(2, 2, 2, 2)
+            want = np.einsum("im,mjil->jl", rho, b1)
+            assert np.abs(strat.effect - want).max() <= 1e-15
+
     def test_component_validation(self):
         alice = {1: 0.5, 2: 0.5, 3: 0.5}
         with pytest.raises(ValueError, match="weight"):
@@ -415,6 +471,49 @@ class TestStrategyValidation:
             for f in dataclasses.fields(obj):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(obj, f.name, None)
+
+    def test_built_strategies_survive_pickle_and_deepcopy(self):
+        rng = np.random.default_rng(123)
+        spec, ens = canonical_game(0.9), perturbed_ensemble(rng)
+        for strat in (HonestQuantum(werner_state(0.8), partial_bsm_povm(0.9)),
+                      random_lhs_strategy(rng), random_local_strategy(rng)):
+            for copied in (pickle.loads(pickle.dumps(strat)), copy.deepcopy(strat)):
+                assert exact_payoff(spec, copied, ens) == exact_payoff(spec, strat, ens)
+
+    def test_built_strategies_own_read_only_arrays(self):
+        """A strategy copies every array and response table the caller still
+        holds, stores the arrays read-only and its compiled forms as tuples:
+        writes to the caller's objects, which stay writable, leave every
+        payoff as built, and writes through a stored array fail."""
+        spec, ens = canonical_game(1.0), referee_ideal()
+        rho = werner_state(0.8)
+        b1 = partial_bsm_povm(0.9).b1.copy()
+        b0 = identity(4) - b1
+        povm = BinaryPovm(b0, b1)
+        honest = HonestQuantum(rho, povm)
+        hidden = np.array([0.0, 0.6, 0.8])
+        lhs = LhsDeterministic((1, -1, 1), hidden, povm)
+        alice = {1: 0.25, 2: 0.5, 3: 1.0}
+        effect = identity(2) / 3.0
+        mix = CustomLocal((LocalComponent(1.0, alice, effect),))
+        before = [exact_payoff(spec, s, ens) for s in (honest, lhs, mix)]
+        assert honest.shared_state is not rho and povm.b1 is not b1
+        for arr in (rho, b0, b1, hidden, effect):
+            assert arr.flags.writeable
+            arr[0] = 0.5
+        alice[1] = 0.0
+        assert [exact_payoff(spec, s, ens) for s in (honest, lhs, mix)] == before
+        stored = [honest.shared_state, povm.b0, povm.b1, lhs.hidden_state, lhs.effect,
+                  mix.components[0].effect, partial_bsm_povm(1.0).b1]
+        stored += [cond for rows in honest.conditional_states for _, cond in rows]
+        for arr in stored:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 5.0
+        assert mix.components[0].alice_plus == {1: 0.25, 2: 0.5, 3: 1.0}
+        for table in (honest.conditional_states, lhs.effect_table, mix.effect_table):
+            assert type(table) is tuple and all(type(rows) is tuple for rows in table)
+        assert all(type(row) is tuple for rows in mix.effect_table for row in rows)
 
 
 class TestJointProbabilities:
@@ -551,6 +650,46 @@ class TestJointProbabilities:
 
 
 class TestExactPayoff:
+    def test_local_payoff_is_witness_pairing(self):
+        """Local strategies are scored by the witness pairing; it agrees
+        with the per-setting sum over joint probabilities within 1e-12 on
+        random LHS adversaries, random mixtures, their channel duals and
+        perturbed ensembles, at rates from 0 to 2."""
+        rng = np.random.default_rng(119)
+        for k in range(300):
+            strat = (
+                random_lhs_strategy(rng)
+                if k % 2
+                else random_local_strategy(rng, n_components=int(rng.integers(1, 5)))
+            )
+            ens = referee_ideal() if k % 50 == 0 else perturbed_ensemble(rng)
+            spec = canonical_game(float(2.0 * rng.random()))
+            dual = _dual_strategy(random_kraus(rng), strat)
+            for s in (strat, dual):
+                got = exact_payoff(spec, s, ens)
+                assert abs(got - per_setting_payoff(spec, s, ens)) <= 1e-12
+
+    def test_local_payoff_reads_no_joint_probabilities(self, monkeypatch):
+        """Scoring a local strategy builds no joint-probability table; the
+        honest player keeps its per-setting sum."""
+        rng = np.random.default_rng(120)
+        spec, ens = canonical_game(1.0), perturbed_ensemble(rng)
+        honest = HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9))
+        want = per_setting_payoff(spec, honest, ens)
+        locals_ = [random_lhs_strategy(rng), random_local_strategy(rng)]
+        scores = [per_setting_payoff(spec, s, ens) for s in locals_]
+
+        def no_joint(*args):
+            raise AssertionError("joint_probabilities reached")
+
+        monkeypatch.setattr(game, "joint_probabilities", no_joint)
+        for strat, score in zip(locals_, scores):
+            assert abs(exact_payoff(spec, strat, ens) - score) <= 1e-12
+        with pytest.raises(AssertionError, match="joint_probabilities reached"):
+            exact_payoff(spec, honest, ens)
+        monkeypatch.undo()
+        assert exact_payoff(spec, honest, ens) == want
+
     def test_linear_in_werner_weight(self):
         """Ideal setup reproduces 3W - sqrt(3) r over the whole grid."""
         ens = referee_ideal()
@@ -617,6 +756,30 @@ class TestLhsOptimum:
         signs, direction, _ = lhs_best_deterministic(canonical_game(0.5), referee_ideal())
         assert signs == (-1, -1, -1)
         assert np.allclose(direction, -np.ones(3) / SQRT3)
+
+    def test_one_sign_table_same_optimum(self, monkeypatch):
+        """The best deterministic adversary is read from one sign table, with
+        the signs, direction and payoff of worst_assignment and
+        assignment_vectors."""
+        from qrsgame import witness
+
+        rng = np.random.default_rng(122)
+        cases = [(referee_ideal(), r) for r in (0.0, 0.5, 1.0)]
+        cases += [(perturbed_ensemble(rng), float(rng.uniform(0.0, 2.0))) for _ in range(30)]
+        tables = []
+        real_table = witness._sign_table
+        monkeypatch.setattr(witness, "_sign_table", lambda e: tables.append(e) or real_table(e))
+        for ens, r in cases:
+            tables.clear()
+            signs, direction, payoff = lhs_best_deterministic(canonical_game(r), ens)
+            assert len(tables) == 1
+            want_signs = witness.worst_assignment(ens, r)
+            vec_a, vec_b = witness.assignment_vectors(ens, want_signs)
+            t = vec_a - r * vec_b
+            norm = float(np.linalg.norm(t))
+            assert signs == want_signs
+            assert payoff == norm - 2.0 * SQRT3 * r
+            assert np.array_equal(direction, t / norm if norm > 1e-15 else np.zeros(3))
 
     def test_realized_strategy_attains_bound(self):
         rng = np.random.default_rng(106)

@@ -295,6 +295,36 @@ class TestPsdWithin:
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="dimension 3"):
             psd_within(np.eye(3))
+        with pytest.raises(ValueError, match="dimension 3"):
+            psd_within(np.zeros((2, 3, 3)))
+        for bad in (np.zeros(4), np.zeros((2, 4, 2))):
+            with pytest.raises(ValueError, match="square matrix"):
+                psd_within(bad)
+
+    def test_stack_is_the_conjunction_of_its_elements(self):
+        """A stack of operators is accepted exactly when every element is
+        accepted alone: elements 1e-11 either side of -PSD_TOL and 1e-8
+        either side of 0, with non-finite entries, in stacks of several
+        shapes."""
+        rng = np.random.default_rng(54)
+        targets = (1e-8, -1e-8, -PSD_TOL + 1e-11, -PSD_TOL - 1e-11)
+        bad_entries = (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
+        decisions = set()
+        for dim in (2, 4):
+            for shape in ((1,), (2,), (3,), (2, 2)):
+                for _ in range(150):
+                    stack = np.empty(shape + (dim, dim), dtype=complex)
+                    for idx in np.ndindex(*shape):
+                        h = random_hermitian(rng, dim)
+                        target = targets[rng.integers(len(targets))]
+                        stack[idx] = h + (target - np.linalg.eigvalsh(h)[0]) * identity(dim)
+                    if rng.random() < 0.1:
+                        idx = tuple(rng.integers(n) for n in shape + (dim, dim))
+                        stack[idx] = bad_entries[rng.integers(len(bad_entries))]
+                    want = all(psd_within(m) for m in stack.reshape(-1, dim, dim))
+                    assert psd_within(stack) == want
+                    decisions.add(want)
+        assert decisions == {True, False}
 
 
 class TestDensityChecks:
@@ -388,6 +418,31 @@ class TestBlochMaps:
             rho = bloch_to_density(n)
             assert is_density_matrix(rho)
             assert np.allclose(density_to_bloch(rho), n, atol=1e-12)
+
+    def test_closed_form_equals_pauli_sum(self):
+        """Every entry has the value of the sum 1/2 + sum_i (n_i / 2) sigma_i,
+        on random vectors inside and on the sphere and on signed axis
+        vectors, zeros of either sign included."""
+        def pauli_sum(n):
+            out = 0.5 * identity(2)
+            for i in (1, 2, 3):
+                out += 0.5 * n[i - 1] * pauli(i)
+            return out
+
+        rng = np.random.default_rng(42)
+        vectors = [np.zeros(3), -np.zeros(3)]
+        for i in range(3):
+            for value in (1.0, -1.0, 0.5, -0.0, 1e-300):
+                n = np.zeros(3)
+                n[i] = value
+                vectors.append(n)
+        for _ in range(2000):
+            n = rng.normal(size=3)
+            vectors += [n / np.linalg.norm(n), n * rng.random() / np.linalg.norm(n)]
+        for n in vectors:
+            got = bloch_to_density(n)
+            assert got.dtype == complex and got.shape == (2, 2)
+            assert np.array_equal(got, pauli_sum(n))
 
     def test_poles(self):
         assert np.allclose(bloch_to_density(np.array([0.0, 0.0, 1.0])), np.diag([1.0, 0.0]))

@@ -9,7 +9,10 @@ import pytest
 from qrsgame import witness
 from qrsgame.game import (
     SQRT3,
+    BinaryPovm,
     HonestQuantum,
+    canonical_game,
+    exact_payoff,
     partial_bsm_povm,
     random_lhs_strategy,
     random_local_strategy,
@@ -45,12 +48,14 @@ from qrsgame.witness import (
     chsh_werner,
     ensemble_from_counts,
     lhs_bound,
+    regime_at,
     regime_classify,
     report_to_dict,
     rstar_oracle,
     rstar_printed,
     save_report,
     t_operator,
+    werner_threshold,
     worst_assignment,
 )
 
@@ -524,6 +529,89 @@ class TestRegimes:
             regime_classify(1.2, 1.0)
         with pytest.raises(ValueError, match="penalty rate"):
             regime_classify(0.5, -1.0)
+        with pytest.raises(ValueError, match="Werner weight"):
+            regime_classify(1.2, -1.0)
+        with pytest.raises(ValueError, match="Werner weight"):
+            regime_at(-0.1, 0.5)
+
+
+def _bisect_weight(spec, analyzer, ensemble):
+    """Bisection oracle for the game's threshold: the largest Werner weight
+    in [0, 1] whose honest payoff is not positive, or inf when even W = 1
+    does not win."""
+    def payoff(w):
+        return exact_payoff(spec, HonestQuantum(werner_state(w), analyzer), ensemble)
+
+    if payoff(1.0) <= 0.0:
+        return math.inf
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if payoff(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestGameThreshold:
+    def test_ideal_ensemble_closed_form(self):
+        """On the ideal ensemble the honest payoff is 3vW - sqrt(3) r (2 - v),
+        so W_game = sqrt(3) r (2 - v) / (3 v), and r / sqrt(3) at v = 1."""
+        ens = referee_ideal()
+        for v in (1.0, 0.95, 0.9336, 0.9, 0.5):
+            for r in (0.0, 0.5, 1.0, 1.081, 1.5):
+                got = werner_threshold(canonical_game(r), partial_bsm_povm(v), ens)
+                want = SQRT3 * r * (2.0 - v) / (3.0 * v)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+        got = werner_threshold(canonical_game(1.0), singlet_projector_bc(), ens)
+        assert math.isclose(got, 1.0 / SQRT3, rel_tol=1e-14)
+
+    def test_matches_bisection(self):
+        """On depolarized and perturbed ensembles, with partial and random
+        analyzers, the threshold is where the exact honest payoff turns
+        positive."""
+        rng = np.random.default_rng(121)
+        crossings = 0
+        for k in range(40):
+            if k % 4:
+                analyzer = partial_bsm_povm(float(rng.uniform(0.8, 1.0)))
+            else:
+                g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                h = g.conj().T @ g
+                b1 = rng.random() * h / np.linalg.eigvalsh(h)[-1]
+                analyzer = BinaryPovm(identity(4) - b1, b1)
+            if k % 3:
+                ens = depolarize_ensemble(referee_ideal(), float(rng.uniform(0.7, 1.0)))
+            else:
+                ens = perturbed_ensemble(rng)
+            spec = canonical_game(float(rng.uniform(0.1, 0.6)))
+            got = werner_threshold(spec, analyzer, ens)
+            want = _bisect_weight(spec, analyzer, ens)
+            if want == math.inf:
+                assert got >= 1.0 - 1e-12
+            else:
+                crossings += 1
+                assert abs(got - want) <= 1e-9
+        assert crossings >= 10
+
+    def test_no_weight_wins_when_payoff_falls_with_weight(self):
+        """Referee states opposite to the ideal ones make the singlet lose more
+        than the mixed state: P(1) <= P(0), so every weight is unsteerable."""
+        flipped = RefereeEnsemble({(j, s): -v for (j, s), v in referee_ideal().vectors.items()})
+        threshold = werner_threshold(canonical_game(1.0), singlet_projector_bc(), flipped)
+        assert threshold == math.inf
+        for w in np.linspace(0.0, 1.0, 11):
+            assert regime_at(float(w), threshold) == "unsteerable-by-this-game"
+
+    def test_regime_at_boundary_and_landmarks(self):
+        assert regime_at(0.7, 0.7) == "unsteerable-by-this-game"
+        assert regime_at(0.7 + 1e-9, 0.7) == "steerable-open-Bell-window"
+        assert regime_at(0.62, 0.5) == "steerable-no-known-Bell"
+        assert regime_at(0.9, 0.5) == "Bell-violating"
+        for w in np.linspace(0.0, 1.0, 101):
+            for r in (0.0, 0.5, 1.0, 1.081):
+                assert regime_at(float(w), r / SQRT3) == regime_classify(float(w), r)
 
 
 DEPOLARIZING_03 = tuple(
