@@ -95,7 +95,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
     spec = canonical_game(r)
     [strategy] = _honest_strategies([args.w], args.visibility)
     exact = exact_payoff(spec, strategy, ensemble)
-    reference = 3.0 * args.w - SQRT3 * r
+    reference = 3.0 * args.visibility * args.w - SQRT3 * r * (2.0 - args.visibility)
     regime = regime_at(args.w, werner_threshold(spec, strategy.bob_povm, ensemble))
     estimate = None
     if args.n_per_setting > 0:

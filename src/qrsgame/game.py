@@ -15,22 +15,25 @@ plays: a GameSpec holds nothing but the rate r.
 Strategies come in two forms. HonestQuantum shares a two-qubit state and
 lets Bob project his half together with the referee qubit onto a partial
 Bell-state analyzer. Alice's measurement does not involve the referee, so
-the state it leaves on Bob's qubit, cond_(j,a), and its trace p(a|j) are
-computed once at construction; a setting then pairs cond_(j,a) x omega
-with the analyzer. Every no-steering adversary is a mixture of local
-components: Alice answers from a response table and Bob clicks according
-to an effect E_c on the referee qubit alone, whose Bloch form is read and
-checked once. CustomLocal is the general mixture and the fuzzing family
-of the adversarial tests; LhsDeterministic is the CustomLocal with one
-component, fixed Alice signs and the effect of a local hidden qubit. A
+the states it leaves on Bob's qubit, cond_(j,a), and their traces p(a|j)
+are computed once at construction, as one stack. An evaluation pairs every
+cond_(j,a) x omega_(j,s) with the analyzer in one stacked pass, and the
+exact payoff, the sampler and joint_probabilities all read that table of
+twelve click probabilities. Every no-steering adversary is a mixture of
+local components: Alice answers from a response table and Bob clicks
+according to an effect E_c on the referee qubit alone, whose Bloch form is
+read and checked once. CustomLocal is the general mixture and the fuzzing
+family of the adversarial tests; LhsDeterministic is the CustomLocal with
+one component, fixed Alice signs and the effect of a local hidden qubit. A
 CustomLocal compiles at construction into one effect table: for each input
 j and sign a, Alice's marginal p(a|j) and the Bloch form of the referee
 effect F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine
 in the referee Bloch vector, and the exact payoff of a local strategy is
 the witness pairing of that table with the ensemble. Strategies are frozen
 and keep read-only copies of the arrays they are given, so a compiled form
-cannot go stale. All functions are pure and every random draw is made from
-an explicit per-setting substream of the caller's seed, so results never
+cannot go stale; pickling or copying one rebuilds it through its
+constructor. All functions are pure and every random draw is made from an
+explicit per-setting substream of the caller's seed, so results never
 depend on scheduling or thread count.
 """
 
@@ -58,7 +61,7 @@ from .qmath import (
     real_trace_product,
     tensor,
 )
-from .states import SETTING_KEYS, BellIndex, RefereeEnsemble, bell_state, referee_state
+from .states import SETTING_KEYS, BellIndex, RefereeEnsemble, bell_state, referee_states
 
 SQRT3 = math.sqrt(3.0)
 
@@ -67,6 +70,11 @@ _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 _IDENTITY4 = identity(4)
 _IDENTITY4.setflags(write=False)
 
+# Alice's projector (1 + a sigma_j)/2 lifted to the pair, at [j - 1, 0 if a > 0 else 1].
+_LIFTS = np.array([[tensor(0.5 * (identity(2) + a * pauli(j)), identity(2)) for a in (1, -1)]
+                   for j in (1, 2, 3)])
+_LIFTS.setflags(write=False)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     # A read-only copy: the caller keeps its array writable, and no write
@@ -74,6 +82,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _rebuilt_from(*names: str):
+    # __reduce__ for pickle and deepcopy: rebuild through the constructor, which checks
+    # the fields again and stores read-only copies.
+    return lambda self: (type(self), tuple(getattr(self, name) for name in names))
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,7 @@ class BinaryPovm:
 
     b0: np.ndarray
     b1: np.ndarray
+    __reduce__ = _rebuilt_from("b0", "b1")
 
     def __post_init__(self) -> None:
         b0 = check_hermitian(self.b0, 4, "POVM element b0")
@@ -130,19 +145,21 @@ class HonestQuantum:
     """Shared two-qubit state; Alice measures sigma_j, Bob runs the analyzer.
 
     Alice's side does not depend on the referee, so it is compiled once
-    here: ``conditional_states[j - 1]`` holds, for a = +1 then a = -1, the
-    pair (p(a|j), cond_(j,a)) with cond_(j,a) = tr_A[(P_(j,a) x 1) rho] the
-    unnormalized state Alice's outcome leaves on Bob's qubit and p(a|j) its
-    trace. They are computed by the same expressions, in the same order, as
-    an evaluation that rebuilds them for every setting, so each probability
-    is bitwise the one that evaluation gives; the tests keep it as oracle.
-    The strategy keeps a read-only copy of the shared state, and the
-    compiled states are read-only too.
+    here, as one stack: ``cond_stack[j - 1, 0 for a = +1, 1 for a = -1]`` is
+    cond_(j,a) = tr_A[(P_(j,a) x 1) rho], the unnormalized state Alice's
+    outcome leaves on Bob's qubit. ``conditional_states[j - 1]`` holds, for
+    a = +1 then a = -1, the pair (p(a|j), cond_(j,a)) with p(a|j) its trace
+    and cond_(j,a) a view of the stack. Each entry is bitwise the one an
+    evaluation that rebuilds it for every setting gives; the tests keep that
+    evaluation as oracle. The strategy keeps a read-only copy of the shared
+    state, and the compiled stack is read-only too.
     """
 
     shared_state: np.ndarray
     bob_povm: BinaryPovm
+    cond_stack: np.ndarray = field(init=False, repr=False, compare=False)
     conditional_states: tuple = field(init=False, repr=False, compare=False)
+    __reduce__ = _rebuilt_from("shared_state", "bob_povm")
 
     def __post_init__(self) -> None:
         if not isinstance(self.bob_povm, BinaryPovm):
@@ -153,16 +170,12 @@ class HonestQuantum:
             raise ValueError(f"shared_state is not a density matrix ({check.describe()})")
         rho = _frozen(rho)
         object.__setattr__(self, "shared_state", rho)
-        compiled = []
-        for j in (1, 2, 3):
-            rows = []
-            for a in (1, -1):
-                proj = 0.5 * (identity(2) + a * pauli(j))
-                cond = partial_trace(tensor(proj, identity(2)) @ rho, "first")
-                cond.setflags(write=False)
-                rows.append((float(np.trace(cond).real), cond))
-            compiled.append(tuple(rows))
-        object.__setattr__(self, "conditional_states", tuple(compiled))
+        cond = partial_trace(_LIFTS @ rho, "first")
+        cond.setflags(write=False)
+        object.__setattr__(self, "cond_stack", cond)
+        traces = cond.trace(axis1=-2, axis2=-1).real.tolist()
+        compiled = tuple(tuple(zip(p, c)) for p, c in zip(traces, cond))
+        object.__setattr__(self, "conditional_states", compiled)
 
 
 @dataclass(frozen=True)
@@ -179,6 +192,7 @@ class LocalComponent:
     alice_plus: dict[int, float]
     effect: np.ndarray
     bloch: tuple[float, float, float, float] = field(init=False, repr=False)
+    __reduce__ = _rebuilt_from("weight", "alice_plus", "effect")
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.weight) and self.weight >= 0.0):
@@ -206,6 +220,7 @@ class CustomLocal:
 
     components: tuple[LocalComponent, ...]
     effect_table: tuple = field(init=False, repr=False, compare=False)
+    __reduce__ = _rebuilt_from("components")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
@@ -246,6 +261,7 @@ class LhsDeterministic(CustomLocal):
     hidden_state: np.ndarray
     bob_povm: BinaryPovm
     effect: np.ndarray = field(repr=False)
+    __reduce__ = _rebuilt_from("alice_signs", "hidden_state", "bob_povm")
 
     def __init__(self, alice_signs: tuple, hidden_state: np.ndarray, bob_povm: BinaryPovm) -> None:
         if not isinstance(bob_povm, BinaryPovm):
@@ -293,34 +309,43 @@ def canonical_game(r: float) -> GameSpec:
     return GameSpec(r)
 
 
-def _joint_honest(strategy: HonestQuantum, omega: np.ndarray, j: int) -> dict:
-    probs = {}
-    for a, (p_a, cond) in zip((1, -1), strategy.conditional_states[j - 1]):
-        p_click = real_trace_product(tensor(cond, omega), strategy.bob_povm.b1)
-        probs[(a, 1)] = p_click
-        probs[(a, 0)] = p_a - p_click
-    return probs
+def _honest_clicks(strategy: HonestQuantum, ensemble: RefereeEnsemble) -> np.ndarray:
+    # p(a, 1 | j, s) = Re tr[(cond_(j,a) x omega_(j,s)) b1] for every setting
+    # in one stacked pass, indexed [j - 1, 0 if s > 0 else 1, 0 if a > 0 else 1];
+    # each entry is bitwise the 2-D evaluation of that one setting and sign.
+    if not isinstance(strategy, HonestQuantum):
+        raise ValueError(f"unknown strategy type {type(strategy).__name__}")
+    pairs = tensor(strategy.cond_stack[:, None], referee_states(ensemble)[:, :, None])
+    return real_trace_product(pairs, strategy.bob_povm.b1)
 
 
-def _joint_local(strategy: CustomLocal, n: list[float], j: int) -> dict:
-    x, y, z = n
-    probs = {}
-    for a, (marginal, f0, f1, f2, f3) in zip((1, -1), strategy.effect_table[j - 1]):
-        click = f0 + x * f1 + y * f2 + z * f3
-        probs[(a, 1)] = click
-        probs[(a, 0)] = marginal - click
-    return probs
+def _joint_table(strategy: Strategy, ensemble: RefereeEnsemble) -> dict:
+    # p(a, b) for the six settings, keyed by (j, s) in SETTING_KEYS order, from
+    # the click probability p(a, 1) and Alice's marginal p(a|j) of a = +1, -1.
+    # A local strategy clicks with f0 + n.f from its effect table row.
+    if isinstance(strategy, CustomLocal):
+        clicks = []
+        for j, s in SETTING_KEYS:
+            x, y, z = ensemble.vector(j, s).tolist()
+            rows = strategy.effect_table[j - 1]
+            clicks.append([f0 + x * f1 + y * f2 + z * f3 for _, f0, f1, f2, f3 in rows])
+        marginals = [[row[0] for row in rows] for rows in strategy.effect_table]
+    else:
+        clicks = _honest_clicks(strategy, ensemble).reshape(6, 2).tolist()
+        marginals = [[p for p, _ in rows] for rows in strategy.conditional_states]
+    return {
+        (j, s): {(1, 1): plus, (1, 0): marginals[j - 1][0] - plus,
+                 (-1, 1): minus, (-1, 0): marginals[j - 1][1] - minus}
+        for (j, s), (plus, minus) in zip(SETTING_KEYS, clicks)
+    }
 
 
 def joint_probabilities(
     strategy: Strategy, ensemble: RefereeEnsemble, j: int, s: int
 ) -> dict[tuple[int, int], float]:
     """p(a, b) for one setting, as a dict over the four (a, b) cells."""
-    if isinstance(strategy, HonestQuantum):
-        return _joint_honest(strategy, referee_state(ensemble, j, s), j)
-    if isinstance(strategy, CustomLocal):
-        return _joint_local(strategy, ensemble.vector(j, s).tolist(), j)
-    raise ValueError(f"unknown strategy type {type(strategy).__name__}")
+    ensemble.vector(j, s)  # raises on a key the ensemble does not have
+    return _joint_table(strategy, ensemble)[(j, s)]
 
 
 def _witness_pairing(r: float, strategy: CustomLocal, ensemble: RefereeEnsemble) -> float:
@@ -350,16 +375,17 @@ def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) 
     """Expected payoff of a strategy, from exact joint probabilities.
 
     A local strategy is scored by the witness pairing of its effect table
-    with the ensemble; an honest one by its per-setting joint probabilities.
+    with the ensemble; an honest one by its click probabilities, summed over
+    the settings in order.
     """
     if isinstance(strategy, CustomLocal):
         return _witness_pairing(spec.r, strategy, ensemble)
     tax = spec.r / SQRT3
     value = 0.0
-    for j, s in SETTING_KEYS:
-        probs = joint_probabilities(strategy, ensemble, j, s)
-        value += s * (probs[(1, 1)] - probs[(-1, 1)])
-        value -= tax * (probs[(1, 1)] + probs[(-1, 1)])
+    clicks = _honest_clicks(strategy, ensemble).reshape(6, 2).tolist()
+    for (_, s), (plus, minus) in zip(SETTING_KEYS, clicks):
+        value += s * (plus - minus)
+        value -= tax * (plus + minus)
     return 2.0 * value
 
 
@@ -485,8 +511,7 @@ def simulate_runs(
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     counts: dict[tuple[int, int, int, int], int] = {}
-    for j, s in SETTING_KEYS:
-        probs = joint_probabilities(strategy, ensemble, j, s)
+    for (j, s), probs in _joint_table(strategy, ensemble).items():
         p = np.array([max(probs[cell], 0.0) for cell in _CELLS])
         p /= p.sum()
         rng = np.random.default_rng(np.random.SeedSequence([seed, j, 0 if s > 0 else 1]))

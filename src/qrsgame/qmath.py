@@ -70,33 +70,38 @@ def _as_operator(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in (first x second) order, result capped at dim 4."""
-    a = _as_operator(a)
-    b = _as_operator(b)
-    if a.shape[0] * b.shape[0] > 4:
+    """Kronecker product in (first x second) order, result capped at dim 4.
+
+    Stacks (..., d, d) broadcast against each other over their leading axes;
+    each pair gets the bits a call on that pair alone gives.
+    """
+    a = _as_operators(a)
+    b = _as_operators(b)
+    if a.shape[-1] * b.shape[-1] > 4:
         raise ValueError(
-            f"unsupported dimension {a.shape[0] * b.shape[0]}: "
+            f"unsupported dimension {a.shape[-1] * b.shape[-1]}: "
             "stored operators are capped at dimension 4"
         )
     # np.kron's own elementwise product of the broadcast factors, without
     # its generic set-up; the result is bitwise the same.
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
 def partial_trace(m: np.ndarray, subsystem: str) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator.
+    """Trace out one qubit of a two-qubit operator, or of each in a stack (..., 4, 4).
 
     ``subsystem`` names the factor that is removed: ``"first"`` keeps the
     second qubit, ``"second"`` keeps the first.
     """
-    m = _as_operator(m)
-    if m.shape[0] != 4:
+    m = _as_operators(m)
+    if m.shape[-1] != 4:
         raise ValueError("partial_trace expects a dimension-4 operator")
-    r = m.reshape(2, 2, 2, 2)
+    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     if subsystem == "first":
-        return np.einsum("ijil->jl", r)
+        return np.einsum("...ijil->...jl", r)
     if subsystem == "second":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
 
 
@@ -262,6 +267,11 @@ def density_to_bloch(m: np.ndarray) -> np.ndarray:
     return np.array([np.trace(m @ _PAULI[i]).real for i in range(3)])
 
 
-def real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a b), the Born-rule pairing of a state with an effect."""
-    return float(np.trace(np.asarray(a) @ np.asarray(b)).real)
+def real_trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Re tr(a b), the Born-rule pairing of a state with an effect.
+
+    Stacks (..., d, d) are multiplied as matmul broadcasts them and give an
+    array of the pairings, each bitwise the float of a 2-D call.
+    """
+    pairing = np.trace(np.asarray(a) @ np.asarray(b), axis1=-2, axis2=-1).real
+    return float(pairing) if pairing.ndim == 0 else pairing

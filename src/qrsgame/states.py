@@ -121,6 +121,21 @@ def referee_state(ensemble: RefereeEnsemble, j: int, s: int) -> np.ndarray:
     return bloch_to_density(ensemble.vector(j, s))
 
 
+def referee_states(ensemble: RefereeEnsemble) -> np.ndarray:
+    """All six referee density matrices as one (3, 2, 2, 2) stack.
+
+    Entry [j - 1, 0 if s > 0 else 1] is bitwise referee_state(ensemble, j, s):
+    each state has bloch_to_density's closed-form entries, but the vectors are
+    not checked again; the ensemble checked them.
+    """
+    rows = []
+    for key in SETTING_KEYS:
+        x, y, z = ensemble.vectors[key].tolist()
+        x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
+        rows.append(((0.5 + z, complex(x, -y)), (complex(x, y), 0.5 - z)))
+    return np.array(rows, dtype=complex).reshape(3, 2, 2, 2)
+
+
 def depolarize_ensemble(ensemble: RefereeEnsemble, eta: float) -> RefereeEnsemble:
     """Shrink every Bloch vector by eta in [0, 1]."""
     if not 0.0 <= eta <= 1.0:

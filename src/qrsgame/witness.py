@@ -373,13 +373,15 @@ def werner_threshold(spec: GameSpec, analyzer: BinaryPovm, ensemble: RefereeEnse
     state, so the honest payoff with this analyzer and ensemble is affine
     in W, P(W) = P(0) + (P(1) - P(0)) W, and is positive exactly above
     -P(0) / (P(1) - P(0)). When P(1) <= P(0) no weight wins, and the
-    threshold is inf. With the ideal analyzer and ensemble it is r/sqrt(3);
+    threshold is inf; so it is when the slope is within 1e-12 of the
+    payoffs' scale, as at visibility 0, where it is 0 up to rounding noise
+    of either sign. With the ideal analyzer and ensemble it is r/sqrt(3);
     at visibility v on the ideal ensemble, sqrt(3) r (2 - v) / (3 v).
     """
     p0, p1 = (
         exact_payoff(spec, HonestQuantum(werner_state(w), analyzer), ensemble) for w in (0.0, 1.0)
     )
-    if p1 <= p0:
+    if p1 - p0 <= 1e-12 * max(1.0, abs(p0), abs(p1)):
         return math.inf
     return -p0 / (p1 - p0)
 

@@ -6,7 +6,15 @@ import math
 import numpy as np
 
 from qrsgame.cli import main
-from qrsgame.game import SQRT3, TallyTable, canonical_game, estimate_payoff
+from qrsgame.game import (
+    SQRT3,
+    HonestQuantum,
+    TallyTable,
+    canonical_game,
+    estimate_payoff,
+    exact_payoff,
+    partial_bsm_povm,
+)
 from qrsgame.states import (
     SETTING_KEYS,
     RefereeEnsemble,
@@ -14,6 +22,7 @@ from qrsgame.states import (
     ensemble_to_dict,
     referee_ideal,
     save_ensemble,
+    werner_state,
 )
 from test_witness import counts_from_ensemble
 
@@ -117,6 +126,23 @@ class TestPayoff:
             assert out[2] == f"regime = {regime}"
             payoff = float(out[0].split(" = ")[1])
             assert (payoff <= 0.0) == (regime == "unsteerable-by-this-game")
+
+    def test_linear_reference_follows_visibility(self, capsys):
+        """linear_reference is 3vW - sqrt(3) r (2 - v): at v = 0.9 on the
+        ideal ensemble it is the exact honest payoff within 1e-12, and text
+        and JSON print the two alike."""
+        w, r, v = 0.8, 1.2, 0.9
+        reference = 3.0 * v * w - SQRT3 * r * (2.0 - v)
+        strategy = HonestQuantum(werner_state(w), partial_bsm_povm(v))
+        assert abs(reference - exact_payoff(canonical_game(r), strategy, referee_ideal())) <= 1e-12
+        argv = ["payoff", "--W", str(w), "--r", str(r), "--visibility", str(v)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "exact_payoff = -0.126307066"
+        assert out[1] == "linear_reference = -0.126307066"
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["linear_reference"] == data["exact_payoff"] == -0.126307066
 
     def test_estimate_lines(self, capsys):
         assert main(["payoff", "--W", "0.698", "--r", "1.081", "--n", "20000",
@@ -298,6 +324,19 @@ class TestSweep:
         for row in out[5:]:
             _, payoff, regime = row.split(",")
             assert (regime == "unsteerable-by-this-game") == (float(payoff) <= 0.0)
+
+    def test_threshold_at_zero_visibility_is_inf(self, capsys):
+        """At visibility 0 the honest payoff does not depend on W, so no
+        weight wins: the header prints inf, not the reciprocal of rounding
+        noise, and every row is labelled unsteerable."""
+        assert main(["sweep", "--visibility", "0", "--steps", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "# threshold this-game W = inf"
+        assert out[5:] == [
+            "0,-3.464101615,unsteerable-by-this-game",
+            "0.5,-3.464101615,unsteerable-by-this-game",
+            "1,-3.464101615,unsteerable-by-this-game",
+        ]
 
     def test_single_point_golden_row(self, capsys):
         assert main(["sweep", "--r", "1.081", "--w-min", "0.698", "--w-max", "0.698",

@@ -473,12 +473,44 @@ class TestStrategyValidation:
                     setattr(obj, f.name, None)
 
     def test_built_strategies_survive_pickle_and_deepcopy(self):
+        """Unpickled and deep-copied strategies, components and POVMs are
+        rebuilt through their constructors: every stored array is read-only
+        again, the compiled forms equal the original's, and every payoff
+        and tally is bitwise the original's."""
         rng = np.random.default_rng(123)
         spec, ens = canonical_game(0.9), perturbed_ensemble(rng)
-        for strat in (HonestQuantum(werner_state(0.8), partial_bsm_povm(0.9)),
-                      random_lhs_strategy(rng), random_local_strategy(rng)):
-            for copied in (pickle.loads(pickle.dumps(strat)), copy.deepcopy(strat)):
-                assert exact_payoff(spec, copied, ens) == exact_payoff(spec, strat, ens)
+
+        def stored_arrays(obj):
+            if isinstance(obj, BinaryPovm):
+                return [obj.b0, obj.b1]
+            if isinstance(obj, LocalComponent):
+                return [obj.effect]
+            if isinstance(obj, HonestQuantum):
+                conds = [c for rows in obj.conditional_states for _, c in rows]
+                return [obj.shared_state, obj.cond_stack, *conds, *stored_arrays(obj.bob_povm)]
+            arrays = [a for c in obj.components for a in stored_arrays(c)]
+            if isinstance(obj, LhsDeterministic):
+                arrays += [obj.hidden_state, obj.effect, *stored_arrays(obj.bob_povm)]
+            return arrays
+
+        honest = HonestQuantum(werner_state(0.8), partial_bsm_povm(0.9))
+        lhs, mix = random_lhs_strategy(rng), random_local_strategy(rng)
+        for obj in (honest, lhs, mix, honest.bob_povm, mix.components[0]):
+            for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert type(copied) is type(obj) and copied is not obj
+                arrays = stored_arrays(copied)
+                assert len(arrays) == len(stored_arrays(obj))
+                for got, want in zip(arrays, stored_arrays(obj)):
+                    assert not got.flags.writeable
+                    assert got.tobytes() == want.tobytes()
+                if isinstance(obj, (HonestQuantum, CustomLocal)):
+                    assert exact_payoff(spec, copied, ens) == exact_payoff(spec, obj, ens)
+                    tally = simulate_runs(spec, copied, ens, 1000, seed=5)
+                    assert tally.counts == simulate_runs(spec, obj, ens, 1000, seed=5).counts
+                if isinstance(obj, CustomLocal):
+                    assert copied.effect_table == obj.effect_table
+                if isinstance(obj, LhsDeterministic):
+                    assert copied.alice_signs == obj.alice_signs
 
     def test_built_strategies_own_read_only_arrays(self):
         """A strategy copies every array and response table the caller still
@@ -671,7 +703,8 @@ class TestExactPayoff:
 
     def test_local_payoff_reads_no_joint_probabilities(self, monkeypatch):
         """Scoring a local strategy builds no joint-probability table; the
-        honest player keeps its per-setting sum."""
+        honest player is scored from one stacked click table, and its payoff
+        is bitwise the per-setting sum."""
         rng = np.random.default_rng(120)
         spec, ens = canonical_game(1.0), perturbed_ensemble(rng)
         honest = HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9))
@@ -680,13 +713,23 @@ class TestExactPayoff:
         scores = [per_setting_payoff(spec, s, ens) for s in locals_]
 
         def no_joint(*args):
-            raise AssertionError("joint_probabilities reached")
+            raise AssertionError("joint-probability table reached")
+
+        stacked = []
+        honest_clicks = game._honest_clicks
+
+        def spy(*args):
+            stacked.append(args)
+            return honest_clicks(*args)
 
         monkeypatch.setattr(game, "joint_probabilities", no_joint)
+        monkeypatch.setattr(game, "_joint_table", no_joint)
+        monkeypatch.setattr(game, "_honest_clicks", spy)
         for strat, score in zip(locals_, scores):
             assert abs(exact_payoff(spec, strat, ens) - score) <= 1e-12
-        with pytest.raises(AssertionError, match="joint_probabilities reached"):
-            exact_payoff(spec, honest, ens)
+        assert stacked == []
+        assert exact_payoff(spec, honest, ens) == want
+        assert stacked == [(honest, ens)]
         monkeypatch.undo()
         assert exact_payoff(spec, honest, ens) == want
 
@@ -840,6 +883,30 @@ class TestSimulation:
                 simulate_runs(spec, strat, referee_ideal(), 10, seed=seed)
         tally = simulate_runs(spec, strat, referee_ideal(), np.int64(10), seed=np.int64(3))
         assert tally.counts == simulate_runs(spec, strat, referee_ideal(), 10, seed=3).counts
+
+    def test_honest_tally_is_a_draw_of_per_setting_probabilities(self):
+        """An honest tally is exactly the multinomial draw, from the same
+        SeedSequence([seed, j, 0 if s > 0 else 1]), of the clamped and
+        normalized probabilities a fresh per-setting evaluation gives, on
+        the ideal ensemble and on perturbed ones."""
+        rng = np.random.default_rng(131)
+        spec = canonical_game(1.0)
+        cases = [(HonestQuantum(werner_state(0.698), singlet_projector_bc()), referee_ideal())]
+        for k in range(12):
+            povm = partial_bsm_povm(float(rng.random())) if k % 2 else random_analyzer(rng)
+            cases.append((HonestQuantum(random_density_matrix(rng), povm), perturbed_ensemble(rng)))
+        for k, (strat, ens) in enumerate(cases):
+            n, seed = 1000 + 37 * k, 11 * k
+            want = {}
+            for j, s in SETTING_KEYS:
+                probs = per_setting_honest(strat, ens, j, s)
+                p = np.array([max(probs[cell], 0.0) for cell in CELLS])
+                p /= p.sum()
+                stream = np.random.SeedSequence([seed, j, 0 if s > 0 else 1])
+                for cell, m in zip(CELLS, np.random.default_rng(stream).multinomial(n, p)):
+                    if m:
+                        want[(j, s) + cell] = int(m)
+            assert simulate_runs(spec, strat, ens, n, seed).counts == want
 
     def test_tally_validation(self):
         with pytest.raises(ValueError, match="malformed tally cell"):

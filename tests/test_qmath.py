@@ -134,6 +134,64 @@ class TestTensorAndTrace:
             partial_trace(identity(4), "third")
 
 
+class TestStackedPrimitives:
+    """On a stack (..., d, d), tensor, partial_trace and real_trace_product
+    give, entry by entry, the bits of a loop of 2-D calls."""
+
+    @staticmethod
+    def complex_stack(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def test_tensor_stack_is_a_loop_of_pairs(self):
+        rng = np.random.default_rng(61)
+        a = self.complex_stack(rng, (3, 1, 2, 2, 2))
+        b = self.complex_stack(rng, (3, 2, 1, 2, 2))
+        got = tensor(a, b)
+        assert got.shape == (3, 2, 2, 4, 4)
+        for idx in np.ndindex(3, 2, 2):
+            want = tensor(a[idx[0], 0, idx[2]], b[idx[0], idx[1], 0])
+            assert got[idx].tobytes() == want.tobytes()
+        one = tensor(a[0, 0], b[0, 0, 0])
+        assert one.shape == (2, 4, 4)
+        assert all(one[k].tobytes() == tensor(a[0, 0, k], b[0, 0, 0]).tobytes() for k in (0, 1))
+
+    def test_partial_trace_stack_is_a_loop(self):
+        rng = np.random.default_rng(62)
+        m = self.complex_stack(rng, (3, 2, 4, 4))
+        for which in ("first", "second"):
+            got = partial_trace(m, which)
+            assert got.shape == (3, 2, 2, 2)
+            for idx in np.ndindex(3, 2):
+                assert got[idx].tobytes() == partial_trace(m[idx], which).tobytes()
+
+    def test_real_trace_product_stack_is_a_loop(self):
+        rng = np.random.default_rng(63)
+        for dim in (2, 4):
+            a = self.complex_stack(rng, (3, 2, 2, dim, dim))
+            b = self.complex_stack(rng, (dim, dim))
+            got = real_trace_product(a, b)
+            assert got.shape == (3, 2, 2) and got.dtype == np.float64
+            for idx in np.ndindex(3, 2, 2):
+                assert got[idx] == real_trace_product(a[idx], b)
+            assert type(real_trace_product(a[0, 0, 0], b)) is float
+
+    def test_stacks_keep_the_shape_and_dimension_errors(self):
+        with pytest.raises(ValueError, match="unsupported dimension 8"):
+            tensor(np.zeros((3, 4, 4)), np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="square matrix"):
+            tensor(np.zeros((3, 2, 3)), identity(2))
+        with pytest.raises(ValueError, match="square matrix"):
+            tensor(np.zeros(2), identity(2))
+        with pytest.raises(ValueError, match="unsupported dimension 3"):
+            partial_trace(np.zeros((2, 3, 3)), "first")
+        with pytest.raises(ValueError, match="dimension-4"):
+            partial_trace(np.zeros((5, 2, 2)), "second")
+        with pytest.raises(ValueError, match="subsystem"):
+            partial_trace(np.zeros((5, 4, 4)), "third")
+        with pytest.raises(ValueError):
+            real_trace_product(np.zeros((3, 2, 2)), identity(4))
+
+
 class TestEigHermitian:
     def test_qubit_closed_form_vs_numpy(self):
         rng = np.random.default_rng(21)

@@ -16,6 +16,7 @@ from qrsgame.states import (
     load_ensemble,
     referee_ideal,
     referee_state,
+    referee_states,
     rotate_ensemble,
     save_ensemble,
     werner_from_bell_weights,
@@ -141,6 +142,26 @@ class TestRefereeEnsemble:
     def test_unknown_lookup(self):
         with pytest.raises(ValueError, match=r"j=2, s=0"):
             referee_ideal().vector(2, 0)
+
+    def test_stacked_states_are_the_per_key_states(self):
+        """referee_states holds, byte for byte, referee_state of each key at
+        [j - 1, 0 if s > 0 else 1]: on the ideal ensemble (whose zero
+        components give signed zeros in complex(x, -y)), on vectors with
+        negative zeros and on random rotated, shrunk ensembles."""
+        rng = np.random.default_rng(31)
+        ensembles = [referee_ideal()]
+        ensembles.append(RefereeEnsemble({k: np.array([-0.0, -0.0, 0.5]) for k in SETTING_KEYS}))
+        for _ in range(50):
+            rot = random_rotation(rng)
+            vectors = {k: rng.uniform(0.0, 1.0) * (rot @ rng.normal(size=3)) for k in SETTING_KEYS}
+            vectors = {k: v / max(1.0, np.linalg.norm(v)) for k, v in vectors.items()}
+            ensembles.append(RefereeEnsemble(vectors))
+        for ens in ensembles:
+            stack = referee_states(ens)
+            assert stack.shape == (3, 2, 2, 2) and stack.dtype == complex
+            for j, s in SETTING_KEYS:
+                want = referee_state(ens, j, s)
+                assert stack[j - 1, 0 if s > 0 else 1].tobytes() == want.tobytes()
 
 
 class TestEnsembleTransforms:

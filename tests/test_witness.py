@@ -604,6 +604,17 @@ class TestGameThreshold:
         for w in np.linspace(0.0, 1.0, 11):
             assert regime_at(float(w), threshold) == "unsteerable-by-this-game"
 
+    def test_flat_payoff_wins_no_weight(self):
+        """At visibility 0 every analyzer input clicks with probability 1/2,
+        so P(1) - P(0) is 0 up to rounding noise of either sign; the
+        threshold is inf on every ensemble and rate, never -P(0) / noise."""
+        rng = np.random.default_rng(122)
+        analyzer = partial_bsm_povm(0.0)
+        for k in range(60):
+            ens = referee_ideal() if k % 3 == 0 else perturbed_ensemble(rng)
+            spec = canonical_game(0.0 if k % 5 == 0 else float(rng.uniform(0.0, 2.0)))
+            assert werner_threshold(spec, analyzer, ens) == math.inf
+
     def test_regime_at_boundary_and_landmarks(self):
         assert regime_at(0.7, 0.7) == "unsteerable-by-this-game"
         assert regime_at(0.7 + 1e-9, 0.7) == "steerable-open-Bell-window"
