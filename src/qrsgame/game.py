@@ -42,13 +42,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
 import numpy as np
 
 from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
+    _frozen,
     bloch_to_density,
     check_hermitian,
     eig_hermitian,
@@ -67,21 +69,11 @@ SQRT3 = math.sqrt(3.0)
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
-_IDENTITY4 = identity(4)
-_IDENTITY4.setflags(write=False)
+_IDENTITY4 = _frozen(identity(4))
 
 # Alice's projector (1 + a sigma_j)/2 lifted to the pair, at [j - 1, 0 if a > 0 else 1].
-_LIFTS = np.array([[tensor(0.5 * (identity(2) + a * pauli(j)), identity(2)) for a in (1, -1)]
-                   for j in (1, 2, 3)])
-_LIFTS.setflags(write=False)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    # A read-only copy: the caller keeps its array writable, and no write
-    # to it can reach what a strategy compiled from the copy.
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+_LIFTS = _frozen(np.array([[tensor(0.5 * (identity(2) + a * pauli(j)), identity(2))
+                            for a in (1, -1)] for j in (1, 2, 3)]))
 
 
 def _rebuilt_from(*names: str):
@@ -147,18 +139,17 @@ class HonestQuantum:
     Alice's side does not depend on the referee, so it is compiled once
     here, as one stack: ``cond_stack[j - 1, 0 for a = +1, 1 for a = -1]`` is
     cond_(j,a) = tr_A[(P_(j,a) x 1) rho], the unnormalized state Alice's
-    outcome leaves on Bob's qubit. ``conditional_states[j - 1]`` holds, for
-    a = +1 then a = -1, the pair (p(a|j), cond_(j,a)) with p(a|j) its trace
-    and cond_(j,a) a view of the stack. Each entry is bitwise the one an
-    evaluation that rebuilds it for every setting gives; the tests keep that
-    evaluation as oracle. The strategy keeps a read-only copy of the shared
-    state, and the compiled stack is read-only too.
+    outcome leaves on Bob's qubit. ``marginals[j - 1]`` holds Alice's p(a|j),
+    the trace of cond_(j,a), for a = +1 then a = -1. Each entry is bitwise
+    the one an evaluation that rebuilds it for every setting gives; the
+    tests keep that evaluation as oracle. The strategy keeps a read-only
+    copy of the shared state, and the compiled stack is read-only too.
     """
 
     shared_state: np.ndarray
     bob_povm: BinaryPovm
     cond_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    conditional_states: tuple = field(init=False, repr=False, compare=False)
+    marginals: tuple = field(init=False, repr=False, compare=False)
     __reduce__ = _rebuilt_from("shared_state", "bob_povm")
 
     def __post_init__(self) -> None:
@@ -174,8 +165,7 @@ class HonestQuantum:
         cond.setflags(write=False)
         object.__setattr__(self, "cond_stack", cond)
         traces = cond.trace(axis1=-2, axis2=-1).real.tolist()
-        compiled = tuple(tuple(zip(p, c)) for p, c in zip(traces, cond))
-        object.__setattr__(self, "conditional_states", compiled)
+        object.__setattr__(self, "marginals", tuple(map(tuple, traces)))
 
 
 @dataclass(frozen=True)
@@ -184,15 +174,17 @@ class LocalComponent:
 
     ``bloch`` is the effect's Bloch form (e0, e1, e2, e3), E = e0*1 + e.sigma,
     read once from the matrix; 0 <= E <= 1 is checked on it as e0 +/- |e|.
-    The component keeps its own copy of the response table and a read-only
-    copy of the effect.
+    The component keeps read-only copies of the response table and the
+    effect.
     """
 
     weight: float
-    alice_plus: dict[int, float]
+    alice_plus: Mapping[int, float]
     effect: np.ndarray
     bloch: tuple[float, float, float, float] = field(init=False, repr=False)
-    __reduce__ = _rebuilt_from("weight", "alice_plus", "effect")
+
+    def __reduce__(self):
+        return type(self), (self.weight, dict(self.alice_plus), self.effect)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.weight) and self.weight >= 0.0):
@@ -202,7 +194,7 @@ class LocalComponent:
         for j, p in self.alice_plus.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
-        object.__setattr__(self, "alice_plus", dict(self.alice_plus))
+        object.__setattr__(self, "alice_plus", MappingProxyType(dict(self.alice_plus)))
         object.__setattr__(
             self, "effect", _frozen(check_hermitian(self.effect, 2, "component effect"))
         )
@@ -332,7 +324,7 @@ def _joint_table(strategy: Strategy, ensemble: RefereeEnsemble) -> dict:
         marginals = [[row[0] for row in rows] for rows in strategy.effect_table]
     else:
         clicks = _honest_clicks(strategy, ensemble).reshape(6, 2).tolist()
-        marginals = [[p for p, _ in rows] for rows in strategy.conditional_states]
+        marginals = strategy.marginals
     return {
         (j, s): {(1, 1): plus, (1, 0): marginals[j - 1][0] - plus,
                  (-1, 1): minus, (-1, 0): marginals[j - 1][1] - minus}

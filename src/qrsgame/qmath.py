@@ -250,15 +250,28 @@ def check_bloch(n: np.ndarray, name: str = "Bloch vector") -> np.ndarray:
     return n
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # A read-only copy: the caller keeps its array writable, and no write
+    # to it can reach what was checked or compiled from the copy.
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _density_entries(x: float, y: float, z: float) -> tuple:
+    # The closed-form entries of (1 + n.sigma)/2 for n = (x, y, z), nested
+    # as the rows of the 2x2 matrix.
+    x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
+    return ((0.5 + z, complex(x, -y)), (complex(x, y), 0.5 - z))
+
+
 def bloch_to_density(n: np.ndarray) -> np.ndarray:
     """Qubit state (1 + n.sigma)/2 for a Bloch vector checked by check_bloch.
 
     Built entry by entry in closed form; every entry has the value the sum
     1/2 + sum_i (n_i / 2) sigma_i gives, which the tests keep as oracle.
     """
-    x, y, z = check_bloch(n).tolist()
-    x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
-    return np.array([[0.5 + z, complex(x, -y)], [complex(x, y), 0.5 - z]], dtype=complex)
+    return np.array(_density_entries(*check_bloch(n).tolist()), dtype=complex)
 
 
 def density_to_bloch(m: np.ndarray) -> np.ndarray:

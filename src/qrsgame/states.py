@@ -21,6 +21,8 @@ import numpy as np
 
 from .qmath import (
     BLOCH_NORM_TOL,
+    _density_entries,
+    _frozen,
     bloch_to_density,
     check_bloch,
     check_hermitian,
@@ -60,10 +62,14 @@ def bell_state(idx: BellIndex) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def werner_state(w: float) -> np.ndarray:
-    """Werner state w |Psi-><Psi-| + (1 - w) 1/4 for w in [0, 1]."""
+def _check_weight(w: float) -> None:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
+
+
+def werner_state(w: float) -> np.ndarray:
+    """Werner state w |Psi-><Psi-| + (1 - w) 1/4 for w in [0, 1]."""
+    _check_weight(w)
     return w * bell_state(BellIndex.PSI_MINUS) + (1.0 - w) * identity(4) / 4.0
 
 
@@ -86,7 +92,7 @@ def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:
 
 @dataclass
 class RefereeEnsemble:
-    """Six referee states, one Bloch vector per key (j, s)."""
+    """Six referee states, one read-only copy of a Bloch vector per key (j, s)."""
 
     vectors: dict[tuple[int, int], np.ndarray]
 
@@ -97,7 +103,8 @@ class RefereeEnsemble:
                 f"got {sorted(self.vectors)}"
             )
         self.vectors = {
-            key: check_bloch(self.vectors[key], f"Bloch vector for {key}") for key in SETTING_KEYS
+            key: _frozen(check_bloch(self.vectors[key], f"Bloch vector for {key}"))
+            for key in SETTING_KEYS
         }
 
     def vector(self, j: int, s: int) -> np.ndarray:
@@ -128,11 +135,7 @@ def referee_states(ensemble: RefereeEnsemble) -> np.ndarray:
     each state has bloch_to_density's closed-form entries, but the vectors are
     not checked again; the ensemble checked them.
     """
-    rows = []
-    for key in SETTING_KEYS:
-        x, y, z = ensemble.vectors[key].tolist()
-        x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
-        rows.append(((0.5 + z, complex(x, -y)), (complex(x, y), 0.5 - z)))
+    rows = [_density_entries(*ensemble.vectors[key].tolist()) for key in SETTING_KEYS]
     return np.array(rows, dtype=complex).reshape(3, 2, 2, 2)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .game import SQRT3, CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
 from .game import BinaryPovm, CountTable, check_rate, exact_payoff, joint_probabilities
 from .qmath import bloch_to_density, density_to_bloch, identity, is_integer, pauli, tensor
-from .states import SETTING_KEYS, RefereeEnsemble, werner_state
+from .states import SETTING_KEYS, RefereeEnsemble, _check_weight, werner_state
 
 TWO_SQRT3 = 2.0 * SQRT3
 
@@ -158,34 +158,23 @@ def _sound(rows: np.ndarray, vec_b: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _top_eigenvalues(rows, vec_b, k * _RSTAR_GRID).max(axis=-1) <= 0.0
 
 
-def _step_rstar(rows: np.ndarray, vec_b: np.ndarray, root: float) -> float:
-    # The exact grid walk for one table: from the rounded-up root, step up
-    # until sound, then down while the step below is still sound. NaN when
-    # no sound rate lies below 4.
-    if not root <= 4.0:
-        return math.nan
-    k = math.ceil(root / _RSTAR_GRID)
-    while not _sound(rows, vec_b, k):
-        k += 1
-        if k * _RSTAR_GRID > 4.0:
-            return math.nan
-    while k > 0 and _sound(rows, vec_b, k - 1):
-        k -= 1
-    return k * _RSTAR_GRID
-
-
 def _rstar_tables(rows: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
     # rstar_oracle for each of T tables, (T, 8, 3) and (T, 3); NaN where it
-    # raises. A rounded root k that is sound with k - 1 unsound is already
-    # the walk's answer; only the other tables take the walk.
+    # raises. One grid walk for all tables: from the rounded-up root, step up
+    # while unsound (dead past 4), then down while the step below is sound.
     root = _largest_root(rows, vec_b, 12.0)
-    usable = root <= 4.0
-    k = np.ceil(np.where(usable, root, 0.0) / _RSTAR_GRID).astype(np.int64)
-    done = usable & _sound(rows, vec_b, k) & ((k == 0) | ~_sound(rows, vec_b, k - 1))
-    out = k * _RSTAR_GRID
-    for t in np.flatnonzero(~done):
-        out[t] = _step_rstar(rows[t], vec_b[t], root[t])
-    return out
+    live = root <= 4.0
+    k = np.ceil(np.where(live, root, 0.0) / _RSTAR_GRID).astype(np.int64)
+    step = live & ~_sound(rows, vec_b, k)
+    while step.any():
+        k += step
+        live &= k * _RSTAR_GRID <= 4.0
+        step = live & ~_sound(rows, vec_b, k)
+    step = live & (k > 0) & _sound(rows, vec_b, k - 1)
+    while step.any():
+        k -= step
+        step &= (k > 0) & _sound(rows, vec_b, k - 1)
+    return np.where(live, k * _RSTAR_GRID, np.nan)
 
 
 def _rstar(rows: np.ndarray, vec_b: np.ndarray) -> float:
@@ -201,9 +190,10 @@ def rstar_oracle(ensemble: RefereeEnsemble) -> float:
     The bound is nonpositive exactly when |A - r B| <= 2 sqrt(3) r for all
     signs, so the boundary is the largest positive root of
     (12 - B.B) r^2 + 2 (A.B) r - A.A = 0. That root is rounded up onto the
-    grid and stepped until the bound holds there and fails one step below:
-    the upper end of the final bracket of the bisection the tests keep as
-    this function's oracle, so the bound at the result is nonpositive.
+    grid and walked up while the bound fails, then down while it still
+    holds one step below (the bootstrap's walk, on a stack of one): the
+    upper end of the final bracket of the bisection the tests keep as this
+    function's oracle, so the bound at the result is nonpositive.
 
     At r = sqrt(3), A - r B = -2 sum_j n_(j,-a_j) has norm at most 6 =
     2 sqrt(3) r, so r* <= sqrt(3) for every ensemble in the unit ball; the
@@ -348,11 +338,6 @@ def bootstrap_calibration(
         raise CalibrationError("every bootstrap trial failed to calibrate")
     spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return BootstrapResult(float(np.mean(values)), spread, trials - len(values))
-
-
-def _check_weight(w: float) -> None:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
 
 
 def chsh_werner(w: float) -> float:
@@ -523,24 +508,22 @@ def calibrate(
 
     With counts, the ensemble is reconstructed by direct inversion and the
     boundary's spread is bootstrapped over ``trials`` resamplings drawn from
-    ``seed`` (200 and 0 when not given); with a known ensemble only the
-    deterministic readouts are produced, and giving ``trials`` or ``seed``
-    raises. The printed closed form is set to NaN when its domain condition
-    fails, never silently substituted.
+    ``seed``, each left to bootstrap_calibration's default when not given;
+    with a known ensemble only the deterministic readouts are produced, and
+    giving ``trials`` or ``seed`` raises. The printed closed form is set to
+    NaN when its domain condition fails, never silently substituted.
     """
     if (ensemble is None) == (counts is None):
         raise ValueError("provide exactly one of ensemble or counts")
     clipped: tuple[tuple[int, int], ...] = ()
     boot = None
+    given = {name: v for name, v in (("trials", trials), ("seed", seed)) if v is not None}
     if counts is None:
-        unused = [name for name, value in (("trials", trials), ("seed", seed)) if value is not None]
-        if unused:
-            raise ValueError(f"calibrate with an ensemble does not use {' or '.join(unused)}")
+        if given:
+            raise ValueError(f"calibrate with an ensemble does not use {' or '.join(given)}")
     else:
         ensemble, clipped = ensemble_from_counts(counts)
-        boot = bootstrap_calibration(
-            counts, trials=200 if trials is None else trials, seed=0 if seed is None else seed
-        )
+        boot = bootstrap_calibration(counts, **given)
     assert ensemble is not None
     table = _sign_table(ensemble)
     oracle = _rstar(*table)

@@ -486,8 +486,7 @@ class TestStrategyValidation:
             if isinstance(obj, LocalComponent):
                 return [obj.effect]
             if isinstance(obj, HonestQuantum):
-                conds = [c for rows in obj.conditional_states for _, c in rows]
-                return [obj.shared_state, obj.cond_stack, *conds, *stored_arrays(obj.bob_povm)]
+                return [obj.shared_state, obj.cond_stack, *stored_arrays(obj.bob_povm)]
             arrays = [a for c in obj.components for a in stored_arrays(c)]
             if isinstance(obj, LhsDeterministic):
                 arrays += [obj.hidden_state, obj.effect, *stored_arrays(obj.bob_povm)]
@@ -507,10 +506,30 @@ class TestStrategyValidation:
                     assert exact_payoff(spec, copied, ens) == exact_payoff(spec, obj, ens)
                     tally = simulate_runs(spec, copied, ens, 1000, seed=5)
                     assert tally.counts == simulate_runs(spec, obj, ens, 1000, seed=5).counts
+                if isinstance(obj, HonestQuantum):
+                    assert copied.marginals == obj.marginals
                 if isinstance(obj, CustomLocal):
                     assert copied.effect_table == obj.effect_table
                 if isinstance(obj, LhsDeterministic):
                     assert copied.alice_signs == obj.alice_signs
+
+    def test_component_response_table_is_read_only(self):
+        """A write to a component's response table would change the
+        component but not the effect table compiled from it, so the table
+        is a read-only mapping; pickling and deep-copying still rebuild the
+        component with the same table, payoffs and read-only arrays."""
+        spec, ens = canonical_game(0.9), referee_ideal()
+        comp = LocalComponent(1.0, {1: 0.25, 2: 0.5, 3: 1.0}, identity(2) / 3.0)
+        mix = CustomLocal((comp,))
+        for obj in (comp, mix):
+            for copied in (obj, pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                if isinstance(copied, CustomLocal):
+                    assert exact_payoff(spec, copied, ens) == exact_payoff(spec, mix, ens)
+                    copied = copied.components[0]
+                with pytest.raises(TypeError):
+                    copied.alice_plus[1] = 0.0
+                assert copied.alice_plus == {1: 0.25, 2: 0.5, 3: 1.0}
+                assert not copied.effect.flags.writeable
 
     def test_built_strategies_own_read_only_arrays(self):
         """A strategy copies every array and response table the caller still
@@ -537,13 +556,13 @@ class TestStrategyValidation:
         assert [exact_payoff(spec, s, ens) for s in (honest, lhs, mix)] == before
         stored = [honest.shared_state, povm.b0, povm.b1, lhs.hidden_state, lhs.effect,
                   mix.components[0].effect, partial_bsm_povm(1.0).b1]
-        stored += [cond for rows in honest.conditional_states for _, cond in rows]
+        stored.append(honest.cond_stack)
         for arr in stored:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 5.0
         assert mix.components[0].alice_plus == {1: 0.25, 2: 0.5, 3: 1.0}
-        for table in (honest.conditional_states, lhs.effect_table, mix.effect_table):
+        for table in (honest.marginals, lhs.effect_table, mix.effect_table):
             assert type(table) is tuple and all(type(rows) is tuple for rows in table)
         assert all(type(row) is tuple for rows in mix.effect_table for row in rows)
 

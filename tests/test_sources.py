@@ -17,3 +17,40 @@ def test_package_parses_on_oldest_python():
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
+
+
+def _bound_names(statement):
+    # The names a module-level statement defines.
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, ast.Assign):
+        return {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return {statement.target.id}
+    return set()
+
+
+def _read_names(statement):
+    # Every name and attribute a statement reads, at any depth.
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_name_is_used():
+    """A module-level private name that nothing else in the package reads
+    is a walk, form or constant that a change left behind. A reference is
+    a name or attribute read anywhere in src/qrsgame outside the statement
+    that defines the name; importing it is not a reference."""
+    private, used = set(), set()
+    for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            own = _bound_names(statement)
+            private |= {name for name in own if name.startswith("_") and not name.startswith("__")}
+            used |= _read_names(statement) - own
+    assert len(private) >= 40
+    assert sorted(private - used) == []

@@ -143,6 +143,18 @@ class TestRefereeEnsemble:
         with pytest.raises(ValueError, match=r"j=2, s=0"):
             referee_ideal().vector(2, 0)
 
+    def test_ensemble_keeps_read_only_copies(self):
+        """A write to the caller's array after construction does not reach
+        the ensemble, so nothing downstream reads an unchecked vector; a
+        write through a stored vector fails."""
+        v = np.array([1.0, 0.0, 0.0])
+        ens = RefereeEnsemble({**referee_ideal().vectors, (1, 1): v})
+        v[0] = 5.0
+        assert ens.vector(1, 1).tolist() == [1.0, 0.0, 0.0]
+        for j, s in SETTING_KEYS:
+            with pytest.raises(ValueError, match="read-only"):
+                ens.vector(j, s)[0] = 0.5
+
     def test_stacked_states_are_the_per_key_states(self):
         """referee_states holds, byte for byte, referee_state of each key at
         [j - 1, 0 if s > 0 else 1]: on the ideal ensemble (whose zero

@@ -983,30 +983,37 @@ class TestBatchedCalibration:
         """Over random, depolarized, ideal and zero-vector ensembles, one
         at a time and stacked, r* equals the scalar walk's exactly, and the
         printed root the one-table root's; some depolarized ensembles need
-        the walk's correction step."""
-        walks = []
-        step = witness._step_rstar
+        the walk to step past its first check of the rounded root."""
+        checks = []
+        sound = witness._sound
 
-        def spy(rows, vec_b, root):
-            walks.append(root)
-            return step(rows, vec_b, root)
+        def spy(rows, vec_b, k):
+            checks.append(k)
+            return sound(rows, vec_b, k)
 
-        monkeypatch.setattr(witness, "_step_rstar", spy)
+        def checks_made(ens):
+            checks.clear()
+            rstar_oracle(ens)
+            return len(checks)
+
+        monkeypatch.setattr(witness, "_sound", spy)
         rng = np.random.default_rng(232)
         ensembles = [perturbed_ensemble(rng) for _ in range(400)]
         for _ in range(400):
             v = rng.normal(size=(6, 3))
             v *= rng.random(size=(6, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
             ensembles.append(RefereeEnsemble(dict(zip(SETTING_KEYS, v))))
-        ensembles += [depolarize_ensemble(referee_ideal(), m / 4096) for m in range(0, 4097, 16)]
-        ensembles += [depolarize_ensemble(referee_ideal(), m / 4096) for m in (5, 9, 10, 15)]
-        ensembles += [referee_ideal(), aligned_ensemble()]
+        depolarized = [depolarize_ensemble(referee_ideal(), m / 4096) for m in range(0, 4097, 16)]
+        depolarized += [depolarize_ensemble(referee_ideal(), m / 4096) for m in (5, 9, 10, 15)]
+        ensembles += depolarized + [referee_ideal(), aligned_ensemble()]
         balanced, _ = ensemble_from_counts(_bootstrap_records()["balanced"])
         ensembles.append(balanced)
         want = [_loop_rstar(ens) for ens in ensembles]
         assert len(ensembles) >= 1000
         assert [rstar_oracle(ens) for ens in ensembles] == want
-        assert any(root <= 4.0 for root in walks)
+        # Checking k and k - 1 is the whole walk when the rounded root is
+        # already the answer; a third check is a step.
+        assert any(checks_made(ens) > 2 for ens in depolarized)
         stacked = np.array([[ens.vectors[k] for k in SETTING_KEYS] for ens in ensembles])
         assert witness._rstar_tables(*witness._sign_tables(stacked)).tolist() == want
         assert rstar_oracle(balanced) == 0.0
