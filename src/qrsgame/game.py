@@ -10,7 +10,7 @@ so a click whose sign a matches the referee's s is rewarded and every
 click is taxed in proportion to the penalty rate r. Only per-setting
 conditional averages enter, so the evaluation is independent of the
 referee's (uniform) key distribution. This is the only game the package
-plays: a GameSpec holds nothing but the rate r.
+plays: a frozen GameSpec holds nothing but the checked rate r.
 
 Strategies come in two forms. HonestQuantum shares a two-qubit state and
 lets Bob project his half together with the referee qubit onto a partial
@@ -29,12 +29,12 @@ CustomLocal compiles at construction into one effect table: for each input
 j and sign a, Alice's marginal p(a|j) and the Bloch form of the referee
 effect F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine
 in the referee Bloch vector, and the exact payoff of a local strategy is
-the witness pairing of that table with the ensemble. Strategies are frozen
-and keep read-only copies of the arrays they are given, so a compiled form
-cannot go stale; pickling or copying one rebuilds it through its
-constructor. All functions are pure and every random draw is made from an
-explicit per-setting substream of the caller's seed, so results never
-depend on scheduling or thread count.
+the witness pairing of that table with the rows of the ensemble's one
+Bloch stack. Strategies are frozen and keep read-only copies of the arrays
+they are given, so a compiled form cannot go stale; pickling or copying
+one rebuilds it through its constructor. All functions are pure and every
+random draw is made from an explicit per-setting substream of the caller's
+seed, so results never depend on scheduling or thread count.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
     _frozen,
+    _rebuilt_from,
     bloch_to_density,
     check_hermitian,
     eig_hermitian,
@@ -74,12 +75,6 @@ _IDENTITY4 = _frozen(identity(4))
 # Alice's projector (1 + a sigma_j)/2 lifted to the pair, at [j - 1, 0 if a > 0 else 1].
 _LIFTS = _frozen(np.array([[tensor(0.5 * (identity(2) + a * pauli(j)), identity(2))
                             for a in (1, -1)] for j in (1, 2, 3)]))
-
-
-def _rebuilt_from(*names: str):
-    # __reduce__ for pickle and deepcopy: rebuild through the constructor, which checks
-    # the fields again and stores read-only copies.
-    return lambda self: (type(self), tuple(getattr(self, name) for name in names))
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,7 @@ class LocalComponent:
     alice_plus: Mapping[int, float]
     effect: np.ndarray
     bloch: tuple[float, float, float, float] = field(init=False, repr=False)
-
-    def __reduce__(self):
-        return type(self), (self.weight, dict(self.alice_plus), self.effect)
+    __reduce__ = _rebuilt_from("weight", "alice_plus", "effect")
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.weight) and self.weight >= 0.0):
@@ -286,14 +279,14 @@ def check_rate(r: float) -> float:
     return r
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameSpec:
     """The steering game at one penalty rate r >= 0."""
 
     r: float
 
     def __post_init__(self) -> None:
-        self.r = check_rate(self.r)
+        object.__setattr__(self, "r", check_rate(self.r))
 
 
 def canonical_game(r: float) -> GameSpec:
@@ -317,8 +310,7 @@ def _joint_table(strategy: Strategy, ensemble: RefereeEnsemble) -> dict:
     # A local strategy clicks with f0 + n.f from its effect table row.
     if isinstance(strategy, CustomLocal):
         clicks = []
-        for j, s in SETTING_KEYS:
-            x, y, z = ensemble.vector(j, s).tolist()
+        for (j, _), (x, y, z) in zip(SETTING_KEYS, ensemble.stack.tolist()):
             rows = strategy.effect_table[j - 1]
             clicks.append([f0 + x * f1 + y * f2 + z * f3 for _, f0, f1, f2, f3 in rows])
         marginals = [[row[0] for row in rows] for rows in strategy.effect_table]
@@ -348,9 +340,8 @@ def _witness_pairing(r: float, strategy: CustomLocal, ensemble: RefereeEnsemble)
     # sum as oracle.
     t = r / SQRT3
     value = 0.0
-    for j, rows in zip((1, 2, 3), strategy.effect_table):
-        px, py, pz = ensemble.vector(j, 1).tolist()
-        mx, my, mz = ensemble.vector(j, -1).tolist()
+    n = ensemble.stack.tolist()  # n_(j,+) and n_(j,-) are rows 2j - 2 and 2j - 1
+    for rows, (px, py, pz), (mx, my, mz) in zip(strategy.effect_table, n[0::2], n[1::2]):
         dx, dy, dz = px - mx, py - my, pz - mz
         sx, sy, sz = px + mx, py + my, pz + mz
         for a, (_, f0, fx, fy, fz) in zip((1, -1), rows):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -256,6 +257,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _rebuilt_from(*names: str):
+    # __reduce__ for pickle and deepcopy: rebuild through the constructor, which checks
+    # the fields again and stores read-only copies; a read-only mapping goes as a dict.
+    return lambda self: (type(self), tuple(
+        dict(v) if isinstance(v, MappingProxyType) else v
+        for v in (getattr(self, name) for name in names)))
 
 
 def _density_entries(x: float, y: float, z: float) -> tuple:

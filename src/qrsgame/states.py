@@ -7,22 +7,25 @@ are Kronecker products in (first x second) order, and the Bell states are
     |Psi-+-> = (|01> -+- |10>)/sqrt(2),   |Phi-+-> = (|00> -+- |11>)/sqrt(2).
 
 Referee ensembles are six qubit states indexed by a key (j, s) with
-j in {1, 2, 3} and s in {+1, -1}; the state for key (j, s) is stored as its
-Bloch vector, (1 + n.sigma)/2. The ideal ensemble has n = s * e_j.
+j in {1, 2, 3} and s in {+1, -1}; the state for key (j, s) is (1 + n.sigma)/2,
+and a frozen RefereeEnsemble stores the six checked n once, as one read-only
+(6, 3) stack in SETTING_KEYS order. The ideal ensemble has n = s * e_j.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .qmath import (
     BLOCH_NORM_TOL,
     _density_entries,
-    _frozen,
+    _rebuilt_from,
     bloch_to_density,
     check_bloch,
     check_hermitian,
@@ -90,11 +93,13 @@ def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:
     return state, (4.0 * p - 1.0) / 3.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefereeEnsemble:
-    """Six referee states, one read-only copy of a Bloch vector per key (j, s)."""
+    """Six referee states, checked once and stored once as one read-only (6, 3) ``stack``."""
 
-    vectors: dict[tuple[int, int], np.ndarray]
+    vectors: Mapping[tuple[int, int], np.ndarray]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    __reduce__ = _rebuilt_from("vectors")
 
     def __post_init__(self) -> None:
         if set(self.vectors) != set(SETTING_KEYS):
@@ -102,10 +107,11 @@ class RefereeEnsemble:
                 f"ensemble must cover exactly the keys {sorted(SETTING_KEYS)}, "
                 f"got {sorted(self.vectors)}"
             )
-        self.vectors = {
-            key: _frozen(check_bloch(self.vectors[key], f"Bloch vector for {key}"))
-            for key in SETTING_KEYS
-        }
+        stack = np.array([check_bloch(self.vectors[key], f"Bloch vector for {key}")
+                          for key in SETTING_KEYS])
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(SETTING_KEYS, stack))))
 
     def vector(self, j: int, s: int) -> np.ndarray:
         if (j, s) not in self.vectors:
@@ -115,11 +121,8 @@ class RefereeEnsemble:
 
 def referee_ideal() -> RefereeEnsemble:
     """The six ideal referee states, Bloch vectors s * e_j."""
-    vectors = {}
-    for j, s in SETTING_KEYS:
-        v = np.zeros(3)
-        v[j - 1] = float(s)
-        vectors[(j, s)] = v
+    vectors = {(j, s): np.array([s if i == j else 0 for i in (1, 2, 3)], dtype=float)
+               for j, s in SETTING_KEYS}
     return RefereeEnsemble(vectors)
 
 
@@ -132,10 +135,10 @@ def referee_states(ensemble: RefereeEnsemble) -> np.ndarray:
     """All six referee density matrices as one (3, 2, 2, 2) stack.
 
     Entry [j - 1, 0 if s > 0 else 1] is bitwise referee_state(ensemble, j, s):
-    each state has bloch_to_density's closed-form entries, but the vectors are
-    not checked again; the ensemble checked them.
+    each state has bloch_to_density's closed-form entries for its row of the
+    ensemble's stack, which the ensemble checked, so it is not checked again.
     """
-    rows = [_density_entries(*ensemble.vectors[key].tolist()) for key in SETTING_KEYS]
+    rows = [_density_entries(*n) for n in ensemble.stack.tolist()]
     return np.array(rows, dtype=complex).reshape(3, 2, 2, 2)
 
 

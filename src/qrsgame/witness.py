@@ -76,7 +76,7 @@ def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sign_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    return _sign_tables(np.array([ensemble.vectors[key] for key in SETTING_KEYS]))
+    return _sign_tables(ensemble.stack)
 
 
 def assignment_vectors(

@@ -455,8 +455,12 @@ class TestStrategyValidation:
     def test_built_strategies_are_frozen(self):
         """Reassigning a field would leave the compiled form scoring the old
         strategy, so every field of a built strategy, component or POVM
-        refuses assignment and the payoff stays the one it was built with."""
+        refuses assignment and the payoff stays the one it was built with.
+        The game spec is frozen too, so its rate cannot skip check_rate."""
         spec, ens = canonical_game(1.0), referee_ideal()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.r = -3.0
+        assert spec.r == 1.0
         honest = HonestQuantum(werner_state(1.0), singlet_projector_bc())
         with pytest.raises(dataclasses.FrozenInstanceError):
             honest.shared_state = werner_state(0.0)

@@ -1,5 +1,9 @@
 """Bell states, Werner family, referee ensembles and their JSON form."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -146,7 +150,10 @@ class TestRefereeEnsemble:
     def test_ensemble_keeps_read_only_copies(self):
         """A write to the caller's array after construction does not reach
         the ensemble, so nothing downstream reads an unchecked vector; a
-        write through a stored vector fails."""
+        write through a stored vector, an item assignment on ``vectors`` and
+        reassigning a field all fail. Each vector is its row of the one
+        read-only stack, and pickled or deep-copied ensembles are rebuilt
+        read-only with the same bytes."""
         v = np.array([1.0, 0.0, 0.0])
         ens = RefereeEnsemble({**referee_ideal().vectors, (1, 1): v})
         v[0] = 5.0
@@ -154,6 +161,23 @@ class TestRefereeEnsemble:
         for j, s in SETTING_KEYS:
             with pytest.raises(ValueError, match="read-only"):
                 ens.vector(j, s)[0] = 0.5
+        with pytest.raises(TypeError):
+            ens.vectors[(1, 1)] = np.array([2.0, 0.0, 0.0])
+        for name in ("vectors", "stack"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ens, name, None)
+        ens = rotate_ensemble(depolarize_ensemble(referee_ideal(), 0.7),
+                              random_rotation(np.random.default_rng(5)))
+        assert ens.stack.shape == (6, 3) and not ens.stack.flags.writeable
+        for key in SETTING_KEYS:
+            row = ens.stack[SETTING_KEYS.index(key)]
+            assert ens.vector(*key).tobytes() == row.tobytes()
+        for copy_ in (copy.deepcopy(ens), pickle.loads(pickle.dumps(ens))):
+            assert copy_.stack.tobytes() == ens.stack.tobytes()
+            assert not copy_.stack.flags.writeable
+            for key in SETTING_KEYS:
+                assert copy_.vector(*key).tobytes() == ens.vector(*key).tobytes()
+                assert not copy_.vector(*key).flags.writeable
 
     def test_stacked_states_are_the_per_key_states(self):
         """referee_states holds, byte for byte, referee_state of each key at

@@ -335,10 +335,17 @@ class TestClosedFormOracles:
         assert abs(rstar_oracle(extremal) - SQRT3) <= GRID
 
     def test_non_finite_root_is_a_calibration_error(self):
-        ens = referee_ideal()
-        ens.vectors[(2, 1)] = np.array([math.nan, 0.0, 0.0])
-        with pytest.raises(CalibrationError, match="below 4"):
-            rstar_oracle(ens)
+        """An ensemble cannot hold a NaN vector, so the NaN enters through
+        the sign table: one NaN A row, and the table of a stack whose
+        (2, +1) vector is NaN, both have no sound rate below 4."""
+        rows, vec_b = witness._sign_table(referee_ideal())
+        rows = rows.copy()
+        rows[5] = math.nan
+        stack = referee_ideal().stack.copy()
+        stack[SETTING_KEYS.index((2, 1))] = [math.nan, 0.0, 0.0]
+        for table in ((rows, vec_b), witness._sign_tables(stack)):
+            with pytest.raises(CalibrationError, match="no sound penalty rate below 4"):
+                witness._rstar(*table)
 
 
 class TestPrintedReadout:
