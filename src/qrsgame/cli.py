@@ -31,6 +31,7 @@ from .witness import (
     W_NO_BELL,
     CalibrationError,
     CountRecord,
+    UnusedArgumentsError,
     calibrate,
     chsh_werner,
     regime_at,
@@ -128,15 +129,13 @@ def cmd_payoff(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     if (args.ensemble_path is None) == (args.counts_path is None):
         raise ValueError("calibrate needs exactly one of --ensemble or --counts")
-    if args.ensemble_path is not None:
-        given = (("--trials", args.trials), ("--seed", args.seed))
-        unused = [flag for flag, value in given if value is not None]
-        if unused:
-            raise ValueError(f"calibrate --ensemble does not use {' or '.join(unused)}")
-        report = calibrate(ensemble=load_ensemble(args.ensemble_path))
-    else:
-        record = CountRecord.load(args.counts_path)
-        report = calibrate(counts=record, trials=args.trials, seed=args.seed)
+    ensemble = None if args.ensemble_path is None else load_ensemble(args.ensemble_path)
+    counts = None if args.counts_path is None else CountRecord.load(args.counts_path)
+    try:
+        report = calibrate(ensemble, counts, trials=args.trials, seed=args.seed)
+    except UnusedArgumentsError as exc:  # calibrate's parameter names, printed as the flags
+        flags = " or ".join(f"--{name}" for name in exc.args)
+        raise ValueError(f"calibrate --ensemble does not use {flags}") from None
     data = report_to_dict(report)
     for key in ("r_star_oracle", "r_star_printed", "r_star_legal", "avg_fidelity"):
         data[key] = _round10(data[key])

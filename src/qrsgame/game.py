@@ -21,8 +21,8 @@ cond_(j,a) x omega_(j,s) with the analyzer in one stacked pass, and the
 exact payoff, the sampler and joint_probabilities all read that table of
 twelve click probabilities. Every no-steering adversary is a mixture of
 local components: Alice answers from a response table and Bob clicks
-according to an effect E_c on the referee qubit alone, whose Bloch form is
-read and checked once. CustomLocal is the general mixture and the fuzzing
+according to an effect E_c on the referee qubit alone, whose four entries
+are read and checked once. CustomLocal is the general mixture and the fuzzing
 family of the adversarial tests; LhsDeterministic is the CustomLocal with
 one component, fixed Alice signs and the effect of a local hidden qubit. A
 CustomLocal compiles at construction into one effect table: for each input
@@ -32,9 +32,10 @@ in the referee Bloch vector, and the exact payoff of a local strategy is
 the witness pairing of that table with the rows of the ensemble's one
 Bloch stack. Strategies are frozen and keep read-only copies of the arrays
 they are given, so a compiled form cannot go stale; pickling or copying
-one rebuilds it through its constructor. All functions are pure and every
-random draw is made from an explicit per-setting substream of the caller's
-seed, so results never depend on scheduling or thread count.
+one rebuilds it through its constructor, and == is identity. Every input
+check keeps check_hermitian's tolerances and messages. All functions are
+pure and every random draw is made from an explicit per-setting substream
+of the caller's seed, so results never depend on scheduling or threads.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ import numpy as np
 from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
+    TRACE_TOL,
+    _PSD_SHIFT,
     _frozen,
     _rebuilt_from,
     bloch_to_density,
@@ -77,17 +80,18 @@ _LIFTS = _frozen(np.array([[tensor(0.5 * (identity(2) + a * pauli(j)), identity(
                             for a in (1, -1)] for j in (1, 2, 3)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryPovm:
     """Two-outcome POVM {b0, b1} on the Bob + referee pair.
 
     Each element must be a finite, Hermitian 4x4 operator, and the two must
     sum to the identity. An element is positive when el + PSD_TOL*1 is
-    positive definite, decided by ``psd_within`` from Cholesky pivots with no
-    eigenvalue computed; the exact boundary lambda_min = -PSD_TOL fails. Both
-    elements are decided by one call on the stacked pair, and each alone
-    only when that fails, to name the one at fault. The POVM keeps read-only
-    copies of the two elements.
+    positive definite, decided as ``psd_within`` does from Cholesky pivots,
+    with no eigenvalue computed; the exact boundary lambda_min = -PSD_TOL
+    fails. The elements are checked as one stack, with one finiteness test,
+    one Hermiticity defect and one Cholesky; only when that fails are they
+    checked one by one, by ``check_hermitian`` and ``psd_within``, to name
+    the one at fault. The POVM keeps read-only copies of the two elements.
     """
 
     b0: np.ndarray
@@ -95,14 +99,22 @@ class BinaryPovm:
     __reduce__ = _rebuilt_from("b0", "b1")
 
     def __post_init__(self) -> None:
-        b0 = check_hermitian(self.b0, 4, "POVM element b0")
-        b1 = check_hermitian(self.b1, 4, "POVM element b1")
-        pair = np.array((b0, b1))
-        pair.setflags(write=False)
-        if not psd_within(pair):
-            for name, el in (("b0", b0), ("b1", b1)):
+        try:  # one stack: one finiteness test, one Hermiticity defect, one Cholesky
+            pair = np.array((self.b0, self.b1), dtype=complex)
+            adj = pair.conj().swapaxes(-1, -2)
+            ok = (pair.shape == (2, 4, 4) and np.isfinite(pair).all()
+                  and np.abs(pair - adj).max() <= HERMITIAN_TOL)
+            if ok:  # the sum psd_within factors
+                np.linalg.cholesky(pair + adj + _PSD_SHIFT[4])
+        except (TypeError, ValueError, OverflowError):  # LinAlgError is a ValueError
+            ok = False
+        if not ok:  # element by element, to name the one at fault
+            pair = np.array((check_hermitian(self.b0, 4, "POVM element b0"),
+                             check_hermitian(self.b1, 4, "POVM element b1")))
+            for name, el in zip(("b0", "b1"), pair):
                 if not psd_within(el):
                     raise ValueError(f"POVM element {name} is not positive semidefinite")
+        pair.setflags(write=False)
         if np.abs(pair[0] + pair[1] - _IDENTITY4).max() > HERMITIAN_TOL:
             raise ValueError("POVM elements must sum to the identity")
         object.__setattr__(self, "b0", pair[0])
@@ -127,7 +139,7 @@ def partial_bsm_povm(visibility: float) -> BinaryPovm:
     return BinaryPovm(identity(4) - b1, b1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HonestQuantum:
     """Shared two-qubit state; Alice measures sigma_j, Bob runs the analyzer.
 
@@ -143,17 +155,17 @@ class HonestQuantum:
 
     shared_state: np.ndarray
     bob_povm: BinaryPovm
-    cond_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    marginals: tuple = field(init=False, repr=False, compare=False)
+    cond_stack: np.ndarray = field(init=False, repr=False)
+    marginals: tuple = field(init=False, repr=False)
     __reduce__ = _rebuilt_from("shared_state", "bob_povm")
 
     def __post_init__(self) -> None:
         if not isinstance(self.bob_povm, BinaryPovm):
             raise ValueError("bob_povm must be a BinaryPovm")
         rho = check_hermitian(self.shared_state, 4, "shared_state")
-        check = is_density_matrix(rho)
-        if not check:
-            raise ValueError(f"shared_state is not a density matrix ({check.describe()})")
+        if abs(np.trace(rho) - 1.0) > TRACE_TOL or not psd_within(rho):
+            defects = is_density_matrix(rho).describe()  # measured only for the message
+            raise ValueError(f"shared_state is not a density matrix ({defects})")
         rho = _frozen(rho)
         object.__setattr__(self, "shared_state", rho)
         cond = partial_trace(_LIFTS @ rho, "first")
@@ -163,7 +175,7 @@ class HonestQuantum:
         object.__setattr__(self, "marginals", tuple(map(tuple, traces)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalComponent:
     """One hidden variable: Alice's response table plus Bob's referee effect.
 
@@ -188,10 +200,16 @@ class LocalComponent:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
         object.__setattr__(self, "alice_plus", MappingProxyType(dict(self.alice_plus)))
-        object.__setattr__(
-            self, "effect", _frozen(check_hermitian(self.effect, 2, "component effect"))
-        )
-        (e00, e01), (_, e11) = self.effect.tolist()
+        effect = np.asarray(self.effect, dtype=complex)
+        (e00, e01), (e10, e11) = effect.tolist() if effect.shape == (2, 2) else [[math.nan] * 2] * 2
+        # |E - E^dag| summed over the entries: NaN or inf unless all are finite, and
+        # math.hypot, unlike complex abs, gives inf on overflow. Python's moduli can miss
+        # numpy's by an ulp or two, so check_hermitian decides all but a clear pass.
+        defect = (abs(e00 - e00.conjugate()) + abs(e11 - e11.conjugate())
+                  + math.hypot(e01.real - e10.real, e01.imag + e10.imag))
+        if not defect <= 0.5 * HERMITIAN_TOL:
+            check_hermitian(effect, 2, "component effect")
+        object.__setattr__(self, "effect", _frozen(effect))
         e0, e3 = 0.5 * (e00.real + e11.real), 0.5 * (e00.real - e11.real)
         radius = math.hypot(e3, abs(e01))
         if e0 - radius < -PSD_TOL or e0 + radius > 1.0 + PSD_TOL:
@@ -199,12 +217,12 @@ class LocalComponent:
         object.__setattr__(self, "bloch", (e0, e01.real, -e01.imag, e3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomLocal:
     """Mixture of local response tables; the general no-steering adversary."""
 
     components: tuple[LocalComponent, ...]
-    effect_table: tuple = field(init=False, repr=False, compare=False)
+    effect_table: tuple = field(init=False, repr=False)
     __reduce__ = _rebuilt_from("components")
 
     def __post_init__(self) -> None:
@@ -231,7 +249,7 @@ class CustomLocal:
         object.__setattr__(self, "effect_table", tuple(table))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LhsDeterministic(CustomLocal):
     """Fixed Alice signs plus a local hidden qubit on Bob's side.
 
@@ -389,12 +407,15 @@ class CountTable:
     NAME: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        clean = {}
-        for cell, n in self.counts.items():
-            n = self.check_cell(cell, n)
-            if n:
-                clean[tuple(cell)] = n
-        self.counts = clean
+        checked = [(cell, self.check_cell(cell, n)) for cell, n in self.counts.items()]
+        self.counts = {tuple(cell): n for cell, n in checked if n}
+
+    @classmethod
+    def _of_checked(cls, counts: dict) -> CountTable:
+        # Cells that check_cell passed or numpy's multinomial drew, not checked again.
+        table = cls.__new__(cls)
+        table.counts = {cell: n for cell, n in counts.items() if n}
+        return table
 
     @classmethod
     def check_cell(cls, cell: tuple[int, int, int, int], n: int) -> int:
@@ -447,7 +468,7 @@ class CountTable:
                 if cell in counts:
                     raise ValueError(f"duplicate {cls.NAME} cell {cell} at line {lineno}")
                 counts[cell] = n
-        return cls(counts)
+        return cls._of_checked(counts)
 
     def format(self) -> str:
         """CSV text, rows in SETTING_KEYS x CELLS order, zero cells omitted."""
@@ -499,10 +520,9 @@ def simulate_runs(
         p /= p.sum()
         rng = np.random.default_rng(np.random.SeedSequence([seed, j, 0 if s > 0 else 1]))
         draw = rng.multinomial(n_per_setting, p)
-        for cell, n in zip(_CELLS, draw):
-            if n:
-                counts[(j, s) + cell] = int(n)
-    return TallyTable(counts)
+        for cell, n in zip(_CELLS, draw.tolist()):
+            counts[(j, s) + cell] = n
+    return TallyTable._of_checked(counts)
 
 
 @dataclass

@@ -27,6 +27,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 BLOCH_NORM_TOL = 1e-9
+TRACE_TOL = 1e-9
 
 _JACOBI_OFF_TOL = 1e-12
 _MAX_JACOBI_SWEEPS = 60
@@ -232,7 +233,7 @@ def is_density_matrix(m: np.ndarray) -> DensityCheck:
         return DensityCheck(False, math.nan, math.nan, math.nan)
     herm = hermiticity_defect(m)
     trace_error = float(abs(np.trace(m) - 1.0))
-    if herm <= HERMITIAN_TOL and trace_error <= 1e-9 and psd_within(m):
+    if herm <= HERMITIAN_TOL and trace_error <= TRACE_TOL and psd_within(m):
         return DensityCheck(True, herm, trace_error, math.nan)
     min_eig = float(eig_hermitian(0.5 * (m + m.conj().T))[-1])
     return DensityCheck(False, herm, trace_error, min_eig)

@@ -93,12 +93,12 @@ def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:
     return state, (4.0 * p - 1.0) / 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefereeEnsemble:
     """Six referee states, checked once and stored once as one read-only (6, 3) ``stack``."""
 
     vectors: Mapping[tuple[int, int], np.ndarray]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
     __reduce__ = _rebuilt_from("vectors")
 
     def __post_init__(self) -> None:

@@ -52,6 +52,13 @@ class CalibrationError(RuntimeError):
     """Raised when no sound penalty rate can be certified."""
 
 
+class UnusedArgumentsError(ValueError):
+    """calibrate was given arguments, named in ``args``, that its ensemble path does not use."""
+
+    def __str__(self) -> str:
+        return f"calibrate with an ensemble does not use {' or '.join(self.args)}"
+
+
 _SIGNS = np.array(SIGN_TRIPLES, dtype=float)
 
 # The witness arithmetic below works on stacks of sign tables (leading
@@ -520,7 +527,7 @@ def calibrate(
     given = {name: v for name, v in (("trials", trials), ("seed", seed)) if v is not None}
     if counts is None:
         if given:
-            raise ValueError(f"calibrate with an ensemble does not use {' or '.join(given)}")
+            raise UnusedArgumentsError(*given)
     else:
         ensemble, clipped = ensemble_from_counts(counts)
         boot = bootstrap_calibration(counts, **given)

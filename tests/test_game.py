@@ -35,12 +35,15 @@ from qrsgame.game import (
     singlet_projector_bc,
 )
 from qrsgame.qmath import (
+    HERMITIAN_TOL,
     PSD_TOL,
     bloch_to_density,
+    check_hermitian,
     density_to_bloch,
     identity,
     partial_trace,
     pauli,
+    psd_within,
     real_trace_product,
 )
 from qrsgame.states import (
@@ -272,6 +275,21 @@ class TestPovms:
                 BinaryPovm(b0, b1)
             assert str(err.value) == message
 
+    def test_b0_fault_is_named_before_a_non_finite_b1(self):
+        """The stacked check fails on b1's NaN first, but the element named
+        is still the first at fault in the per-element order."""
+        skew = partial_bsm_povm(0.7).b1.copy()
+        skew[0, 1] += 1.0
+        nan = np.full((4, 4), math.nan, dtype=complex)
+        for b0, message in (
+            (skew, "POVM element b0 is not Hermitian within tolerance"),
+            (identity(2), "POVM element b0 must be 4x4, got (2, 2)"),
+            ([[1.0, 0.0, 0.0]] * 4, "POVM element b0 must be 4x4, got (4, 3)"),
+        ):
+            with pytest.raises(ValueError) as err:
+                BinaryPovm(b0, nan)
+            assert str(err.value) == message
+
 
 def test_povm_validation_never_reaches_jacobi(monkeypatch):
     """Building a valid analyzer decides positivity without eigenvalues:
@@ -399,6 +417,16 @@ class TestStrategyValidation:
         effect[0, 0] = math.nan
         with pytest.raises(ValueError, match="not finite"):
             LocalComponent(1.0, alice, effect)
+
+    def test_component_names_non_finite_before_non_hermitian(self):
+        alice = {1: 0.5, 2: 0.5, 3: 0.5}
+        for i, j in ((0, 0), (1, 0), (1, 1)):
+            effect = identity(2) / 2.0
+            effect[0, 1] = 0.3j  # not Hermitian: effect[1, 0] is 0
+            effect[i, j] = math.nan
+            with pytest.raises(ValueError) as err:
+                LocalComponent(1.0, alice, effect)
+            assert str(err.value) == "component effect is not finite"
 
     def test_non_finite_hidden_state_rejected(self):
         for i in range(3):
@@ -947,6 +975,18 @@ class TestSimulation:
         assert table.counts == {(1, 1, 1, 1): 3, (1, 1, 1, 0): 4}
         assert all(type(n) is int for n in table.counts.values())
 
+    def test_drawn_tally_is_what_the_checked_constructor_builds(self):
+        """simulate_runs keeps the multinomial's draws without checking
+        them again: they are positive Python ints, in the order and with
+        the values that the public, checking constructor gives."""
+        rng = np.random.default_rng(137)
+        spec = canonical_game(1.0)
+        for strat in (HonestQuantum(werner_state(0.3), singlet_projector_bc()),
+                      random_lhs_strategy(rng), random_local_strategy(rng)):
+            tally = simulate_runs(spec, strat, referee_ideal(), 40, seed=2)
+            assert all(type(n) is int and n > 0 for n in tally.counts.values())
+            assert list(TallyTable(tally.counts).counts.items()) == list(tally.counts.items())
+
 
 class TestEstimator:
     def test_plug_in_at_true_frequencies(self):
@@ -1057,6 +1097,16 @@ class TestTallyCsv:
         path.write_text("j,s,a,b,count\n1,+1,+1,1,3\n1,+1,+1,1,2\n")
         with pytest.raises(ValueError, match="duplicate"):
             TallyTable.load(str(path))
+        path.write_text("j,s,a,b,count\n1,+1,+1,1,0\n1,+1,+1,1,2\n")
+        with pytest.raises(ValueError, match="duplicate .* at line 3"):
+            TallyTable.load(str(path))
+
+    def test_loaded_table_drops_zero_rows(self, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("j,s,a,b,count\n2,-1,-1,0,4\n1,+1,+1,1,0\n")
+        table = TallyTable.load(str(path))
+        assert table.counts == {(2, -1, -1, 0): 4}
+        assert list(table.counts.items()) == list(TallyTable({(2, -1, -1, 0): 4}).counts.items())
 
 
 def test_no_steering_payoff_never_positive_at_calibrated_rate():
@@ -1071,3 +1121,154 @@ def test_no_steering_payoff_never_positive_at_calibrated_rate():
         for _ in range(30):
             assert exact_payoff(spec, random_lhs_strategy(rng), ens) <= 1e-9
             assert exact_payoff(spec, random_local_strategy(rng), ens) <= 1e-9
+
+
+def _outcome(build, *args):
+    # None when the constructor accepts, else its ValueError message.
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _povm_oracle(b0, b1):
+    # The per-element sequence that the stacked check stands for.
+    try:
+        e0 = check_hermitian(b0, 4, "POVM element b0")
+        e1 = check_hermitian(b1, 4, "POVM element b1")
+    except ValueError as exc:
+        return str(exc)
+    for name, el in (("b0", e0), ("b1", e1)):
+        if not psd_within(el):
+            return f"POVM element {name} is not positive semidefinite"
+    if np.abs(e0 + e1 - identity(4)).max() > HERMITIAN_TOL:
+        return "POVM elements must sum to the identity"
+    return None
+
+
+def _component_oracle(effect):
+    # check_hermitian, then the closed-form 0 <= E <= 1 rule.
+    try:
+        e = check_hermitian(effect, 2, "component effect")
+    except ValueError as exc:
+        return str(exc)
+    center = 0.5 * (e[0, 0] + e[1, 1]).real
+    radius = math.hypot(0.5 * (e[0, 0] - e[1, 1]).real, abs(e[0, 1]))
+    if center - radius < -PSD_TOL or center + radius > 1.0 + PSD_TOL:
+        return "component effect must satisfy 0 <= E <= 1"
+    return None
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0))
+
+
+def _near_tolerance(rng):
+    # A factor that puts a defect or a shift just either side of its tolerance,
+    # or of half of it, or well inside or outside.
+    edge = rng.choice((0.5, 1.0, 1.0))
+    return edge * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -1.0))
+
+
+def _spoil(rng, m):
+    # With some probability, a non-finite entry at a random place of a copy of m.
+    m = np.array(m, dtype=complex)
+    if rng.random() < 0.2:
+        m[tuple(rng.integers(0, m.shape[0], size=2))] = _NON_FINITE[rng.integers(len(_NON_FINITE))]
+    return m
+
+
+def test_stacked_povm_check_matches_per_element_oracle():
+    """2400 seeded pairs with Hermiticity defects near HERMITIAN_TOL, lowest
+    eigenvalues near -PSD_TOL, NaN and inf entries and wrong shapes, alone
+    and together: BinaryPovm accepts exactly what check_hermitian on b0,
+    then on b1, then psd_within on each and the sum rule accept, and
+    otherwise raises the message of the first of them that fails."""
+    rng = np.random.default_rng(1601)
+    seen = {}
+    for _ in range(2400):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = g + g.conj().T
+        eigs = np.linalg.eigvalsh(h)
+        low = (h - eigs[0] * identity(4)) / (eigs[-1] - eigs[0])  # spectrum [0, 1]
+        if rng.random() < 0.5:
+            low = low - PSD_TOL * _near_tolerance(rng) * identity(4)
+        pair = [identity(4) - low, low]
+        if rng.random() < 0.5:
+            pair.reverse()
+        if rng.random() < 0.15:  # b0 + b1 off the identity by about HERMITIAN_TOL
+            pair[0] = pair[0] + HERMITIAN_TOL * _near_tolerance(rng) * identity(4)
+        for k in range(2):
+            if rng.random() < 0.35:
+                i, j = rng.choice(4, size=2, replace=False)
+                skew = HERMITIAN_TOL * _near_tolerance(rng) * np.exp(2j * np.pi * rng.random())
+                pair[k] = pair[k].copy()
+                pair[k][i, j] += skew
+            pair[k] = _spoil(rng, pair[k])
+            if rng.random() < 0.03:
+                pair[k] = (identity(2), np.ones((4, 3)), np.zeros(4))[rng.integers(3)]
+        want = _povm_oracle(*pair)
+        assert _outcome(BinaryPovm, *pair) == want
+        seen[want] = seen.get(want, 0) + 1
+    for element in ("b0", "b1"):
+        for fault in ("is not Hermitian within tolerance", "is not finite",
+                      "is not positive semidefinite"):
+            assert seen.get(f"POVM element {element} {fault}", 0) > 20
+    assert seen[None] > 200 and seen["POVM elements must sum to the identity"] > 20
+    assert any(message.endswith("must be 4x4, got (4, 3)") for message in seen if message)
+
+
+def test_scalar_component_check_matches_check_hermitian_oracle():
+    """2400 seeded effects with Hermiticity defects near HERMITIAN_TOL and
+    half of it, eigenvalues near -PSD_TOL and 1 + PSD_TOL, NaN and inf
+    entries and wrong shapes: LocalComponent accepts exactly what
+    check_hermitian and the closed-form 0 <= E <= 1 rule accept, with the
+    same message otherwise, also where the scalar test leaves the decision
+    to check_hermitian."""
+    rng = np.random.default_rng(1602)
+    alice = {1: 0.5, 2: 0.5, 3: 0.5}
+    seen, band = {}, 0
+    for _ in range(2400):
+        u = rng.normal(size=3)
+        radius = rng.uniform(0.05, 0.45)
+        center = rng.choice((0.5, -PSD_TOL + radius, 1.0 + PSD_TOL - radius))
+        center += rng.choice((-1.0, 1.0)) * PSD_TOL * 10.0 ** rng.uniform(-6.0, 0.0)
+        effect = center * identity(2) + sum(radius * u[i] / np.linalg.norm(u) * pauli(i + 1)
+                                            for i in range(3))
+        if rng.random() < 0.5:
+            skew = HERMITIAN_TOL * _near_tolerance(rng) * np.exp(2j * np.pi * rng.random())
+            effect[0, 1] += skew
+        if rng.random() < 0.3:
+            effect[rng.integers(2), rng.integers(2)] += 1j * HERMITIAN_TOL * _near_tolerance(rng)
+        effect = _spoil(rng, effect)
+        if rng.random() < 0.03:
+            effect = (identity(4), np.zeros(2), np.ones((2, 3)))[rng.integers(3)]
+        want = _component_oracle(effect)
+        assert _outcome(LocalComponent, 1.0, alice, effect) == want
+        seen[want] = seen.get(want, 0) + 1
+        if want is None and qmath.hermiticity_defect(effect) > 0.5 * HERMITIAN_TOL:
+            band += 1
+    for message in ("component effect is not Hermitian within tolerance",
+                    "component effect is not finite",
+                    "component effect must satisfy 0 <= E <= 1"):
+        assert seen[message] > 20
+    assert seen[None] > 200 and band > 20
+    assert "component effect must be 2x2, got (2, 3)" in seen
+
+
+def test_values_holding_arrays_compare_by_identity():
+    """Equality on a POVM, strategy, component or ensemble is identity, so
+    == answers instead of raising on its arrays, a rebuilt copy is another
+    value, and each can be hashed. GameSpec, which holds one float, keeps
+    value equality."""
+    rng = np.random.default_rng(1603)
+    mix = random_local_strategy(rng)
+    values = (singlet_projector_bc(), HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9)),
+              mix.components[0], mix, random_lhs_strategy(rng), referee_ideal())
+    for x in values:
+        twin = copy.deepcopy(x)
+        assert x == x and not x != x
+        assert x != twin and not x == twin
+        assert hash(x) == hash(x) and {x: 1, twin: 2}[x] == 1
+    assert canonical_game(1.0) == canonical_game(1.0)
+    assert hash(canonical_game(1.0)) == hash(canonical_game(1.0))

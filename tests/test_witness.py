@@ -768,6 +768,14 @@ class TestCalibrationReport:
             with pytest.raises(ValueError, match=f"does not use {named}$"):
                 calibrate(ensemble=referee_ideal(), **kwargs)
 
+    def test_unused_arguments_are_named_in_the_error(self):
+        """The names calibrate refuses are carried by the error, in
+        parameter order, so the CLI can print them as its flags."""
+        with pytest.raises(witness.UnusedArgumentsError) as err:
+            calibrate(ensemble=referee_ideal(), seed=0, trials=3)
+        assert isinstance(err.value, ValueError)
+        assert err.value.args == ("trials", "seed")
+
     def test_bootstrap_defaults_on_counts(self):
         record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 2000)
         default = calibrate(counts=record).bootstrap
