@@ -24,6 +24,7 @@ import numpy as np
 
 from .qmath import (
     BLOCH_NORM_TOL,
+    TRACE_TOL,
     _density_entries,
     _rebuilt_from,
     bloch_to_density,
@@ -32,6 +33,7 @@ from .qmath import (
     identity,
     is_density_matrix,
     is_integer,
+    psd_within,
     real_trace_product,
 )
 
@@ -170,9 +172,9 @@ def fidelity_pure(rho: np.ndarray, m: np.ndarray) -> float:
     if abs(np.linalg.norm(m) - 1.0) > BLOCH_NORM_TOL:
         raise ValueError("target Bloch vector must be a unit vector")
     rho = check_hermitian(rho, 2, "fidelity_pure density matrix")
-    check = is_density_matrix(rho)
-    if not check:
-        raise ValueError(f"fidelity_pure expects a density matrix ({check.describe()})")
+    if abs(np.trace(rho) - 1.0) > TRACE_TOL or not psd_within(rho):
+        defects = is_density_matrix(rho).describe()  # measured only for the message
+        raise ValueError(f"fidelity_pure expects a density matrix ({defects})")
     return real_trace_product(rho, bloch_to_density(m))
 
 

@@ -184,11 +184,16 @@ def _rstar_tables(rows: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
     return np.where(live, k * _RSTAR_GRID, np.nan)
 
 
-def _rstar(rows: np.ndarray, vec_b: np.ndarray) -> float:
-    rstar = float(_rstar_tables(rows[None], vec_b[None])[0])
+def _first_rstar(rates: np.ndarray) -> float:
+    # The first rate of a stack from _rstar_tables, which must be a number.
+    rstar = float(rates[0])
     if math.isnan(rstar):
         raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
     return rstar
+
+
+def _rstar(rows: np.ndarray, vec_b: np.ndarray) -> float:
+    return _first_rstar(_rstar_tables(rows[None], vec_b[None]))
 
 
 def rstar_oracle(ensemble: RefereeEnsemble) -> float:
@@ -254,6 +259,20 @@ _CELL_POSITION = {
         (j, s, axis, o) for j, s in SETTING_KEYS for axis in (1, 2, 3) for o in (1, -1)
     )
 }
+# The same positions in sorted cell order, the order a bootstrap trial draws in.
+_SORTED_POSITION = np.array([_CELL_POSITION[c] for c in sorted(_CELL_POSITION)], dtype=np.intp)
+
+
+def _count_row(record: CountRecord, *, whole: bool) -> np.ndarray:
+    # The record's counts in _CELL_POSITION order. With whole, an axis
+    # without counts, where inversion would leave NaN, raises.
+    row = np.array([record.counts.get(cell, 0) for cell in _CELL_POSITION], dtype=np.int64)
+    empty = np.argwhere(row.reshape(6, 3, 2).sum(axis=-1) == 0) if whole else ()
+    if len(empty):
+        key, axis = empty[0]
+        j, s = SETTING_KEYS[key]
+        raise ValueError(f"no counts for key (j={j}, s={s}) on axis {axis + 1}")
+    return row
 
 
 def _invert(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,19 +288,21 @@ def _invert(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vectors, clipped
 
 
+def _clipped_keys(clipped: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(key for key, c in zip(SETTING_KEYS, clipped) if c)
+
+
 def ensemble_from_counts(
     record: CountRecord,
 ) -> tuple[RefereeEnsemble, tuple[tuple[int, int], ...]]:
     """Reconstruct all six referee states; also report which got clipped."""
-    counts = np.array([record.counts.get(cell, 0) for cell in _CELL_POSITION], dtype=np.int64)
-    vectors, clipped = _invert(counts.reshape(1, 6, 3, 2))
-    empty = np.argwhere(np.isnan(vectors[0]))
-    if len(empty):
-        key, axis = empty[0]
-        j, s = SETTING_KEYS[key]
-        raise ValueError(f"no counts for key (j={j}, s={s}) on axis {axis + 1}")
-    ensemble = RefereeEnsemble(dict(zip(SETTING_KEYS, vectors[0])))
-    return ensemble, tuple(key for key, c in zip(SETTING_KEYS, clipped[0]) if c)
+    vectors, clipped = _invert(_count_row(record, whole=True).reshape(1, 6, 3, 2))
+    return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors[0]))), _clipped_keys(clipped[0])
+
+
+def _mean_fidelity(vectors: np.ndarray) -> float:
+    total = sum(1.0 + s * n[j - 1] for (j, s), n in zip(SETTING_KEYS, vectors))
+    return float(total) / (2.0 * len(SETTING_KEYS))
 
 
 def average_fidelity(ensemble: RefereeEnsemble) -> float:
@@ -290,8 +311,7 @@ def average_fidelity(ensemble: RefereeEnsemble) -> float:
     The ideal state for key (j, s) is pure with Bloch vector s e_j, so each
     fidelity is (1 + s n_(j,s)[j]) / 2, the value fidelity_pure returns.
     """
-    total = sum(1.0 + s * ensemble.vector(j, s)[j - 1] for j, s in SETTING_KEYS)
-    return float(total) / (2.0 * len(SETTING_KEYS))
+    return _mean_fidelity(ensemble.stack)
 
 
 @dataclass
@@ -303,10 +323,47 @@ class BootstrapResult:
     failures: int
 
 
-# Bootstrap trials resampled and calibrated per array pass, so the working
-# arrays stay a few hundred kB whatever the number of trials; what grows is
-# the calibrated rates, 8 bytes per trial, as they are computed.
+# Count rows inverted and calibrated per array pass, so the working arrays
+# stay a few hundred kB whatever the number of trials; what grows is the
+# calibrated rates, 8 bytes per trial, as they are computed.
 _BOOTSTRAP_BLOCK = 1024
+
+
+def _calibrated_stack(row: np.ndarray, trials: int = 200, seed: int = 0) -> tuple:
+    # One pass over a (1 + trials, 6, 3, 2) count stack: row 0 is the
+    # record's _count_row, row 1 + t trial t's Poisson redraw of its cells,
+    # in sorted order, from substream [seed, t]. Returns the trials'
+    # BootstrapResult, then the record's rate as a stack of one (NaN if it
+    # fails), vectors and clipped flags, and its block's calibrable tables.
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    drawn = _SORTED_POSITION[row[_SORTED_POSITION] > 0]
+    base = row[drawn]
+    rates = []
+    for start in range(0, 1 + trials, _BOOTSTRAP_BLOCK):
+        counts = np.zeros((min(_BOOTSTRAP_BLOCK, 1 + trials - start), row.size), dtype=np.int64)
+        for n in range(max(start, 1), start + len(counts)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, n - 1]))
+            counts[n - start, drawn] = rng.poisson(base)
+        if not start:
+            counts[0] = row
+        vectors, clipped = _invert(counts.reshape(-1, 6, 3, 2))
+        # RefereeEnsemble's check as a mask: clipped vectors lie in the
+        # unit ball, so only the finiteness half can fail.
+        ok = np.isfinite(vectors).all(axis=(1, 2))
+        tables = _sign_tables(vectors[ok])
+        rates.append(np.full(len(ok), np.nan))
+        rates[-1][ok] = _rstar_tables(*tables)
+        if not start:
+            record = rates[0][:1], vectors[0], clipped[0], tables
+    values = np.concatenate(rates)[1:]
+    values = values[~np.isnan(values)]
+    if not len(values):
+        raise CalibrationError("every bootstrap trial failed to calibrate")
+    spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return BootstrapResult(float(np.mean(values)), spread, trials - len(values)), record
 
 
 def bootstrap_calibration(
@@ -316,35 +373,12 @@ def bootstrap_calibration(
 
     Every trial draws from its own substream of ``seed``, so a trial's
     counts do not depend on how many trials run; trials are inverted and
-    calibrated as arrays, _BOOTSTRAP_BLOCK at a time. Trials whose
+    calibrated as arrays, _BOOTSTRAP_BLOCK at a time, in the stacked pass
+    ``calibrate`` runs on counts, behind the record's own row. Trials whose
     resampled counts cannot be calibrated (an axis without counts, or no
     sound rate below 4) are excluded and counted.
     """
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    cells = sorted(record.counts)
-    base = np.array([record.counts[c] for c in cells], dtype=np.int64)
-    index = np.array([_CELL_POSITION[c] for c in cells], dtype=np.intp)
-    calibrated = []
-    for start in range(0, trials, _BOOTSTRAP_BLOCK):
-        block = range(start, min(start + _BOOTSTRAP_BLOCK, trials))
-        counts = np.zeros((len(block), len(_CELL_POSITION)), dtype=np.int64)
-        for row, trial in enumerate(block):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-            counts[row, index] = rng.poisson(base)
-        vectors, _ = _invert(counts.reshape(-1, 6, 3, 2))
-        # RefereeEnsemble's check as a mask: clipped vectors lie in the
-        # unit ball, so only the finiteness half can fail.
-        ok = np.isfinite(vectors).all(axis=(1, 2))
-        rstar = _rstar_tables(*_sign_tables(vectors[ok]))
-        calibrated.append(rstar[~np.isnan(rstar)])
-    values = np.concatenate(calibrated)
-    if not len(values):
-        raise CalibrationError("every bootstrap trial failed to calibrate")
-    spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return BootstrapResult(float(np.mean(values)), spread, trials - len(values))
+    return _calibrated_stack(_count_row(record, whole=False), trials, seed)[0]
 
 
 def chsh_werner(w: float) -> float:
@@ -409,27 +443,39 @@ def _check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return ops
 
 
+def _apply(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
+    # channel_apply on Kraus operators that _check_kraus has passed.
+    return sum(k @ np.asarray(rho, dtype=complex) @ k.conj().T for k in ops)
+
+
+def _dual(ops: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
+    # channel_dual on Kraus operators that _check_kraus has passed.
+    return sum(k.conj().T @ np.asarray(effect, dtype=complex) @ k for k in ops)
+
+
 def channel_apply(kraus: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
     """Apply the channel sum_i K_i rho K_i^dag to a qubit state."""
-    ops = _check_kraus(kraus)
-    return sum(k @ np.asarray(rho, dtype=complex) @ k.conj().T for k in ops)
+    return _apply(_check_kraus(kraus), rho)
 
 
 def channel_dual(kraus: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
     """Apply the dual map sum_i K_i^dag E K_i to a qubit effect."""
-    ops = _check_kraus(kraus)
-    return sum(k.conj().T @ np.asarray(effect, dtype=complex) @ k for k in ops)
+    return _dual(_check_kraus(kraus), effect)
+
+
+def _channel_ensemble(ops: tuple[np.ndarray, ...], ensemble: RefereeEnsemble) -> RefereeEnsemble:
+    # channel_ensemble on Kraus operators that _check_kraus has passed.
+    vectors = {}
+    for key in SETTING_KEYS:
+        vectors[key] = density_to_bloch(_apply(ops, bloch_to_density(ensemble.vector(*key))))
+    return RefereeEnsemble(vectors)
 
 
 def channel_ensemble(
     kraus: tuple[np.ndarray, ...], ensemble: RefereeEnsemble
 ) -> RefereeEnsemble:
     """Send every referee state through the channel."""
-    vectors = {}
-    for key in SETTING_KEYS:
-        rho = channel_apply(kraus, bloch_to_density(ensemble.vector(*key)))
-        vectors[key] = density_to_bloch(rho)
-    return RefereeEnsemble(vectors)
+    return _channel_ensemble(_check_kraus(kraus), ensemble)
 
 
 def _dual_povm(kraus: tuple[np.ndarray, ...], povm: BinaryPovm) -> BinaryPovm:
@@ -442,12 +488,13 @@ def _dual_povm(kraus: tuple[np.ndarray, ...], povm: BinaryPovm) -> BinaryPovm:
     return BinaryPovm(identity(4) - b1, b1)
 
 
-def _dual_strategy(kraus: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
+def _dual_strategy(ops: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
+    # Bob's side of the strategy through the dual map of checked Kraus operators.
     if isinstance(strategy, HonestQuantum):
-        return HonestQuantum(strategy.shared_state, _dual_povm(kraus, strategy.bob_povm))
+        return HonestQuantum(strategy.shared_state, _dual_povm(ops, strategy.bob_povm))
     if isinstance(strategy, CustomLocal):
         components = tuple(
-            LocalComponent(c.weight, dict(c.alice_plus), channel_dual(kraus, c.effect))
+            LocalComponent(c.weight, dict(c.alice_plus), _dual(ops, c.effect))
             for c in strategy.components
         )
         return CustomLocal(components)
@@ -469,7 +516,7 @@ def channel_covariance_check(
     open a loophole.
     """
     ops = _check_kraus(kraus)
-    moved_states = channel_ensemble(ops, ensemble)
+    moved_states = _channel_ensemble(ops, ensemble)
     moved_povm = _dual_strategy(ops, strategy)
     for key in SETTING_KEYS:
         p_state_route = joint_probabilities(strategy, moved_states, *key)
@@ -515,38 +562,42 @@ def calibrate(
 
     With counts, the ensemble is reconstructed by direct inversion and the
     boundary's spread is bootstrapped over ``trials`` resamplings drawn from
-    ``seed``, each left to bootstrap_calibration's default when not given;
-    with a known ensemble only the deterministic readouts are produced, and
-    giving ``trials`` or ``seed`` raises. The printed closed form is set to
-    NaN when its domain condition fails, never silently substituted.
+    ``seed`` (200 and 0 when not given, as in bootstrap_calibration), in
+    one stacked pass whose row 0 is the record; an empty axis raises before
+    ``trials`` or ``seed`` is checked. With a known ensemble only the
+    deterministic readouts are produced, and giving ``trials`` or ``seed``
+    raises. The printed closed form is set to NaN when its domain condition
+    fails, never silently substituted.
     """
     if (ensemble is None) == (counts is None):
         raise ValueError("provide exactly one of ensemble or counts")
-    clipped: tuple[tuple[int, int], ...] = ()
-    boot = None
     given = {name: v for name, v in (("trials", trials), ("seed", seed)) if v is not None}
     if counts is None:
         if given:
             raise UnusedArgumentsError(*given)
+        vectors, clipped, boot = ensemble.stack, (), None
+        tables = _sign_tables(vectors[None])
+        rates = _rstar_tables(*tables)
     else:
-        ensemble, clipped = ensemble_from_counts(counts)
-        boot = bootstrap_calibration(counts, **given)
-    assert ensemble is not None
-    table = _sign_table(ensemble)
-    oracle = _rstar(*table)
+        boot, (rates, vectors, flags, tables) = _calibrated_stack(
+            _count_row(counts, whole=True), **given
+        )
+        clipped = _clipped_keys(flags)
+    table = tables[0][0], tables[1][0]
+    oracle = _first_rstar(rates)
     try:
         printed = _printed(*table)
     except ValueError:
         printed = float("nan")
-    rates = (*_BOUND_GRID, oracle)
-    values = _top_eigenvalues(*table, np.array(rates))
-    bound_at = dict(zip(rates, np.max(values, axis=-1).tolist()))
+    grid = (*_BOUND_GRID, oracle)
+    values = _top_eigenvalues(*table, np.array(grid))
+    bound_at = dict(zip(grid, np.max(values, axis=-1).tolist()))
     return CalibrationReport(
         r_star_oracle=oracle,
         r_star_printed=printed,
         r_star_legal=max(oracle, 1.0),
         worst_assignment=_first_max(values[-1]),
-        avg_fidelity=average_fidelity(ensemble),
+        avg_fidelity=_mean_fidelity(vectors),
         bound_at_r=bound_at,
         clipped_keys=clipped,
         bootstrap=boot,

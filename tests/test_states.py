@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from qrsgame import states
 from qrsgame.qmath import identity, is_density_matrix, partial_trace, real_trace_product
 from qrsgame.states import (
     SETTING_KEYS,
@@ -271,6 +272,27 @@ class TestFidelity:
         with pytest.raises(ValueError, match="density matrix"):
             fidelity_pure(np.diag([np.nan, 1.0]), np.array([0.0, 0.0, 1.0]))
 
+
+    def test_state_checked_once(self, monkeypatch):
+        """check_hermitian's message for a non-Hermitian state, then one
+        trace and positivity decision; is_density_matrix only measures the
+        defects of a state that failed, for the same message as before."""
+        e3 = np.array([0.0, 0.0, 1.0])
+        for rho, message in (
+            (np.array([[0.5, 1.0], [0.0, 0.5]]),
+             "fidelity_pure density matrix is not Hermitian within tolerance"),
+            (identity(2), "fidelity_pure expects a density matrix (hermiticity 0.00e+00, "
+                          "trace error 1.00e+00, min eigenvalue 1.00e+00)"),
+            (np.diag([1.5, -0.5]), "fidelity_pure expects a density matrix (hermiticity "
+                                   "0.00e+00, trace error 0.00e+00, min eigenvalue -5.00e-01)"),
+            (np.array([[0.5, 0.6], [0.6, 0.5]]), "fidelity_pure expects a density matrix "
+             "(hermiticity 0.00e+00, trace error 0.00e+00, min eigenvalue -1.00e-01)"),
+        ):
+            with pytest.raises(ValueError) as err:
+                fidelity_pure(rho, e3)
+            assert str(err.value) == message
+        monkeypatch.setattr(states, "is_density_matrix", None)
+        assert fidelity_pure(np.diag([0.25, 0.75]), e3) == 0.25
 
     def test_state_must_be_a_qubit(self):
         """A two-qubit state fails at the check, not inside numpy's matmul."""

@@ -1,5 +1,6 @@
 """Witness operators, calibration oracle, tomography ingestion, channels."""
 
+import dataclasses
 import math
 import warnings
 
@@ -717,6 +718,31 @@ class TestChannels:
             q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
             assert channel_covariance_check(referee_ideal(), (q,), strat)
 
+    def test_covariance_checks_kraus_once(self, monkeypatch):
+        """One covariance check runs _check_kraus once, however many states
+        and components the channel is applied to; the public maps each
+        still check their own operators."""
+        calls = []
+        check = witness._check_kraus
+
+        def counted(kraus):
+            calls.append(kraus)
+            return check(kraus)
+
+        monkeypatch.setattr(witness, "_check_kraus", counted)
+        rng = np.random.default_rng(210)
+        strat = random_local_strategy(rng, n_components=3)
+        assert channel_covariance_check(perturbed_ensemble(rng), DEPOLARIZING_03, strat)
+        assert len(calls) == 1
+        for run in (
+            lambda: channel_apply(DEPOLARIZING_03, identity(2) / 2.0),
+            lambda: channel_dual(DEPOLARIZING_03, identity(2)),
+            lambda: channel_ensemble(DEPOLARIZING_03, referee_ideal()),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
 
 class TestCalibrationReport:
     def test_from_ensemble(self):
@@ -944,6 +970,33 @@ def _bootstrap_outcome(run, record, trials, seed):
     return result.mean, result.std, result.failures
 
 
+def _composed_report(record, trials, seed):
+    # calibrate(counts=...) from the public readouts, one call at a time.
+    ens, clipped = ensemble_from_counts(record)
+    boot = bootstrap_calibration(record, trials, seed)
+    rstar = rstar_oracle(ens)
+    try:
+        printed = rstar_printed(ens)
+    except ValueError:
+        printed = math.nan
+    bound = {r: lhs_bound(ens, r) for r in (0.0, 0.5, 1.0, 1.5, 2.0, rstar)}
+    return CalibrationReport(
+        rstar, printed, max(rstar, 1.0), worst_assignment(ens, rstar),
+        average_fidelity(ens), bound, clipped, boot,
+    )
+
+
+def _calibrate_counts(record, **kwargs):
+    return calibrate(counts=record, **kwargs)
+
+
+def _report_outcome(run, record, trials, seed):
+    try:
+        return run(record, trials=trials, seed=seed)
+    except CalibrationError as exc:
+        return str(exc)
+
+
 def _bootstrap_records():
     rng = np.random.default_rng(230)
     fragile = dict(counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 2000).counts)
@@ -1085,3 +1138,73 @@ class TestBatchedCalibration:
                 bootstrap_calibration(CountRecord(dead), trials=20, seed=0)
             with pytest.raises(ValueError, match=r"\(j=3, s=-1\) on axis 1"):
                 ensemble_from_counts(CountRecord(dead))
+
+    def test_calibrate_is_the_composed_readouts(self):
+        """calibrate(counts=...) calibrates the record as row 0 of the
+        bootstrap's count stack; every field equals, bit for bit, the
+        public readouts run one at a time on the reconstructed ensemble and
+        bootstrap_calibration on the record, in one block and across two."""
+        records = _bootstrap_records()
+        clipped = dict(records["dense"].counts)
+        clipped[(1, 1, 1, 1)], clipped[(1, 1, 1, -1)] = 1900, 100
+        clipped[(1, 1, 2, 1)], clipped[(1, 1, 2, -1)] = 1900, 100
+        records["clipped"] = CountRecord(clipped)
+        failures = 0
+        for name in ("dense", "sparse", "clipped", "ideal"):
+            record = records[name]
+            for trials in (1, 5, witness._BOOTSTRAP_BLOCK + 3):
+                for seed in (0, 29):
+                    got = _report_outcome(_calibrate_counts, record, trials, seed)
+                    want = _report_outcome(_composed_report, record, trials, seed)
+                    assert repr(got) == repr(want), (name, trials, seed)
+                    if isinstance(want, str):
+                        continue
+                    for field in dataclasses.fields(CalibrationReport):
+                        a, b = getattr(got, field.name), getattr(want, field.name)
+                        assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+                    if name == "sparse":
+                        failures += got.bootstrap.failures
+        assert failures > 0
+        assert calibrate(counts=records["clipped"], trials=1).clipped_keys == ((1, 1),)
+        assert calibrate(counts=records["ideal"], trials=1).r_star_oracle == 1.0
+
+    def test_calibrate_counts_error_order(self, monkeypatch):
+        """An empty axis is found in the integer counts before trials and
+        seed are checked, and those before any draw; then a bootstrap with
+        no calibrable trial, then a record with no sound rate."""
+        records = _bootstrap_records()
+        dead = dict(records["ideal"].counts)
+        dead[(3, -1, 1, 1)] = dead[(3, -1, 1, -1)] = 0
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: draws.append(args) or default_rng(*args))
+        for kwargs in ({"trials": 0}, {"seed": -1}, {"trials": 2.5, "seed": "x"}, {}):
+            with pytest.raises(ValueError, match=r"no counts for key \(j=3, s=-1\) on axis 1"):
+                calibrate(counts=CountRecord(dead), **kwargs)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            calibrate(counts=records["dense"], trials=0, seed=-1)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            calibrate(counts=records["dense"], seed=-1)
+        assert draws == []
+        # One count per axis: a redraw keeps every axis with probability
+        # (1 - 1/e)^18, so these trials all fail, while the record calibrates.
+        thin = CountRecord({(j, s, axis, 1): 1 for j, s in SETTING_KEYS for axis in (1, 2, 3)})
+        assert rstar_oracle(ensemble_from_counts(thin)[0]) >= 0.0
+        for run in (bootstrap_calibration, _calibrate_counts):
+            with pytest.raises(CalibrationError, match="every bootstrap trial"):
+                run(thin, trials=5, seed=0)
+        tables = witness._rstar_tables
+
+        def record_fails(rows, vec_b):
+            rates = tables(rows, vec_b)
+            rates[0] = math.nan
+            return rates
+
+        monkeypatch.setattr(witness, "_rstar_tables", record_fails)
+        with pytest.raises(CalibrationError, match="no sound penalty rate below 4"):
+            calibrate(counts=records["dense"], trials=5, seed=0)
+        monkeypatch.setattr(witness, "_rstar_tables",
+                            lambda rows, vec_b: tables(rows, vec_b) * math.nan)
+        with pytest.raises(CalibrationError, match="every bootstrap trial"):
+            calibrate(counts=records["dense"], trials=5, seed=0)
