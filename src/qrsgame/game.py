@@ -407,8 +407,8 @@ class CountTable:
     NAME: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        checked = [(cell, self.check_cell(cell, n)) for cell, n in self.counts.items()]
-        self.counts = {tuple(cell): n for cell, n in checked if n}
+        checked = [self.check_cell(cell, n) for cell, n in self.counts.items()]
+        self.counts = {cell: n for cell, n in checked if n}
 
     @classmethod
     def _of_checked(cls, counts: dict) -> CountTable:
@@ -418,15 +418,17 @@ class CountTable:
         return table
 
     @classmethod
-    def check_cell(cls, cell: tuple[int, int, int, int], n: int) -> int:
-        """The count of one cell as an int; raises if either is out of range.
+    def check_cell(cls, cell: tuple[int, int, int, int], n: int) -> tuple[tuple, int]:
+        """The cell and its count as Python ints; raises if either is out of range.
 
-        A count must pass ``is_integer``: floats and bools are rejected, not
-        truncated. It may not exceed 2^52, so that two counts and their sum
-        are exact floats and a ratio of counts is the same in array
-        arithmetic as in Python's integer division.
+        The cell's parts and the count must pass ``is_integer``: floats and
+        bools are rejected, not truncated. A count may not exceed 2^52, so
+        that two counts and their sum are exact floats and a ratio of counts
+        is the same in array arithmetic as in Python's integer division.
         """
         j, s, x, y = cell
+        if not (type(j) is type(s) is type(x) is type(y) is int):
+            j, s, x, y = (int(v) if is_integer(v) else None for v in cell)  # None fails below
         if (j, s) not in SETTING_KEYS or (x, y) not in cls.CELLS:
             raise ValueError(f"malformed {cls.NAME} cell {cell}")
         if not is_integer(n):
@@ -436,7 +438,7 @@ class CountTable:
             raise ValueError(f"negative count {n} for cell {cell}")
         if n > 2**52:
             raise ValueError(f"count {n} for cell {cell} exceeds 2^52")
-        return n
+        return (j, s, x, y), n
 
     def cell(self, j: int, s: int, x: int, y: int) -> int:
         return self.counts.get((j, s, x, y), 0)
@@ -459,8 +461,7 @@ class CountTable:
                     continue
                 try:
                     j, s, x, y, n = (int(v) for v in row)
-                    cell = (j, s, x, y)
-                    n = cls.check_cell(cell, n)
+                    cell, n = cls.check_cell((j, s, x, y), n)
                 except ValueError as exc:
                     raise ValueError(
                         f"malformed {cls.NAME} row at line {lineno}: {row} ({exc})"
@@ -581,9 +582,9 @@ def lhs_best_deterministic(
     the value reached when Bob projects onto the optimal direction at full
     strength. Ties pick the lexicographically smallest sign assignment.
     """
-    from .witness import SIGN_TRIPLES, _first_max, _sign_table, _top_eigenvalues
+    from .witness import SIGN_TRIPLES, _first_max, _sign_tables, _top_eigenvalues
 
-    rows, vec_b = _sign_table(ensemble)
+    rows, vec_b = _sign_tables(ensemble.stack)
     signs = _first_max(_top_eigenvalues(rows, vec_b, check_rate(spec.r)))
     t = rows[SIGN_TRIPLES.index(signs)] - spec.r * vec_b
     norm = float(np.linalg.norm(t))

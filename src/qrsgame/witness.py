@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import SQRT3, CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
-from .game import BinaryPovm, CountTable, check_rate, exact_payoff, joint_probabilities
-from .qmath import bloch_to_density, density_to_bloch, identity, is_integer, pauli, tensor
-from .states import SETTING_KEYS, RefereeEnsemble, _check_weight, werner_state
+from .game import BinaryPovm, CountTable, _joint_table, check_rate, exact_payoff
+from .qmath import density_to_bloch, identity, is_integer, pauli, tensor
+from .states import SETTING_KEYS, RefereeEnsemble, _check_weight, referee_states, werner_state
 
 TWO_SQRT3 = 2.0 * SQRT3
 
@@ -82,10 +82,6 @@ def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, sums[..., 0, :] + sums[..., 1, :] + sums[..., 2, :]
 
 
-def _sign_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    return _sign_tables(ensemble.stack)
-
-
 def assignment_vectors(
     ensemble: RefereeEnsemble, assignment: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,9 +90,9 @@ def assignment_vectors(
     A = sum_j a_j (n_(j,+) - n_(j,-)) depends on the sign assignment,
     B = sum_j (n_(j,+) + n_(j,-)) / sqrt(3) does not.
     """
-    if len(assignment) != 3 or any(a not in (-1, 1) for a in assignment):
+    if len(assignment) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in assignment):
         raise ValueError(f"assignment must be three values of +/-1, got {assignment}")
-    rows, vec_b = _sign_table(ensemble)
+    rows, vec_b = _sign_tables(ensemble.stack)
     return rows[SIGN_TRIPLES.index(tuple(assignment))], vec_b
 
 
@@ -135,12 +131,12 @@ def _first_max(values: np.ndarray) -> tuple[int, int, int]:
 def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
     """Best no-steering payoff at rate r: max over signs of the top
     witness eigenvalue."""
-    return float(np.max(_top_eigenvalues(*_sign_table(ensemble), check_rate(r))))
+    return float(np.max(_top_eigenvalues(*_sign_tables(ensemble.stack), check_rate(r))))
 
 
 def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
     """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
-    return _first_max(_top_eigenvalues(*_sign_table(ensemble), check_rate(r)))
+    return _first_max(_top_eigenvalues(*_sign_tables(ensemble.stack), check_rate(r)))
 
 
 def _largest_root(rows: np.ndarray, vec_b: np.ndarray, c: float) -> np.ndarray:
@@ -192,10 +188,6 @@ def _first_rstar(rates: np.ndarray) -> float:
     return rstar
 
 
-def _rstar(rows: np.ndarray, vec_b: np.ndarray) -> float:
-    return _first_rstar(_rstar_tables(rows[None], vec_b[None]))
-
-
 def rstar_oracle(ensemble: RefereeEnsemble) -> float:
     """Least r >= 0 on the grid k * 2^-34 with lhs_bound(r) <= 0.
 
@@ -211,7 +203,7 @@ def rstar_oracle(ensemble: RefereeEnsemble) -> float:
     2 sqrt(3) r, so r* <= sqrt(3) for every ensemble in the unit ball; the
     "below 4" error only guards roots that come out NaN or infinite.
     """
-    return _rstar(*_sign_table(ensemble))
+    return _first_rstar(_rstar_tables(*_sign_tables(ensemble.stack[None])))
 
 
 def _printed(rows: np.ndarray, vec_b: np.ndarray) -> float:
@@ -230,7 +222,7 @@ def rstar_printed(ensemble: RefereeEnsemble) -> float:
     2, twice the operational boundary found by rstar_oracle; calibration
     reports carry both so the discrepancy stays visible.
     """
-    return _printed(*_sign_table(ensemble))
+    return _printed(*_sign_tables(ensemble.stack))
 
 
 class CountRecord(CountTable):
@@ -465,10 +457,9 @@ def channel_dual(kraus: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarra
 
 def _channel_ensemble(ops: tuple[np.ndarray, ...], ensemble: RefereeEnsemble) -> RefereeEnsemble:
     # channel_ensemble on Kraus operators that _check_kraus has passed.
-    vectors = {}
-    for key in SETTING_KEYS:
-        vectors[key] = density_to_bloch(_apply(ops, bloch_to_density(ensemble.vector(*key))))
-    return RefereeEnsemble(vectors)
+    states = referee_states(ensemble).reshape(6, 2, 2)
+    vectors = (density_to_bloch(_apply(ops, rho)) for rho in states)
+    return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors)))
 
 
 def channel_ensemble(
@@ -481,10 +472,7 @@ def channel_ensemble(
 def _dual_povm(kraus: tuple[np.ndarray, ...], povm: BinaryPovm) -> BinaryPovm:
     # Dual map acting on the referee factor only; b0 follows from b1
     # because the dual of a trace-preserving channel is unital.
-    b1 = sum(
-        tensor(identity(2), k.conj().T) @ povm.b1 @ tensor(identity(2), k)
-        for k in kraus
-    )
+    b1 = _dual(tuple(tensor(identity(2), k) for k in kraus), povm.b1)
     return BinaryPovm(identity(4) - b1, b1)
 
 
@@ -516,15 +504,14 @@ def channel_covariance_check(
     open a loophole.
     """
     ops = _check_kraus(kraus)
-    moved_states = _channel_ensemble(ops, ensemble)
-    moved_povm = _dual_strategy(ops, strategy)
-    for key in SETTING_KEYS:
-        p_state_route = joint_probabilities(strategy, moved_states, *key)
-        p_povm_route = joint_probabilities(moved_povm, ensemble, *key)
-        for cell in p_state_route:
-            if not abs(p_state_route[cell] - p_povm_route[cell]) <= tol:
-                return False
-    return True
+    state_route = _joint_table(strategy, _channel_ensemble(ops, ensemble))
+    povm_route = _joint_table(_dual_strategy(ops, strategy), ensemble)
+    # A NaN tol fails every cell.
+    return all(
+        abs(p - povm_route[key][cell]) <= tol
+        for key, probs in state_route.items()
+        for cell, p in probs.items()
+    )
 
 
 @dataclass

@@ -861,8 +861,8 @@ class TestLhsOptimum:
         cases = [(referee_ideal(), r) for r in (0.0, 0.5, 1.0)]
         cases += [(perturbed_ensemble(rng), float(rng.uniform(0.0, 2.0))) for _ in range(30)]
         tables = []
-        real_table = witness._sign_table
-        monkeypatch.setattr(witness, "_sign_table", lambda e: tables.append(e) or real_table(e))
+        real_tables = witness._sign_tables
+        monkeypatch.setattr(witness, "_sign_tables", lambda v: tables.append(v) or real_tables(v))
         for ens, r in cases:
             tables.clear()
             signs, direction, payoff = lhs_best_deterministic(canonical_game(r), ens)

@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qrsgame import witness
+from qrsgame import game, qmath, states, witness
 from qrsgame.game import (
     SQRT3,
     BinaryPovm,
     HonestQuantum,
+    TallyTable,
     canonical_game,
     exact_payoff,
     partial_bsm_povm,
@@ -123,8 +124,19 @@ class TestWitnessOperator:
             assert np.allclose(vec_b, np.zeros(3))
 
     def test_assignment_validation(self):
+        """A sign must be an integer +/-1: a float or bool equal to 1 is
+        rejected by assignment_vectors and so by t_operator; numpy ints
+        are integers."""
+        ens = referee_ideal()
         with pytest.raises(ValueError, match="assignment"):
-            assignment_vectors(referee_ideal(), (1, 0, 1))
+            assignment_vectors(ens, (1, 0, 1))
+        for bad in ((True, 1, -1), (1.0, 1, -1), (1, np.float64(-1.0), 1), (1, 1, np.True_)):
+            with pytest.raises(ValueError, match="assignment must be three values"):
+                assignment_vectors(ens, bad)
+            with pytest.raises(ValueError, match="assignment must be three values"):
+                t_operator(ens, bad, 0.5)
+        signs = (np.int64(1), 1, np.int64(-1))
+        assert np.array_equal(t_operator(ens, signs, 0.5), t_operator(ens, (1, 1, -1), 0.5))
 
     def test_top_eigenvalue_closed_form(self):
         """lambda_max(T) = |A - r B| - 2 sqrt(3) r for every assignment."""
@@ -339,14 +351,14 @@ class TestClosedFormOracles:
         """An ensemble cannot hold a NaN vector, so the NaN enters through
         the sign table: one NaN A row, and the table of a stack whose
         (2, +1) vector is NaN, both have no sound rate below 4."""
-        rows, vec_b = witness._sign_table(referee_ideal())
+        rows, vec_b = witness._sign_tables(referee_ideal().stack)
         rows = rows.copy()
         rows[5] = math.nan
         stack = referee_ideal().stack.copy()
         stack[SETTING_KEYS.index((2, 1))] = [math.nan, 0.0, 0.0]
-        for table in ((rows, vec_b), witness._sign_tables(stack)):
+        for rows, vec_b in ((rows, vec_b), witness._sign_tables(stack)):
             with pytest.raises(CalibrationError, match="no sound penalty rate below 4"):
-                witness._rstar(*table)
+                witness._first_rstar(witness._rstar_tables(rows[None], vec_b[None]))
 
 
 class TestPrintedReadout:
@@ -743,6 +755,35 @@ class TestChannels:
             run()
             assert len(calls) == 1
 
+    def test_covariance_builds_each_joint_table_once(self, monkeypatch):
+        """One covariance check builds one six-setting joint table per
+        route, for every strategy shape, and never goes through
+        joint_probabilities or bloch_to_density."""
+        rng = np.random.default_rng(211)
+        ens = perturbed_ensemble(rng)
+        strategies = (
+            HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9)),
+            random_lhs_strategy(rng),
+            random_local_strategy(rng),
+        )
+        calls = []
+        build = witness._joint_table
+        monkeypatch.setattr(witness, "_joint_table", lambda s, e: calls.append(s) or build(s, e))
+
+        def forbidden(*args):
+            raise AssertionError("the covariance check left its two tables")
+
+        for module in (game, qmath, states, witness):
+            for name in ("joint_probabilities", "bloch_to_density"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for kraus in (DEPOLARIZING_03, AMPLITUDE_DAMPING_04):
+            for strat in strategies:
+                calls.clear()
+                assert channel_covariance_check(ens, kraus, strat)
+                assert len(calls) == 2
+                assert calls[0] is strat
+
 
 class TestCalibrationReport:
     def test_from_ensemble(self):
@@ -839,6 +880,31 @@ class TestCountsCsv:
         record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 500)
         record.save(path)
         assert CountRecord.load(path).counts == record.counts
+
+    def test_cell_keys_must_be_integers(self, tmp_path):
+        """Every part of a tally or count cell key passes is_integer, as
+        its count does: a float or bool part is rejected even where it
+        equals a valid integer, and numpy-int parts are stored as Python
+        ints, so saving and loading gives the same table."""
+        for table, name, cell in (
+            (TallyTable, "tally", (2, -1, -1, 0)),
+            (CountRecord, "count", (1, 1, 3, -1)),
+        ):
+            for i, part in enumerate(cell):
+                bads = [float(part), np.float64(part)] + [bool(part)] * (part in (0, 1))
+                for bad in bads:
+                    key = cell[:i] + (bad,) + cell[i + 1:]
+                    with pytest.raises(ValueError, match=f"malformed {name} cell"):
+                        table({(1, 1, 1, 1): 3, key: 5})
+            built = table({(1, 1, 1, 1): 3, tuple(np.int64(v) for v in cell): np.int64(5)})
+            assert built.counts == {(1, 1, 1, 1): 3, cell: 5}
+            assert all(type(v) is int for key in built.counts for v in key)
+            path = str(tmp_path / f"{name}.csv")
+            built.save(path)
+            loaded = table.load(path)
+            assert loaded.counts == built.counts
+            assert all(type(v) is int for key in loaded.counts for v in key)
+            assert loaded.format() == built.format()
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
