@@ -16,10 +16,10 @@ Strategies come in two forms. HonestQuantum shares a two-qubit state and
 lets Bob project his half together with the referee qubit onto a partial
 Bell-state analyzer. Alice's measurement does not involve the referee, so
 the states it leaves on Bob's qubit, cond_(j,a), and their traces p(a|j)
-are computed once at construction, as one stack. An evaluation pairs every
-cond_(j,a) x omega_(j,s) with the analyzer in one stacked pass, and the
-exact payoff, the sampler and joint_probabilities all read that table of
-twelve click probabilities. Every no-steering adversary is a mixture of
+are computed once at construction, as one stack. One stacked pass per
+strategy and ensemble pairs each cond_(j,a) x omega_(j,s) with the analyzer:
+the payoff reads its twelve clicks, the sampler and joint_probabilities six
+rows of four cells. Every no-steering adversary is a mixture of
 local components: Alice answers from a response table and Bob clicks
 according to an effect E_c on the referee qubit alone, whose four entries
 are read and checked once. CustomLocal is the general mixture and the fuzzing
@@ -67,13 +67,14 @@ from .qmath import (
     real_trace_product,
     tensor,
 )
-from .states import SETTING_KEYS, BellIndex, RefereeEnsemble, bell_state, referee_states
+from .states import _SINGLET, SETTING_KEYS, RefereeEnsemble, referee_states
 
 SQRT3 = math.sqrt(3.0)
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
 _IDENTITY4 = _frozen(identity(4))
+_HALF_IDENTITY4 = _frozen(identity(4) / 2.0)
 
 # Alice's projector (1 + a sigma_j)/2 lifted to the pair, at [j - 1, 0 if a > 0 else 1].
 _LIFTS = _frozen(np.array([[tensor(0.5 * (identity(2) + a * pauli(j)), identity(2))
@@ -123,8 +124,7 @@ class BinaryPovm:
 
 def singlet_projector_bc() -> BinaryPovm:
     """Ideal analyzer: b1 projects the Bob + referee pair onto |Psi->."""
-    b1 = bell_state(BellIndex.PSI_MINUS)
-    return BinaryPovm(identity(4) - b1, b1)
+    return BinaryPovm(_IDENTITY4 - _SINGLET, _SINGLET)
 
 
 def partial_bsm_povm(visibility: float) -> BinaryPovm:
@@ -135,8 +135,8 @@ def partial_bsm_povm(visibility: float) -> BinaryPovm:
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    b1 = visibility * bell_state(BellIndex.PSI_MINUS) + (1.0 - visibility) * identity(4) / 2.0
-    return BinaryPovm(identity(4) - b1, b1)
+    b1 = visibility * _SINGLET + (1.0 - visibility) * _HALF_IDENTITY4
+    return BinaryPovm(_IDENTITY4 - b1, b1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,14 +149,15 @@ class HonestQuantum:
     outcome leaves on Bob's qubit. ``marginals[j - 1]`` holds Alice's p(a|j),
     the trace of cond_(j,a), for a = +1 then a = -1. Each entry is bitwise
     the one an evaluation that rebuilds it for every setting gives; the
-    tests keep that evaluation as oracle. The strategy keeps a read-only
-    copy of the shared state, and the compiled stack is read-only too.
+    tests keep that evaluation as oracle. The strategy keeps a read-only copy
+    of the shared state, a read-only stack and its last ensemble's click table.
     """
 
     shared_state: np.ndarray
     bob_povm: BinaryPovm
     cond_stack: np.ndarray = field(init=False, repr=False)
     marginals: tuple = field(init=False, repr=False)
+    _clicks: tuple = field(default=(None, None), init=False, repr=False)  # (ensemble, table)
     __reduce__ = _rebuilt_from("shared_state", "bob_povm")
 
     def __post_init__(self) -> None:
@@ -312,19 +313,22 @@ def canonical_game(r: float) -> GameSpec:
     return GameSpec(r)
 
 
-def _honest_clicks(strategy: HonestQuantum, ensemble: RefereeEnsemble) -> np.ndarray:
-    # p(a, 1 | j, s) = Re tr[(cond_(j,a) x omega_(j,s)) b1] for every setting
-    # in one stacked pass, indexed [j - 1, 0 if s > 0 else 1, 0 if a > 0 else 1];
-    # each entry is bitwise the 2-D evaluation of that one setting and sign.
+def _honest_clicks(strategy: HonestQuantum, ensemble: RefereeEnsemble) -> list:
+    # (p(+, 1), p(-, 1)) = Re tr[(cond_(j,a) x omega_(j,s)) b1] per setting, bitwise the 2-D
+    # evaluation, from one stacked pass kept with its frozen ensemble, matched by identity.
     if not isinstance(strategy, HonestQuantum):
         raise ValueError(f"unknown strategy type {type(strategy).__name__}")
-    pairs = tensor(strategy.cond_stack[:, None], referee_states(ensemble)[:, :, None])
-    return real_trace_product(pairs, strategy.bob_povm.b1)
+    last, clicks = strategy._clicks
+    if last is not ensemble:
+        pairs = tensor(strategy.cond_stack[:, None], referee_states(ensemble)[:, :, None])
+        clicks = real_trace_product(pairs, strategy.bob_povm.b1).reshape(6, 2).tolist()
+        object.__setattr__(strategy, "_clicks", (ensemble, clicks))
+    return clicks
 
 
-def _joint_table(strategy: Strategy, ensemble: RefereeEnsemble) -> dict:
-    # p(a, b) for the six settings, keyed by (j, s) in SETTING_KEYS order, from
-    # the click probability p(a, 1) and Alice's marginal p(a|j) of a = +1, -1.
+def _cell_rows(strategy: Strategy, ensemble: RefereeEnsemble) -> list:
+    # [p(+, 1), p(+, 0), p(-, 1), p(-, 0)] for the six settings in SETTING_KEYS
+    # order, from the click probability p(a, 1) and Alice's marginal p(a|j).
     # A local strategy clicks with f0 + n.f from its effect table row.
     if isinstance(strategy, CustomLocal):
         clicks = []
@@ -333,13 +337,16 @@ def _joint_table(strategy: Strategy, ensemble: RefereeEnsemble) -> dict:
             clicks.append([f0 + x * f1 + y * f2 + z * f3 for _, f0, f1, f2, f3 in rows])
         marginals = [[row[0] for row in rows] for rows in strategy.effect_table]
     else:
-        clicks = _honest_clicks(strategy, ensemble).reshape(6, 2).tolist()
+        clicks = _honest_clicks(strategy, ensemble)
         marginals = strategy.marginals
-    return {
-        (j, s): {(1, 1): plus, (1, 0): marginals[j - 1][0] - plus,
-                 (-1, 1): minus, (-1, 0): marginals[j - 1][1] - minus}
-        for (j, s), (plus, minus) in zip(SETTING_KEYS, clicks)
-    }
+    return [[plus, marginals[j - 1][0] - plus, minus, marginals[j - 1][1] - minus]
+            for (j, _), (plus, minus) in zip(SETTING_KEYS, clicks)]
+
+
+def _joint_table(strategy: Strategy, ensemble: RefereeEnsemble) -> dict:
+    # The cell rows as p(a, b) dicts over _CELLS, keyed by (j, s).
+    rows = _cell_rows(strategy, ensemble)
+    return {key: dict(zip(_CELLS, row)) for key, row in zip(SETTING_KEYS, rows)}
 
 
 def joint_probabilities(
@@ -383,8 +390,7 @@ def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) 
         return _witness_pairing(spec.r, strategy, ensemble)
     tax = spec.r / SQRT3
     value = 0.0
-    clicks = _honest_clicks(strategy, ensemble).reshape(6, 2).tolist()
-    for (_, s), (plus, minus) in zip(SETTING_KEYS, clicks):
+    for (_, s), (plus, minus) in zip(SETTING_KEYS, _honest_clicks(strategy, ensemble)):
         value += s * (plus - minus)
         value -= tax * (plus + minus)
     return 2.0 * value
@@ -402,6 +408,7 @@ class CountTable:
     counts: dict[tuple[int, int, int, int], int]
 
     CELLS: ClassVar[tuple[tuple[int, int], ...]] = ()
+    MAX_COUNT: ClassVar[int] = 2**52
     HEADER: ClassVar[str] = ""
     ROW: ClassVar[str] = ""
     NAME: ClassVar[str] = ""
@@ -436,7 +443,7 @@ class CountTable:
         n = int(n)
         if n < 0:
             raise ValueError(f"negative count {n} for cell {cell}")
-        if n > 2**52:
+        if n > cls.MAX_COUNT:
             raise ValueError(f"count {n} for cell {cell} exceeds 2^52")
         return (j, s, x, y), n
 
@@ -511,17 +518,17 @@ def simulate_runs(
     the tally is reproducible no matter how the settings are scheduled.
     The draws do not depend on the rate in ``spec``.
     """
-    if not is_integer(n_per_setting) or n_per_setting < 1:
-        raise ValueError(f"n_per_setting must be an integer >= 1, got {n_per_setting!r}")
+    if not is_integer(n_per_setting) or not 1 <= n_per_setting <= TallyTable.MAX_COUNT:
+        raise ValueError("n_per_setting must be an integer from 1 to 2^52, a tally count's cap,"
+                         f" got {n_per_setting!r}")
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    p = np.maximum(_cell_rows(strategy, ensemble), 0.0)
+    p /= p.sum(axis=1, keepdims=True)
     counts: dict[tuple[int, int, int, int], int] = {}
-    for (j, s), probs in _joint_table(strategy, ensemble).items():
-        p = np.array([max(probs[cell], 0.0) for cell in _CELLS])
-        p /= p.sum()
+    for (j, s), row in zip(SETTING_KEYS, p):
         rng = np.random.default_rng(np.random.SeedSequence([seed, j, 0 if s > 0 else 1]))
-        draw = rng.multinomial(n_per_setting, p)
-        for cell, n in zip(_CELLS, draw.tolist()):
+        for cell, n in zip(_CELLS, rng.multinomial(n_per_setting, row).tolist()):
             counts[(j, s) + cell] = n
     return TallyTable._of_checked(counts)
 
@@ -557,17 +564,18 @@ def estimate_payoff(spec: GameSpec, tally: TallyTable) -> PayoffEstimate:
     variance = 0.0
     totals = {}
     for j, s in SETTING_KEYS:
-        n = tally.total(j, s)
+        plus, minus = tally.counts.get((j, s, 1, 1), 0), tally.counts.get((j, s, -1, 1), 0)
+        n = plus + tally.counts.get((j, s, 1, 0), 0) + minus + tally.counts.get((j, s, -1, 0), 0)
         if n == 0:
             raise ValueError(f"tally has no runs for setting (j={j}, s={s})")
         totals[(j, s)] = n
-        w = {a: s * a - tax for a in (1, -1)}
-        f = {a: tally.cell(j, s, a, 1) / n for a in (1, -1)}
-        value += w[1] * f[1] + w[-1] * f[-1]
+        w_plus, w_minus = s - tax, -s - tax
+        f_plus, f_minus = plus / n, minus / n
+        value += w_plus * f_plus + w_minus * f_minus
         variance += (
-            w[1] ** 2 * f[1] * (1.0 - f[1])
-            + w[-1] ** 2 * f[-1] * (1.0 - f[-1])
-            - 2.0 * w[1] * w[-1] * f[1] * f[-1]
+            w_plus ** 2 * f_plus * (1.0 - f_plus)
+            + w_minus ** 2 * f_minus * (1.0 - f_minus)
+            - 2.0 * w_plus * w_minus * f_plus * f_minus
         ) / n
     return PayoffEstimate(2.0 * value, 2.0 * math.sqrt(variance), totals)
 

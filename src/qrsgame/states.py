@@ -26,6 +26,7 @@ from .qmath import (
     BLOCH_NORM_TOL,
     TRACE_TOL,
     _density_entries,
+    _frozen,
     _rebuilt_from,
     bloch_to_density,
     check_bloch,
@@ -67,6 +68,12 @@ def bell_state(idx: BellIndex) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
+# Read-only operators the constructors scale; the identity fraction is an exact
+# power of two, so each entry has the bits that scaling a fresh identity gives.
+_SINGLET = _frozen(bell_state(BellIndex.PSI_MINUS))
+_QUARTER_IDENTITY4 = _frozen(identity(4) / 4.0)
+
+
 def _check_weight(w: float) -> None:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
@@ -75,7 +82,7 @@ def _check_weight(w: float) -> None:
 def werner_state(w: float) -> np.ndarray:
     """Werner state w |Psi-><Psi-| + (1 - w) 1/4 for w in [0, 1]."""
     _check_weight(w)
-    return w * bell_state(BellIndex.PSI_MINUS) + (1.0 - w) * identity(4) / 4.0
+    return w * _SINGLET + (1.0 - w) * _QUARTER_IDENTITY4
 
 
 def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:

@@ -396,6 +396,15 @@ class TestSimulate:
         assert main(["simulate", "--W", "0.5", "--r", "1"]) == 2
         assert "--n >= 1" in capsys.readouterr().err
 
+    def test_runs_beyond_the_count_cap_rejected(self, capsys):
+        """More rounds than a tally count may hold exit 2 with the cap named,
+        not with numpy's OverflowError from the draw."""
+        for n in (2**52 + 1, 2**64):
+            assert main(["simulate", "--W", "0.5", "--r", "1", "--n", str(n)]) == 2
+            assert "from 1 to 2^52, a tally count's cap" in capsys.readouterr().err
+            assert main(["payoff", "--W", "0.5", "--r", "1", "--n", str(n)]) == 2
+            assert "from 1 to 2^52, a tally count's cap" in capsys.readouterr().err
+
     def test_format_flag_rejected(self, capsys):
         assert main(["simulate", "--W", "0.5", "--r", "1", "--n", "10",
                      "--format", "json"]) == 2

@@ -91,6 +91,52 @@ def per_setting_honest(strategy, ensemble, j, s):
     return out
 
 
+def local_cells(strategy, ensemble, j, s):
+    """A local strategy's cells from its effect-table row, in the order of
+    operations the per-setting table used: p(a, 1) = f0 + x f1 + y f2 + z f3."""
+    x, y, z = ensemble.vector(j, s).tolist()
+    out = {}
+    for a, (p_a, f0, f1, f2, f3) in zip((1, -1), strategy.effect_table[j - 1]):
+        out[(a, 1)] = f0 + x * f1 + y * f2 + z * f3
+        out[(a, 0)] = p_a - out[(a, 1)]
+    return out
+
+
+def dict_sampler(cells, strategy, ensemble, n, seed):
+    """A tally drawn setting by setting from the p(a, b) dict
+    ``cells(strategy, ensemble, j, s)``: each probability clamped at 0 by
+    Python's max, the four normalized by their sum, then one multinomial
+    from SeedSequence([seed, j, 0 if s > 0 else 1])."""
+    counts = {}
+    for j, s in SETTING_KEYS:
+        probs = cells(strategy, ensemble, j, s)
+        p = np.array([max(probs[cell], 0.0) for cell in CELLS])
+        p /= p.sum()
+        stream = np.random.SeedSequence([seed, j, 0 if s > 0 else 1])
+        for cell, m in zip(CELLS, np.random.default_rng(stream).multinomial(n, p)):
+            if m:
+                counts[(j, s) + cell] = int(m)
+    return counts
+
+
+def per_cell_estimate(spec, tally):
+    """(value, stderr) of estimate_payoff, with every count read through
+    TallyTable.cell and total and the weights and frequencies kept in dicts."""
+    tax = spec.r / SQRT3
+    value = variance = 0.0
+    for j, s in SETTING_KEYS:
+        n = tally.total(j, s)
+        w = {a: s * a - tax for a in (1, -1)}
+        f = {a: tally.cell(j, s, a, 1) / n for a in (1, -1)}
+        value += w[1] * f[1] + w[-1] * f[-1]
+        variance += (
+            w[1] ** 2 * f[1] * (1.0 - f[1])
+            + w[-1] ** 2 * f[-1] * (1.0 - f[-1])
+            - 2.0 * w[1] * w[-1] * f[1] * f[-1]
+        ) / n
+    return 2.0 * value, 2.0 * math.sqrt(variance)
+
+
 def random_density_matrix(rng):
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
@@ -835,6 +881,62 @@ class TestExactPayoff:
         assert math.isclose(p2 - p1, -SQRT3 * 0.5, abs_tol=1e-12)
 
 
+class TestHonestClickMemo:
+    def test_one_click_table_per_strategy_and_ensemble(self, monkeypatch):
+        """The exact payoff, a sample and the joint probabilities of one
+        honest strategy on one ensemble share one stacked click pass; a
+        second ensemble takes a pass of its own."""
+        calls = []
+        product = game.real_trace_product
+        monkeypatch.setattr(game, "real_trace_product",
+                            lambda a, b: calls.append(b) or product(a, b))
+        strat = HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9))
+        spec, ens = canonical_game(1.0), perturbed_ensemble(np.random.default_rng(141))
+        exact_payoff(spec, strat, ens)
+        simulate_runs(spec, strat, ens, 1000, seed=1)
+        for key in SETTING_KEYS:
+            joint_probabilities(strat, ens, *key)
+        assert len(calls) == 1
+        exact_payoff(spec, strat, referee_ideal())
+        assert len(calls) == 2
+
+    def test_alternating_ensembles_are_never_served_a_stale_table(self):
+        """Switching one strategy between two ensembles, and to a rebuilt
+        twin of one of them, gives the brute-force probabilities and the
+        fresh strategy's payoff every time."""
+        rng = np.random.default_rng(142)
+        strat = HonestQuantum(random_density_matrix(rng), random_analyzer(rng))
+        first, second = perturbed_ensemble(rng), perturbed_ensemble(rng)
+        spec = canonical_game(0.9)
+        for ens in (first, second, first, second, RefereeEnsemble(first.vectors), first):
+            for key in SETTING_KEYS:
+                got = joint_probabilities(strat, ens, *key)
+                assert got == per_setting_honest(strat, ens, *key)
+                want = brute_force_honest(strat, ens, *key)
+                assert all(math.isclose(got[c], want[c], abs_tol=1e-12) for c in CELLS)
+            fresh = HonestQuantum(strat.shared_state, strat.bob_povm)
+            assert exact_payoff(spec, strat, ens) == exact_payoff(spec, fresh, ens)
+
+    def test_the_table_is_invisible(self):
+        """An evaluated strategy keeps its repr and its identity equality,
+        and pickling or deep-copying it drops the table and rebuilds a
+        strategy with bitwise the same payoff, tally and probabilities."""
+        strat = HonestQuantum(werner_state(0.8), partial_bsm_povm(0.9))
+        spec, ens = canonical_game(1.1), referee_ideal()
+        before, twin = repr(strat), HonestQuantum(strat.shared_state, strat.bob_povm)
+        payoff = exact_payoff(spec, strat, ens)
+        tally = simulate_runs(spec, strat, ens, 5000, seed=4)
+        assert repr(strat) == before and "_clicks" not in before
+        assert strat == strat and strat != twin and {strat: 1, twin: 2}[strat] == 1
+        for copied in (pickle.loads(pickle.dumps(strat)), copy.deepcopy(strat)):
+            assert copied._clicks == (None, None) and copied != strat
+            assert exact_payoff(spec, copied, ens) == payoff
+            assert simulate_runs(spec, copied, ens, 5000, seed=4).counts == tally.counts
+            for key in SETTING_KEYS:
+                want = joint_probabilities(strat, ens, *key)
+                assert joint_probabilities(copied, ens, *key) == want
+
+
 class TestLhsOptimum:
     def test_ideal_boundary_values(self):
         """Against the ideal ensemble the best no-steering payoff is
@@ -948,16 +1050,62 @@ class TestSimulation:
             cases.append((HonestQuantum(random_density_matrix(rng), povm), perturbed_ensemble(rng)))
         for k, (strat, ens) in enumerate(cases):
             n, seed = 1000 + 37 * k, 11 * k
-            want = {}
-            for j, s in SETTING_KEYS:
-                probs = per_setting_honest(strat, ens, j, s)
-                p = np.array([max(probs[cell], 0.0) for cell in CELLS])
-                p /= p.sum()
-                stream = np.random.SeedSequence([seed, j, 0 if s > 0 else 1])
-                for cell, m in zip(CELLS, np.random.default_rng(stream).multinomial(n, p)):
-                    if m:
-                        want[(j, s) + cell] = int(m)
+            want = dict_sampler(per_setting_honest, strat, ens, n, seed)
             assert simulate_runs(spec, strat, ens, n, seed).counts == want
+
+    def test_tally_and_estimate_match_the_per_setting_oracles(self):
+        """simulate_runs clamps and normalizes all six cell rows as one array
+        and estimate_payoff reads each setting's counts once; both are
+        bitwise the per-setting dict sampler and the per-cell estimator on a
+        Werner weight x visibility x seed grid, on random mixtures and
+        deterministic adversaries, and on an adversary whose no-click cell
+        rounds to a tiny negative probability that the clamp draws as 0."""
+        rng = np.random.default_rng(139)
+        cases = []
+        for w in (0.0, 0.35, 0.7, 1.0):
+            for v in (0.5, 0.8, 1.0):
+                honest = HonestQuantum(werner_state(w), partial_bsm_povm(v))
+                cases += [(honest, referee_ideal(), seed) for seed in (0, 7, 2**40)]
+        for k in range(8):
+            strat = random_local_strategy(rng) if k % 2 else random_lhs_strategy(rng)
+            cases.append((strat, perturbed_ensemble(rng), k))
+        # A pure hidden qubit and a full-strength projector both aimed at the
+        # (1, +1) referee vector: n.n rounds above 1, so p(+, 0) = 1 - click < 0.
+        d = np.array([-0.8784069177470692, -0.08266045905288898, -0.4707106705432322])
+        b1 = qmath.tensor(bloch_to_density(d), bloch_to_density(d))
+        sharp = LhsDeterministic((1, 1, 1), d, BinaryPovm(identity(4) - b1, b1))
+        vectors = {key: np.zeros(3) for key in SETTING_KEYS}
+        vectors[(1, 1)] = d
+        tilted = RefereeEnsemble(vectors)
+        assert -1e-15 < local_cells(sharp, tilted, 1, 1)[(1, 0)] < 0.0
+        cases.append((sharp, tilted, 3))
+        for strat, ens, seed in cases:
+            cells = per_setting_honest if isinstance(strat, HonestQuantum) else local_cells
+            spec = canonical_game(float(2.0 * rng.random()))
+            n = int(rng.integers(1, 10**7))
+            tally = simulate_runs(spec, strat, ens, n, seed)
+            assert tally.counts == dict_sampler(cells, strat, ens, n, seed)
+            est = estimate_payoff(spec, tally)
+            assert (est.value, est.stderr) == per_cell_estimate(spec, tally)
+        assert tally.cell(1, 1, 1, 0) == 0  # the sharp adversary's clamped cell
+
+    def test_rounds_beyond_the_count_cap_rejected(self):
+        """More rounds per setting than a tally count may hold (2^52) are
+        refused before any draw, so no tally the checked constructor or
+        TallyTable.load would reject is made; 2^52 itself is drawn."""
+        spec = canonical_game(1.0)
+        strat = HonestQuantum(werner_state(0.5), singlet_projector_bc())
+        tally = simulate_runs(spec, strat, referee_ideal(), 2**52, seed=1)
+        assert TallyTable(tally.counts).counts == tally.counts
+
+        def no_draw(*args):
+            raise AssertionError("a draw was made")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", no_draw)
+            for n in (2**52 + 1, 2**60, 2**64):
+                with pytest.raises(ValueError, match=r"n_per_setting .* 1 to 2\^52, a tally"):
+                    simulate_runs(spec, strat, referee_ideal(), n, seed=1)
 
     def test_tally_validation(self):
         with pytest.raises(ValueError, match="malformed tally cell"):
