@@ -29,13 +29,17 @@ CustomLocal compiles at construction into one effect table: for each input
 j and sign a, Alice's marginal p(a|j) and the Bloch form of the referee
 effect F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine
 in the referee Bloch vector, and the exact payoff of a local strategy is
-the witness pairing of that table with the rows of the ensemble's one
-Bloch stack. Strategies are frozen and keep read-only copies of the arrays
+the witness pairing of that table with the pairing sums D_j and S_j of the
+ensemble's witness form, which the ensemble builds once and every local
+payoff, sign table and best adversary of it reads. LhsDeterministic accepts
+three Python-int signs by one membership test and checks its hidden vector
+once. Strategies are frozen and keep read-only copies of the arrays
 they are given, so a compiled form cannot go stale; pickling or copying
 one rebuilds it through its constructor, and == is identity. Every input
 check keeps check_hermitian's tolerances and messages. All functions are
-pure and every random draw is made from an explicit per-setting substream
-of the caller's seed, so results never depend on scheduling or threads.
+pure and every random draw comes from _substream, the one rule that keys
+a stream by the caller's seed and the setting or trial, so results never
+depend on scheduling or threads.
 """
 
 from __future__ import annotations
@@ -53,9 +57,11 @@ from .qmath import (
     PSD_TOL,
     TRACE_TOL,
     _PSD_SHIFT,
+    _density_entries,
     _frozen,
     _rebuilt_from,
     bloch_to_density,
+    check_bloch,
     check_hermitian,
     eig_hermitian,
     identity,
@@ -67,11 +73,10 @@ from .qmath import (
     real_trace_product,
     tensor,
 )
-from .states import _SINGLET, SETTING_KEYS, RefereeEnsemble, referee_states
-
-SQRT3 = math.sqrt(3.0)
+from .states import _SINGLET, SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble, referee_states
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
+_INPUTS = frozenset((1, 2, 3))
 
 _IDENTITY4 = _frozen(identity(4))
 _HALF_IDENTITY4 = _frozen(identity(4) / 2.0)
@@ -89,10 +94,12 @@ class BinaryPovm:
     sum to the identity. An element is positive when el + PSD_TOL*1 is
     positive definite, decided as ``psd_within`` does from Cholesky pivots,
     with no eigenvalue computed; the exact boundary lambda_min = -PSD_TOL
-    fails. The elements are checked as one stack, with one finiteness test,
-    one Hermiticity defect and one Cholesky; only when that fails are they
-    checked one by one, by ``check_hermitian`` and ``psd_within``, to name
-    the one at fault. The POVM keeps read-only copies of the two elements.
+    fails. The elements are checked as one stack, with one finiteness test
+    (a finite sum of squared moduli), one Hermiticity defect and one
+    Cholesky; only when that fails are they checked one by one, by
+    ``check_hermitian`` and ``psd_within``, to name the one at fault or to
+    pass finite elements whose squares overflow. The POVM keeps read-only
+    copies of the two elements.
     """
 
     b0: np.ndarray
@@ -103,7 +110,7 @@ class BinaryPovm:
         try:  # one stack: one finiteness test, one Hermiticity defect, one Cholesky
             pair = np.array((self.b0, self.b1), dtype=complex)
             adj = pair.conj().swapaxes(-1, -2)
-            ok = (pair.shape == (2, 4, 4) and np.isfinite(pair).all()
+            ok = (pair.shape == (2, 4, 4) and math.isfinite(np.vdot(pair, pair).real)
                   and np.abs(pair - adj).max() <= HERMITIAN_TOL)
             if ok:  # the sum psd_within factors
                 np.linalg.cholesky(pair + adj + _PSD_SHIFT[4])
@@ -195,7 +202,7 @@ class LocalComponent:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.weight) and self.weight >= 0.0):
             raise ValueError(f"component weight must be finite and nonnegative, got {self.weight}")
-        if set(self.alice_plus) != {1, 2, 3}:
+        if set(self.alice_plus) != _INPUTS:
             raise ValueError("alice_plus must map each input j in {1, 2, 3}")
         for j, p in self.alice_plus.items():
             if not 0.0 <= p <= 1.0:
@@ -227,10 +234,11 @@ class CustomLocal:
     __reduce__ = _rebuilt_from("components")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+        components = tuple(self.components)
+        object.__setattr__(self, "components", components)
+        if not components:
             raise ValueError("CustomLocal needs at least one component")
-        total = sum(c.weight for c in self.components)
+        total = sum([c.weight for c in components])
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total}")
         # Row [j - 1][0 for a = +1, 1 for a = -1] is (p(a|j), f0, f1, f2, f3):
@@ -241,13 +249,23 @@ class CustomLocal:
         table = []
         for j in (1, 2, 3):
             p0 = p1 = p2 = p3 = p4 = m0 = m1 = m2 = m3 = m4 = 0.0
-            for c in self.components:
-                wp, wm = c.weight * c.alice_plus[j], c.weight * (1.0 - c.alice_plus[j])
+            for c in components:
+                w, p = c.weight, c.alice_plus[j]
+                wp, wm = w * p, w * (1.0 - p)
                 e0, e1, e2, e3 = c.bloch
                 p0, p1, p2, p3, p4 = p0 + wp, p1 + wp * e0, p2 + wp * e1, p3 + wp * e2, p4 + wp * e3
                 m0, m1, m2, m3, m4 = m0 + wm, m1 + wm * e0, m2 + wm * e1, m3 + wm * e2, m4 + wm * e3
             table.append(((p0, p1, p2, p3, p4), (m0, m1, m2, m3, m4)))
         object.__setattr__(self, "effect_table", tuple(table))
+
+
+# Flat positions of b1[(m, j), (i, l)] at row (i, m), column (j, l): the
+# reordered copy of b1 that LhsDeterministic pairs with its hidden state.
+_HIDDEN_FIRST = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
+
+# Alice's p(+|j) table for each assignment of three Python-int signs.
+_ALICE_PLUS = {signs: {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), signs)}
+               for signs in SIGN_TRIPLES}
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -258,7 +276,9 @@ class LhsDeterministic(CustomLocal):
     ``hidden_state``) and the referee qubit, so he clicks by the induced
     ``effect`` on the referee qubit alone, computed once here. This is the
     one-component CustomLocal whose Alice answers ``alice_signs`` for sure.
-    It keeps a read-only copy of the hidden state.
+    Three Python-int signs pass with one membership test; any other signs
+    take the per-element integer rule. The hidden state is checked once, and
+    the strategy keeps a read-only copy of the checked array.
     """
 
     alice_signs: tuple[int, int, int]
@@ -271,19 +291,20 @@ class LhsDeterministic(CustomLocal):
         if not isinstance(bob_povm, BinaryPovm):
             raise ValueError("bob_povm must be a BinaryPovm")
         signs = tuple(alice_signs)
-        if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
-            raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
-        object.__setattr__(self, "alice_signs", tuple(int(a) for a in signs))
-        rho = bloch_to_density(hidden_state)
-        object.__setattr__(self, "hidden_state", _frozen(np.asarray(hidden_state, dtype=float)))
+        if tuple(map(type, signs)) != (int, int, int) or signs not in _ALICE_PLUS:
+            if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
+                raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
+            signs = tuple(int(a) for a in signs)
+        object.__setattr__(self, "alice_signs", signs)
+        hidden = check_bloch(hidden_state)
+        rho = np.array(_density_entries(*hidden.tolist()), dtype=complex)  # bloch_to_density
+        object.__setattr__(self, "hidden_state", _frozen(hidden))
         object.__setattr__(self, "bob_povm", bob_povm)
         # E_jl = sum_(i,m) rho_im b1[(m, j), (i, l)] = tr_hidden[(rho x 1) b1],
         # as one product of rho, flattened over (i, m), with b1 reordered
         # to rows (i, m) and columns (j, l).
-        b1 = bob_povm.b1.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
-        effect = np.dot(rho.reshape(4), b1).reshape(2, 2)
-        alice_plus = {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), self.alice_signs)}
-        super().__init__((LocalComponent(1.0, alice_plus, effect),))
+        effect = np.dot(rho.reshape(4), bob_povm.b1.take(_HIDDEN_FIRST)).reshape(2, 2)
+        super().__init__((LocalComponent(1.0, _ALICE_PLUS[signs], effect),))
         object.__setattr__(self, "effect", self.components[0].effect)
 
 
@@ -361,21 +382,17 @@ def _witness_pairing(r: float, strategy: CustomLocal, ensemble: RefereeEnsemble)
     # Summing the per-setting payoff over s in closed form: with t = r/sqrt(3),
     # D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-),
     #   payoff = 2 sum_(j,a) [-2t f0_(j,a) + (a D_j - t S_j).f_(j,a)],
-    # tr(E T_a(r)) for a deterministic Alice. The tests keep the per-setting
+    # tr(E T_a(r)) for a deterministic Alice; a = +1, then a = -1. D_j and S_j
+    # come from the ensemble's witness form. The tests keep the per-setting
     # sum as oracle.
     t = r / SQRT3
+    two_t = 2.0 * t
     value = 0.0
-    n = ensemble.stack.tolist()  # n_(j,+) and n_(j,-) are rows 2j - 2 and 2j - 1
-    for rows, (px, py, pz), (mx, my, mz) in zip(strategy.effect_table, n[0::2], n[1::2]):
-        dx, dy, dz = px - mx, py - my, pz - mz
-        sx, sy, sz = px + mx, py + my, pz + mz
-        for a, (_, f0, fx, fy, fz) in zip((1, -1), rows):
-            value += (
-                (a * dx - t * sx) * fx
-                + (a * dy - t * sy) * fy
-                + (a * dz - t * sz) * fz
-                - 2.0 * t * f0
-            )
+    for ((_, f0, fx, fy, fz), (_, g0, gx, gy, gz)), (dx, dy, dz, sx, sy, sz) in zip(
+        strategy.effect_table, ensemble.witness_form.pairs
+    ):
+        value += (dx - t * sx) * fx + (dy - t * sy) * fy + (dz - t * sz) * fz - two_t * f0
+        value += (-dx - t * sx) * gx + (-dy - t * sy) * gy + (-dz - t * sz) * gz - two_t * g0
     return 2.0 * value
 
 
@@ -501,8 +518,16 @@ class TallyTable(CountTable):
     ROW = "{},{:+d},{:+d},{},{}"
     NAME = "tally"
 
-    def total(self, j: int, s: int) -> int:
-        return sum(self.cell(j, s, a, b) for a, b in _CELLS)
+
+def _substream(seed: int, *key: int) -> np.random.Generator:
+    # default_rng(SeedSequence([seed, *key])) for a checked seed >= 0. numpy splits each
+    # word of the list into uint32 words, one per word below 2^32; when all are, one
+    # uint32 array is the same entropy without that conversion. int(w) keeps a numpy
+    # integer that the cast would wrap on the list.
+    words = (seed, *key)
+    if max(map(int, words)) < 2**32:
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def simulate_runs(
@@ -527,7 +552,7 @@ def simulate_runs(
     p /= p.sum(axis=1, keepdims=True)
     counts: dict[tuple[int, int, int, int], int] = {}
     for (j, s), row in zip(SETTING_KEYS, p):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j, 0 if s > 0 else 1]))
+        rng = _substream(seed, j, 0 if s > 0 else 1)
         for cell, n in zip(_CELLS, rng.multinomial(n_per_setting, row).tolist()):
             counts[(j, s) + cell] = n
     return TallyTable._of_checked(counts)
@@ -590,9 +615,9 @@ def lhs_best_deterministic(
     the value reached when Bob projects onto the optimal direction at full
     strength. Ties pick the lexicographically smallest sign assignment.
     """
-    from .witness import SIGN_TRIPLES, _first_max, _sign_tables, _top_eigenvalues
+    from .witness import _first_max, _form_table, _top_eigenvalues
 
-    rows, vec_b = _sign_tables(ensemble.stack)
+    rows, vec_b = _form_table(ensemble)
     signs = _first_max(_top_eigenvalues(rows, vec_b, check_rate(spec.r)))
     t = rows[SIGN_TRIPLES.index(signs)] - spec.r * vec_b
     norm = float(np.linalg.norm(t))
@@ -609,11 +634,11 @@ def realize_lhs_best(spec: GameSpec, ensemble: RefereeEnsemble) -> LhsDeterminis
     any unit vector realizes the optimum.
     """
     signs, direction, _ = lhs_best_deterministic(spec, ensemble)
-    if np.linalg.norm(direction) < 0.5:
+    if not direction.any():  # the zero vector: no unit direction binds
         direction = np.array([0.0, 0.0, 1.0])
-    b1 = tensor(bloch_to_density(direction), bloch_to_density(direction))
-    povm = BinaryPovm(identity(4) - b1, b1)
-    return LhsDeterministic(signs, direction, povm)
+    projector = bloch_to_density(direction)
+    b1 = tensor(projector, projector)
+    return LhsDeterministic(signs, direction, BinaryPovm(_IDENTITY4 - b1, b1))
 
 
 def random_lhs_strategy(rng: np.random.Generator) -> LhsDeterministic:

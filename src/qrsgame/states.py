@@ -10,15 +10,22 @@ Referee ensembles are six qubit states indexed by a key (j, s) with
 j in {1, 2, 3} and s in {+1, -1}; the state for key (j, s) is (1 + n.sigma)/2,
 and a frozen RefereeEnsemble stores the six checked n once, as one read-only
 (6, 3) stack in SETTING_KEYS order. The ideal ensemble has n = s * e_j.
+
+Every witness reader in game and witness takes an ensemble's sums from its
+one WitnessForm, built here on the first read and kept read-only with the
+ensemble: the sign table (A_a for the eight sign rows, and B) and the
+pairing sums D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,6 +48,42 @@ from .qmath import (
 SETTING_KEYS: tuple[tuple[int, int], ...] = (
     (1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1),
 )
+
+SQRT3 = math.sqrt(3.0)
+
+SIGN_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(itertools.product((-1, 1), repeat=3))
+
+_SIGNS = np.array(SIGN_TRIPLES, dtype=float)
+
+
+def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # From (..., 6, 3) Bloch vectors in SETTING_KEYS order: the eight A rows
+    # as (..., 8, 3) in SIGN_TRIPLES order, and B as (..., 3), elementwise,
+    # so each table of a stack has the bits of a stack of one. The witness
+    # form and the bootstrap's trial stacks are built here.
+    plus, minus = vectors[..., 0::2, :], vectors[..., 1::2, :]
+    diffs = (plus - minus)[..., None, :, :]
+    rows = (
+        _SIGNS[:, 0:1] * diffs[..., 0, :]
+        + _SIGNS[:, 1:2] * diffs[..., 1, :]
+        + _SIGNS[:, 2:3] * diffs[..., 2, :]
+    )
+    sums = (plus + minus) / SQRT3
+    return rows, sums[..., 0, :] + sums[..., 1, :] + sums[..., 2, :]
+
+
+class WitnessForm(NamedTuple):
+    """One ensemble's witness sums, read-only.
+
+    ``rows`` (1, 8, 3) and ``vec_b`` (1, 3) are its sign table as a stack of
+    one: A_a in SIGN_TRIPLES order and B. ``pairs[j - 1]`` is (D_j, S_j) as
+    six Python floats, the sums the witness pairing of a local strategy's
+    effect table reads.
+    """
+
+    rows: np.ndarray
+    vec_b: np.ndarray
+    pairs: tuple
 
 
 class BellIndex(Enum):
@@ -104,10 +147,15 @@ def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class RefereeEnsemble:
-    """Six referee states, checked once and stored once as one read-only (6, 3) ``stack``."""
+    """Six referee states, checked once and stored once as one read-only (6, 3) ``stack``.
+
+    ``witness_form`` is built from the stack on its first read and kept;
+    construction never builds it, and pickling and copying drop it.
+    """
 
     vectors: Mapping[tuple[int, int], np.ndarray]
     stack: np.ndarray = field(init=False, repr=False)
+    _form: WitnessForm | None = field(default=None, init=False, repr=False)
     __reduce__ = _rebuilt_from("vectors")
 
     def __post_init__(self) -> None:
@@ -121,6 +169,21 @@ class RefereeEnsemble:
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "vectors", MappingProxyType(dict(zip(SETTING_KEYS, stack))))
+
+    @property
+    def witness_form(self) -> WitnessForm:
+        """The ensemble's WitnessForm, built on the first read."""
+        form = self._form
+        if form is None:
+            rows, vec_b = _sign_tables(self.stack[None])
+            rows.setflags(write=False)
+            vec_b.setflags(write=False)
+            plus, minus = self.stack[0::2], self.stack[1::2]
+            pairs = tuple(tuple(d + s) for d, s in zip((plus - minus).tolist(),
+                                                       (plus + minus).tolist()))
+            form = WitnessForm(rows, vec_b, pairs)
+            object.__setattr__(self, "_form", form)
+        return form
 
     def vector(self, j: int, s: int) -> np.ndarray:
         if (j, s) not in self.vectors:

@@ -17,17 +17,17 @@ differ. The oracle is the operational one.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import SQRT3, CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
-from .game import BinaryPovm, CountTable, _joint_table, check_rate, exact_payoff
+from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
+from .game import BinaryPovm, CountTable, _joint_table, _substream, check_rate, exact_payoff
 from .qmath import density_to_bloch, identity, is_integer, pauli, tensor
-from .states import SETTING_KEYS, RefereeEnsemble, _check_weight, referee_states, werner_state
+from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble, _check_weight
+from .states import _sign_tables, referee_states, werner_state
 
 TWO_SQRT3 = 2.0 * SQRT3
 
@@ -43,10 +43,6 @@ REGIME_STEERABLE_NO_BELL = "steerable-no-known-Bell"
 REGIME_OPEN_WINDOW = "steerable-open-Bell-window"
 REGIME_BELL = "Bell-violating"
 
-SIGN_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
-    itertools.product((-1, 1), repeat=3)
-)
-
 
 class CalibrationError(RuntimeError):
     """Raised when no sound penalty rate can be certified."""
@@ -59,27 +55,18 @@ class UnusedArgumentsError(ValueError):
         return f"calibrate with an ensemble does not use {' or '.join(self.args)}"
 
 
-_SIGNS = np.array(SIGN_TRIPLES, dtype=float)
-
 # The witness arithmetic below works on stacks of sign tables (leading
 # axes ...), one per ensemble or bootstrap trial, and gives each table the
 # same bits as a stack of one. Where one table took a dot product with `@`
 # or np.linalg.norm of a vector, matmul runs the same BLAS dot and gemv
-# kernels on the stack; a summed product would round differently.
+# kernels on the stack; a summed product would round differently. An
+# ensemble's own table is its witness form, built once (states.WitnessForm).
 
 
-def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # From (..., 6, 3) Bloch vectors in SETTING_KEYS order: the eight A rows
-    # as (..., 8, 3) in SIGN_TRIPLES order, and B as (..., 3).
-    plus, minus = vectors[..., 0::2, :], vectors[..., 1::2, :]
-    diffs = (plus - minus)[..., None, :, :]
-    rows = (
-        _SIGNS[:, 0:1] * diffs[..., 0, :]
-        + _SIGNS[:, 1:2] * diffs[..., 1, :]
-        + _SIGNS[:, 2:3] * diffs[..., 2, :]
-    )
-    sums = (plus + minus) / SQRT3
-    return rows, sums[..., 0, :] + sums[..., 1, :] + sums[..., 2, :]
+def _form_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    # The ensemble's one sign table, (8, 3) and (3,) views of its witness form.
+    form = ensemble.witness_form
+    return form.rows[0], form.vec_b[0]
 
 
 def assignment_vectors(
@@ -92,7 +79,7 @@ def assignment_vectors(
     """
     if len(assignment) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in assignment):
         raise ValueError(f"assignment must be three values of +/-1, got {assignment}")
-    rows, vec_b = _sign_tables(ensemble.stack)
+    rows, vec_b = _form_table(ensemble)
     return rows[SIGN_TRIPLES.index(tuple(assignment))], vec_b
 
 
@@ -120,7 +107,8 @@ def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float | np.ndarray)
 
 def _first_max(values: np.ndarray) -> tuple[int, int, int]:
     # The sign assignment of the largest value; lexicographically smallest
-    # on ties within 1e-15.
+    # on ties within 1e-15, compared as Python floats.
+    values = values.tolist()
     best = 0
     for i in range(1, len(values)):
         if values[i] > values[best] + 1e-15:
@@ -131,12 +119,12 @@ def _first_max(values: np.ndarray) -> tuple[int, int, int]:
 def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
     """Best no-steering payoff at rate r: max over signs of the top
     witness eigenvalue."""
-    return float(np.max(_top_eigenvalues(*_sign_tables(ensemble.stack), check_rate(r))))
+    return float(np.max(_top_eigenvalues(*_form_table(ensemble), check_rate(r))))
 
 
 def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
     """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
-    return _first_max(_top_eigenvalues(*_sign_tables(ensemble.stack), check_rate(r)))
+    return _first_max(_top_eigenvalues(*_form_table(ensemble), check_rate(r)))
 
 
 def _largest_root(rows: np.ndarray, vec_b: np.ndarray, c: float) -> np.ndarray:
@@ -203,7 +191,7 @@ def rstar_oracle(ensemble: RefereeEnsemble) -> float:
     2 sqrt(3) r, so r* <= sqrt(3) for every ensemble in the unit ball; the
     "below 4" error only guards roots that come out NaN or infinite.
     """
-    return _first_rstar(_rstar_tables(*_sign_tables(ensemble.stack[None])))
+    return _first_rstar(_rstar_tables(*ensemble.witness_form[:2]))
 
 
 def _printed(rows: np.ndarray, vec_b: np.ndarray) -> float:
@@ -222,7 +210,7 @@ def rstar_printed(ensemble: RefereeEnsemble) -> float:
     2, twice the operational boundary found by rstar_oracle; calibration
     reports carry both so the discrepancy stays visible.
     """
-    return _printed(*_sign_tables(ensemble.stack))
+    return _printed(*_form_table(ensemble))
 
 
 class CountRecord(CountTable):
@@ -337,8 +325,7 @@ def _calibrated_stack(row: np.ndarray, trials: int = 200, seed: int = 0) -> tupl
     for start in range(0, 1 + trials, _BOOTSTRAP_BLOCK):
         counts = np.zeros((min(_BOOTSTRAP_BLOCK, 1 + trials - start), row.size), dtype=np.int64)
         for n in range(max(start, 1), start + len(counts)):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, n - 1]))
-            counts[n - start, drawn] = rng.poisson(base)
+            counts[n - start, drawn] = _substream(seed, n - 1).poisson(base)
         if not start:
             counts[0] = row
         vectors, clipped = _invert(counts.reshape(-1, 6, 3, 2))
@@ -563,7 +550,7 @@ def calibrate(
         if given:
             raise UnusedArgumentsError(*given)
         vectors, clipped, boot = ensemble.stack, (), None
-        tables = _sign_tables(vectors[None])
+        tables = ensemble.witness_form[:2]
         rates = _rstar_tables(*tables)
     else:
         boot, (rates, vectors, flags, tables) = _calibrated_stack(

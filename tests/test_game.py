@@ -56,7 +56,7 @@ from qrsgame.states import (
     rotate_ensemble,
     werner_state,
 )
-from qrsgame.witness import _dual_strategy, channel_dual
+from qrsgame.witness import SIGN_TRIPLES, _dual_strategy, channel_dual
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
@@ -121,11 +121,12 @@ def dict_sampler(cells, strategy, ensemble, n, seed):
 
 def per_cell_estimate(spec, tally):
     """(value, stderr) of estimate_payoff, with every count read through
-    TallyTable.cell and total and the weights and frequencies kept in dicts."""
+    TallyTable.cell, each setting's total summed over its four cells, and the
+    weights and frequencies kept in dicts."""
     tax = spec.r / SQRT3
     value = variance = 0.0
     for j, s in SETTING_KEYS:
-        n = tally.total(j, s)
+        n = sum(tally.cell(j, s, a, b) for a, b in CELLS)
         w = {a: s * a - tax for a in (1, -1)}
         f = {a: tally.cell(j, s, a, 1) / n for a in (1, -1)}
         value += w[1] * f[1] + w[-1] * f[-1]
@@ -420,6 +421,44 @@ class TestStrategyValidation:
     def test_lhs_sign_validation(self):
         with pytest.raises(ValueError, match="alice_signs"):
             LhsDeterministic((1, 0, 1), np.zeros(3), singlet_projector_bc())
+
+    def test_lhs_sign_fast_path_keeps_the_integer_rule(self):
+        """Three Python-int signs pass by one membership test; whatever
+        equals such a triple without being three Python ints (a float, a
+        bool, a numpy bool), and wrong lengths and values, still fail with
+        the per-element rule's message. numpy-int signs pass and are stored
+        as Python ints, with the table that Python-int signs give."""
+        povm = singlet_projector_bc()
+        for signs in ((1.0, 1, 1), (True, 1, 1), (np.True_, 1, 1), (1, 1), (1, 1, 0),
+                      (1, 1, 1, 1), (1, [1], 1), (1, np.array([1, 1]), 1)):
+            with pytest.raises(ValueError) as err:
+                LhsDeterministic(signs, np.zeros(3), povm)
+            assert str(err.value) == f"alice_signs must be three integers +/-1, got {signs}"
+        hidden = np.array([0.1, -0.2, 0.3])
+        for signs in SIGN_TRIPLES:
+            for given in (signs, [np.int64(a) for a in signs], tuple(np.int8(a) for a in signs)):
+                strat = LhsDeterministic(given, hidden, povm)
+                assert strat.alice_signs == signs
+                assert all(type(a) is int for a in strat.alice_signs)
+                assert strat.effect_table == LhsDeterministic(signs, hidden, povm).effect_table
+                assert dict(strat.components[0].alice_plus) == {
+                    j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), signs)}
+
+    def test_lhs_hidden_state_checked_once(self, monkeypatch):
+        """The hidden vector passes one check_bloch; the strategy keeps a
+        read-only copy of the checked array and builds no density matrix
+        through bloch_to_density."""
+        calls = []
+        real = game.check_bloch
+        monkeypatch.setattr(game, "check_bloch", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(game, "bloch_to_density", None)
+        hidden = [0.25, 0.0, -0.5]
+        strat = LhsDeterministic((1, -1, 1), hidden, singlet_projector_bc())
+        assert len(calls) == 1
+        assert strat.hidden_state.tolist() == hidden and not strat.hidden_state.flags.writeable
+        rho = (identity(2) + 0.25 * pauli(1) - 0.5 * pauli(3)) / 2.0
+        assert np.abs(strat.effect - np.einsum(
+            "im,mjil->jl", rho, singlet_projector_bc().b1.reshape(2, 2, 2, 2))).max() <= 1e-15
 
     def test_lhs_effect_for_ideal_analyzer(self):
         """Against the singlet projector a pure hidden qubit at m induces
@@ -954,23 +993,25 @@ class TestLhsOptimum:
         assert np.allclose(direction, -np.ones(3) / SQRT3)
 
     def test_one_sign_table_same_optimum(self, monkeypatch):
-        """The best deterministic adversary is read from one sign table, with
-        the signs, direction and payoff of worst_assignment and
-        assignment_vectors."""
-        from qrsgame import witness
+        """The best deterministic adversary is read from the ensemble's one
+        witness form, with the signs, direction and payoff of
+        worst_assignment and assignment_vectors: one sign table is built per
+        ensemble for all three readers, and none through witness."""
+        from qrsgame import states, witness
 
         rng = np.random.default_rng(122)
         cases = [(referee_ideal(), r) for r in (0.0, 0.5, 1.0)]
         cases += [(perturbed_ensemble(rng), float(rng.uniform(0.0, 2.0))) for _ in range(30)]
         tables = []
-        real_tables = witness._sign_tables
+        real_tables = states._sign_tables
+        monkeypatch.setattr(states, "_sign_tables", lambda v: tables.append(v) or real_tables(v))
         monkeypatch.setattr(witness, "_sign_tables", lambda v: tables.append(v) or real_tables(v))
         for ens, r in cases:
             tables.clear()
             signs, direction, payoff = lhs_best_deterministic(canonical_game(r), ens)
-            assert len(tables) == 1
             want_signs = witness.worst_assignment(ens, r)
             vec_a, vec_b = witness.assignment_vectors(ens, want_signs)
+            assert len(tables) == 1
             t = vec_a - r * vec_b
             norm = float(np.linalg.norm(t))
             assert signs == want_signs
@@ -1013,7 +1054,7 @@ class TestSimulation:
         strat = HonestQuantum(werner_state(0.5), singlet_projector_bc())
         tally = simulate_runs(spec, strat, referee_ideal(), 320, seed=0)
         for j, s in SETTING_KEYS:
-            assert tally.total(j, s) == 320
+            assert sum(tally.cell(j, s, a, b) for a, b in CELLS) == 320
 
     def test_argument_validation(self):
         spec = canonical_game(1.0)
@@ -1106,6 +1147,39 @@ class TestSimulation:
             for n in (2**52 + 1, 2**60, 2**64):
                 with pytest.raises(ValueError, match=r"n_per_setting .* 1 to 2\^52, a tally"):
                     simulate_runs(spec, strat, referee_ideal(), n, seed=1)
+
+    def test_substream_is_the_listed_seed_sequence(self):
+        """_substream(seed, *key) draws what default_rng(SeedSequence([seed,
+        *key])) draws, on both sides of 2^32 and for numpy seeds, including
+        one that a cast to uint32 would wrap to a small word."""
+        seeds = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, np.int64(2**40), np.uint64(7))
+        for seed in seeds:
+            for key in ((), (0,), (3, 1), (2, 0), (2**40, 1)):
+                rng = game._substream(seed, *key)
+                want = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+                assert rng.bit_generator.state == want.bit_generator.state
+                draws = rng.integers(0, 2**62, size=4).tolist()
+                assert draws == want.integers(0, 2**62, size=4).tolist()
+        assert (game._substream(np.int64(2**40), 1, 0).random()
+                != game._substream(0, 1, 0).random())
+
+    def test_samplers_draw_from_substreams(self, monkeypatch):
+        """simulate_runs and the bootstrap take every draw from _substream,
+        with the keys (seed, j, 0 or 1) and (seed, trial)."""
+        keys = []
+        real = game._substream
+        monkeypatch.setattr(game, "_substream", lambda *k: keys.append(k) or real(*k))
+        from qrsgame import witness
+
+        monkeypatch.setattr(witness, "_substream", lambda *k: keys.append(k) or real(*k))
+        strat = HonestQuantum(werner_state(0.5), singlet_projector_bc())
+        simulate_runs(canonical_game(1.0), strat, referee_ideal(), 10, seed=2**33)
+        assert keys == [(2**33, j, 0 if s > 0 else 1) for j, s in SETTING_KEYS]
+        keys.clear()
+        cells = [(j, s, axis, o) for j, s in SETTING_KEYS for axis in (1, 2, 3) for o in (1, -1)]
+        counts = dict.fromkeys(cells, 5)
+        witness.bootstrap_calibration(witness.CountRecord(counts), trials=3, seed=9)
+        assert keys == [(9, 0), (9, 1), (9, 2)]
 
     def test_tally_validation(self):
         with pytest.raises(ValueError, match="malformed tally cell"):

@@ -54,3 +54,21 @@ def test_every_private_name_is_used():
             used |= _read_names(statement) - own
     assert len(private) >= 40
     assert sorted(private - used) == []
+
+
+def test_one_stream_rule():
+    """Every random stream comes from game._substream: `SeedSequence(`
+    appears in src/qrsgame only inside that one function, so a sampler
+    cannot seed its draws by a rule of its own."""
+    found = []
+    for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        spans = [
+            (node.lineno, node.end_lineno)
+            for node in ast.walk(ast.parse(source, str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name == "_substream"
+        ]
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            if "SeedSequence(" in line:
+                found.append((path.name, lineno, any(a <= lineno <= b for a, b in spans)))
+    assert found and all(inside for _, _, inside in found), found

@@ -1274,3 +1274,162 @@ class TestBatchedCalibration:
                             lambda rows, vec_b: tables(rows, vec_b) * math.nan)
         with pytest.raises(CalibrationError, match="every bootstrap trial"):
             calibrate(counts=records["dense"], trials=5, seed=0)
+
+
+# The witness pairing of a local strategy as it ran before the ensemble kept
+# a witness form: D_j and S_j recomputed from the stack on every call.
+
+
+def _stack_pairing(r, strategy, stack):
+    t = r / SQRT3
+    value = 0.0
+    n = stack.tolist()
+    for rows, (px, py, pz), (mx, my, mz) in zip(strategy.effect_table, n[0::2], n[1::2]):
+        dx, dy, dz = px - mx, py - my, pz - mz
+        sx, sy, sz = px + mx, py + my, pz + mz
+        for a, (_, f0, fx, fy, fz) in zip((1, -1), rows):
+            value += (
+                (a * dx - t * sx) * fx
+                + (a * dy - t * sy) * fy
+                + (a * dz - t * sz) * fz
+                - 2.0 * t * f0
+            )
+    return 2.0 * value
+
+
+def _stack_readouts(ensemble, strategies, rates):
+    """Every witness readout with each sign table built by _sign_tables from
+    the ensemble's stack, as the readers did before the witness form."""
+    rows, vec_b = states._sign_tables(ensemble.stack)
+    out = [witness._first_rstar(witness._rstar_tables(*states._sign_tables(ensemble.stack[None])))]
+    try:
+        out.append(witness._printed(rows, vec_b))
+    except ValueError as exc:
+        out.append(str(exc))
+    for a in SIGN_TRIPLES:
+        out.append((rows[SIGN_TRIPLES.index(a)].tobytes(), vec_b.tobytes()))
+    for r in rates:
+        top = witness._top_eigenvalues(rows, vec_b, r)
+        signs = witness._first_max(top)
+        t = rows[SIGN_TRIPLES.index(signs)] - r * vec_b
+        norm = float(np.linalg.norm(t))
+        direction = t / norm if norm > 1e-15 else np.zeros(3)
+        out += [float(np.max(top)), signs, (signs, direction.tobytes(), norm - TWO_SQRT3 * r)]
+        operator = -TWO_SQRT3 * r * identity(2)
+        for i in (1, 2, 3):
+            operator += (rows[2] - r * vec_b)[i - 1] * pauli(i)
+        out.append(operator.tobytes())
+        out += [_stack_pairing(r, s, ensemble.stack) for s in strategies]
+    return out
+
+
+def _readouts(ensemble, strategies, rates):
+    """The same readouts through the public readers of the ensemble."""
+    out = [rstar_oracle(ensemble)]
+    try:
+        out.append(rstar_printed(ensemble))
+    except ValueError as exc:
+        out.append(str(exc))
+    for a in SIGN_TRIPLES:
+        vec_a, vec_b = assignment_vectors(ensemble, a)
+        out.append((vec_a.tobytes(), vec_b.tobytes()))
+    for r in rates:
+        signs, direction, payoff = game.lhs_best_deterministic(canonical_game(r), ensemble)
+        out += [lhs_bound(ensemble, r), worst_assignment(ensemble, r),
+                (signs, direction.tobytes(), payoff)]
+        out.append(t_operator(ensemble, SIGN_TRIPLES[2], r).tobytes())
+        out += [exact_payoff(canonical_game(r), s, ensemble) for s in strategies]
+    return out
+
+
+def _same(got, want):
+    # Bit for bit: floats by repr, which tells -0.0 from 0.0.
+    return repr(got) == repr(want)
+
+
+class TestWitnessForm:
+    def _cases(self):
+        rng = np.random.default_rng(2001)
+        ensembles = [referee_ideal(), aligned_ensemble(),
+                     depolarize_ensemble(referee_ideal(), 0.5)]
+        ensembles += [perturbed_ensemble(rng) for _ in range(10)]
+        strategies = [random_lhs_strategy(rng) for _ in range(3)]
+        strategies += [random_local_strategy(rng) for _ in range(3)]
+        return rng, ensembles, strategies
+
+    def test_every_reader_matches_a_fresh_ensemble_and_the_stack(self):
+        """Each witness reader gives, bit for bit, on an ensemble whose form
+        was read before, on a fresh twin built from its vectors, and from
+        sign tables built from its stack the values the readers gave before
+        the form existed: r*, the printed readout, (A, B) per assignment,
+        the bound, the worst assignment, the best deterministic adversary,
+        T_a(r) and local payoffs, and calibrate's report."""
+        rng, ensembles, strategies = self._cases()
+        for ens in ensembles:
+            rstar = rstar_oracle(RefereeEnsemble(ens.vectors))
+            rates = [0.0, 0.5, float(rng.uniform(0.0, 2.0)), rstar]
+            ens.witness_form  # warm
+            twin = RefereeEnsemble(ens.vectors)
+            warm, cold = _readouts(ens, strategies, rates), _readouts(twin, strategies, rates)
+            want = _stack_readouts(ens, strategies, rates)
+            assert _same(warm, want) and _same(cold, want)
+            reports = [calibrate(ensemble=e) for e in (ens, RefereeEnsemble(ens.vectors))]
+            for report in reports:
+                assert report.r_star_oracle == want[0]
+                printed = want[1] if isinstance(want[1], float) else math.nan
+                assert _same(report.r_star_printed, printed)
+                rows, vec_b = states._sign_tables(ens.stack)
+                grid = (0.0, 0.5, 1.0, 1.5, 2.0, want[0])
+                values = witness._top_eigenvalues(rows, vec_b, np.array(grid))
+                assert _same(report.bound_at_r, dict(zip(grid, np.max(values, axis=-1).tolist())))
+                assert report.worst_assignment == witness._first_max(values[-1])
+
+    def test_form_is_built_once_on_first_read(self, monkeypatch):
+        """Construction builds no sign table; the first read of any witness
+        reader builds the one table, and every later reader, payoff and
+        calibration of that ensemble reads it without building another."""
+        _, ensembles, strategies = self._cases()
+        builds = []
+        real = states._sign_tables
+        monkeypatch.setattr(states, "_sign_tables", lambda v: builds.append(v.shape) or real(v))
+        monkeypatch.setattr(witness, "_sign_tables", lambda v: builds.append(v.shape) or real(v))
+        for ens in ensembles:
+            twin = RefereeEnsemble(ens.vectors)
+            assert builds == [] and twin._form is None
+            _readouts(twin, strategies, [0.0, 0.7])
+            calibrate(ensemble=twin)
+            assert builds == [(1, 6, 3)]
+            builds.clear()
+
+    def test_form_arrays_are_read_only(self):
+        _, ensembles, _ = self._cases()
+        for ens in ensembles:
+            form = ens.witness_form
+            assert form is ens.witness_form
+            assert form.rows.shape == (1, 8, 3) and form.vec_b.shape == (1, 3)
+            vec_a, vec_b = assignment_vectors(ens, (1, -1, 1))
+            for arr in (form.rows, form.vec_b, vec_a, vec_b):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[..., 0] = 1.0
+            assert len(form.pairs) == 3
+            for row, plus, minus in zip(form.pairs, ens.stack[0::2], ens.stack[1::2]):
+                assert type(row) is tuple and all(type(x) is float for x in row)
+                assert row == (*(plus - minus).tolist(), *(plus + minus).tolist())
+
+    def test_copies_drop_the_form_and_repr_and_equality_ignore_it(self):
+        import copy
+        import pickle
+
+        _, ensembles, _ = self._cases()
+        for ens in ensembles:
+            before, key = repr(ens), hash(ens)
+            form = ens.witness_form
+            assert repr(ens) == before == repr(RefereeEnsemble(ens.vectors))
+            assert hash(ens) == key and ens == ens
+            for clone in (pickle.loads(pickle.dumps(ens)), copy.deepcopy(ens), copy.copy(ens)):
+                assert clone._form is None and clone != ens
+                assert np.array_equal(clone.stack, ens.stack)
+                assert clone.witness_form is not form
+                assert _same(clone.witness_form.pairs, form.pairs)
+                assert clone.witness_form.rows.tobytes() == form.rows.tobytes()
