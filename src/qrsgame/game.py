@@ -290,10 +290,10 @@ class LhsDeterministic(CustomLocal):
     def __init__(self, alice_signs: tuple, hidden_state: np.ndarray, bob_povm: BinaryPovm) -> None:
         if not isinstance(bob_povm, BinaryPovm):
             raise ValueError("bob_povm must be a BinaryPovm")
-        signs = tuple(alice_signs)
+        signs = tuple(alice_signs) if np.iterable(alice_signs) else ()
         if tuple(map(type, signs)) != (int, int, int) or signs not in _ALICE_PLUS:
             if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
-                raise ValueError(f"alice_signs must be three integers +/-1, got {signs}")
+                raise ValueError(f"alice_signs must be three integers +/-1, got {alice_signs}")
             signs = tuple(int(a) for a in signs)
         object.__setattr__(self, "alice_signs", signs)
         hidden = check_bloch(hidden_state)
@@ -448,11 +448,13 @@ class CountTable:
         The cell's parts and the count must pass ``is_integer``: floats and
         bools are rejected, not truncated. A count may not exceed 2^52, so
         that two counts and their sum are exact floats and a ratio of counts
-        is the same in array arithmetic as in Python's integer division.
+        is the same in array arithmetic as in Python's integer division. A
+        cell that is not a tuple of four parts is malformed.
         """
-        j, s, x, y = cell
+        # None, for a part that is missing or not an integer, fails below.
+        j, s, x, y = cell if isinstance(cell, tuple) and len(cell) == 4 else (None,) * 4
         if not (type(j) is type(s) is type(x) is type(y) is int):
-            j, s, x, y = (int(v) if is_integer(v) else None for v in cell)  # None fails below
+            j, s, x, y = (int(v) if is_integer(v) else None for v in (j, s, x, y))
         if (j, s) not in SETTING_KEYS or (x, y) not in cls.CELLS:
             raise ValueError(f"malformed {cls.NAME} cell {cell}")
         if not is_integer(n):
@@ -539,8 +541,9 @@ def simulate_runs(
 ) -> TallyTable:
     """Sample n_per_setting rounds of every setting into a tally.
 
-    Each setting draws from its own substream seeded by (seed, j, s), so
-    the tally is reproducible no matter how the settings are scheduled.
+    Each setting draws from its own substream, keyed (seed, j, 0 if s > 0
+    else 1), so the tally is reproducible no matter how the settings are
+    scheduled.
     The draws do not depend on the rate in ``spec``.
     """
     if not is_integer(n_per_setting) or not 1 <= n_per_setting <= TallyTable.MAX_COUNT:

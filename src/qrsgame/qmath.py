@@ -1,15 +1,13 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Every operator in this package is a plain numpy array of dimension 2 or 4;
-nothing here allocates anything larger. Eigenvalues come from a closed form
-in dimension 2 and a cyclic complex Jacobi sweep in dimension 4, so the
-numeric path does not depend on an external eigensolver. The sweep runs on
-a 4x4 list of Python complex scalars: each rotation is applied in place to
-the two columns and then the two rows it mixes, p and q, which is all that
-U^dag A U changes. Eigenvalues are computed only where a value is needed;
-a yes/no positivity question is answered by ``psd_within``, which reads the
-pivots of a Cholesky factorization instead. Input checks: ``check_hermitian``
-for operators, ``check_bloch`` for Bloch vectors. All functions are pure.
+nothing here allocates anything larger. A yes/no positivity question is
+answered by ``psd_within``, which reads the pivots of a Cholesky
+factorization. Eigenvalues come from numpy's ``eigvalsh`` through
+``eig_hermitian`` alone, and only where a value is needed: the message of a
+failing density check and the scale of the random strategies. Input checks:
+``check_hermitian`` for operators, ``check_bloch`` for Bloch vectors. All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 BLOCH_NORM_TOL = 1e-9
 TRACE_TOL = 1e-9
-
-_JACOBI_OFF_TOL = 1e-12
-_MAX_JACOBI_SWEEPS = 60
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -113,40 +108,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def _jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
-    # Cyclic Jacobi for complex Hermitian matrices: each rotation is a phase
-    # that makes the (p, q) entry real followed by the standard real rotation
-    # that zeroes it. Quadratic convergence; the sweep cap is defensive.
-    a = m.tolist()
-    n = len(a)
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = math.sqrt(sum(abs(a[p][q]) ** 2 for p, q in pairs))
-        if off <= _JACOBI_OFF_TOL:
-            return np.array(sorted((a[k][k].real for k in range(n)), reverse=True))
-        for p, q in pairs:
-            mag = abs(a[p][q])
-            if mag == 0.0:
-                continue
-            phase = a[p][q] / mag
-            theta = 0.5 * math.atan2(2.0 * mag, (a[p][p] - a[q][q]).real)
-            c, s = math.cos(theta), math.sin(theta)
-            # U is the identity outside the (p, q) block
-            # [[c, -s], [s e^(-i phi), c e^(-i phi)]], with phase = e^(i phi).
-            s_conj, c_conj = s * phase.conjugate(), c * phase.conjugate()
-            for row in a:
-                x, y = row[p], row[q]
-                row[p] = c * x + s_conj * y
-                row[q] = c_conj * y - s * x
-            row_p, row_q = a[p], a[q]
-            s_phase, c_phase = s * phase, c * phase
-            for k in range(n):
-                x, y = row_p[k], row_q[k]
-                row_p[k] = c * x + s_phase * y
-                row_q[k] = c_phase * y - s * x
-    raise RuntimeError("Jacobi eigenvalue iteration did not converge")
-
-
 def check_hermitian(m: np.ndarray, dim: int, name: str) -> np.ndarray:
     """m as a complex dim x dim array; raises unless finite and Hermitian to HERMITIAN_TOL."""
     m = np.asarray(m, dtype=complex)
@@ -167,12 +128,7 @@ def is_integer(x: object) -> bool:
 def eig_hermitian(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, sorted descending."""
     m = check_hermitian(m, _as_operator(m).shape[0], "matrix")
-    if m.shape[0] == 2:
-        # Closed form for m = c*1 + v.sigma: the eigenvalues are c +/- |v|.
-        center = 0.5 * (m[0, 0] + m[1, 1]).real
-        radius = math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
-        return np.array([center + radius, center - radius])
-    return _jacobi_eigenvalues(0.5 * (m + m.conj().T))
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
 
 
 # 2*PSD_TOL*1 per dimension, built once: psd_within factors

@@ -77,10 +77,11 @@ def assignment_vectors(
     A = sum_j a_j (n_(j,+) - n_(j,-)) depends on the sign assignment,
     B = sum_j (n_(j,+) + n_(j,-)) / sqrt(3) does not.
     """
-    if len(assignment) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in assignment):
+    signs = tuple(assignment) if np.iterable(assignment) else ()
+    if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
         raise ValueError(f"assignment must be three values of +/-1, got {assignment}")
     rows, vec_b = _form_table(ensemble)
-    return rows[SIGN_TRIPLES.index(tuple(assignment))], vec_b
+    return rows[SIGN_TRIPLES.index(signs)], vec_b
 
 
 def t_operator(

@@ -340,17 +340,17 @@ class TestPovms:
 
 def test_povm_validation_never_reaches_jacobi(monkeypatch):
     """Building a valid analyzer decides positivity without eigenvalues:
-    with the 4x4 Jacobi made to fail, every constructor still succeeds."""
+    with numpy's eigvalsh made to fail, every constructor still succeeds."""
     rng = np.random.default_rng(109)
     # random_lhs_strategy may scale its analyzer with eig_hermitian, so the
     # strategies are drawn before the solver is disabled.
     adversaries = [random_lhs_strategy(rng) for _ in range(20)]
 
-    def no_jacobi(m):
-        raise AssertionError("4x4 Jacobi reached during POVM validation")
+    def no_eigenvalues(m):
+        raise AssertionError("eigvalsh reached during POVM validation")
 
-    monkeypatch.setattr(qmath, "_jacobi_eigenvalues", no_jacobi)
-    with pytest.raises(AssertionError, match="Jacobi reached"):
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    with pytest.raises(AssertionError, match="eigvalsh reached"):
         qmath.eig_hermitian(identity(4))
     singlet_projector_bc()
     for v in np.linspace(0.0, 1.0, 11):
@@ -404,6 +404,20 @@ class TestStrategyValidation:
             with pytest.raises(ValueError, match="shared_state"):
                 HonestQuantum(state, singlet_projector_bc())
 
+    def test_honest_state_failure_message_bytes(self):
+        """A 4x4 state that fails positivity names its lowest eigenvalue, on
+        a diagonal state and on one with off-diagonal entries."""
+        singlet = werner_state(1.0)
+        for rho, defects in (
+            (np.diag([0.7, 0.4, -0.05, -0.05]),
+             "hermiticity 0.00e+00, trace error 0.00e+00, min eigenvalue -5.00e-02"),
+            (1.2 * singlet - 0.2 * identity(4) / 4,
+             "hermiticity 0.00e+00, trace error 3.33e-16, min eigenvalue -5.00e-02"),
+        ):
+            with pytest.raises(ValueError) as err:
+                HonestQuantum(rho, singlet_projector_bc())
+            assert str(err.value) == f"shared_state is not a density matrix ({defects})"
+
     def test_honest_state_must_be_4x4(self):
         """A qubit state is refused where it enters, not later inside numpy."""
         with pytest.raises(ValueError, match=r"shared_state must be 4x4, got \(2, 2\)"):
@@ -414,6 +428,10 @@ class TestStrategyValidation:
         for signs in ((1.7, -1, 1), ("1", -1, 1), (True, -1, 1), (1.0, -1, 1)):
             with pytest.raises(ValueError, match="alice_signs"):
                 LhsDeterministic(signs, np.zeros(3), singlet_projector_bc())
+        for signs in (5, None):
+            with pytest.raises(ValueError) as err:
+                LhsDeterministic(signs, np.zeros(3), singlet_projector_bc())
+            assert str(err.value) == f"alice_signs must be three integers +/-1, got {signs}"
         strat = LhsDeterministic((np.int64(1), -1, 1), np.zeros(3), singlet_projector_bc())
         assert strat.alice_signs == (1, -1, 1)
         assert all(type(a) is int for a in strat.alice_signs)

@@ -1,8 +1,9 @@
 """Linear-algebra layer: frozen identities plus oracle checks against numpy.
 
-The package ships its own eigensolver (closed form for qubits, cyclic
-Jacobi for two-qubit operators) and a Cholesky positivity predicate;
-numpy's eigvalsh is used here only as an independent oracle for both.
+The package decides positivity by a Cholesky predicate, which numpy's
+eigvalsh checks here as an independent oracle. Its one eigenvalue routine,
+eig_hermitian, is eigvalsh itself, so its tests use closed-form spectra
+instead.
 """
 
 import ast
@@ -193,22 +194,6 @@ class TestStackedPrimitives:
 
 
 class TestEigHermitian:
-    def test_qubit_closed_form_vs_numpy(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            m = random_hermitian(rng, 2)
-            got = eig_hermitian(m)
-            want = np.linalg.eigvalsh(m)[::-1]
-            assert np.allclose(got, want, atol=1e-12)
-
-    def test_jacobi_vs_numpy(self):
-        rng = np.random.default_rng(22)
-        for _ in range(200):
-            m = random_hermitian(rng, 4)
-            got = eig_hermitian(m)
-            want = np.linalg.eigvalsh(m)[::-1]
-            assert np.allclose(got, want, atol=1e-10)
-
     def test_descending_and_trace(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
@@ -230,29 +215,6 @@ class TestEigHermitian:
             eigs = eig_hermitian(werner_state(w))
             want = [(1 + 3 * w) / 4] + [(1 - w) / 4] * 3
             assert np.allclose(eigs, want, atol=1e-12)
-
-    def test_structured_two_qubit_operators_vs_numpy(self):
-        """The operators the package validates: Werner states, partial-BSM
-        elements, rank-one product projectors, the identity, and diagonal
-        matrices whose off-diagonal zeros carry a sign or phase."""
-        rng = np.random.default_rng(24)
-        shapes = [werner_state(w) for w in np.linspace(0.0, 1.0, 11)]
-        for v in np.linspace(0.0, 1.0, 11):
-            povm = partial_bsm_povm(float(v))
-            shapes += [povm.b0, povm.b1]
-        for _ in range(20):
-            m, n = rng.normal(size=3), rng.normal(size=3)
-            shapes.append(tensor(bloch_to_density(m / np.linalg.norm(m)),
-                                 bloch_to_density(n / np.linalg.norm(n))))
-        shapes.append(identity(4))
-        diag = np.diag([0.7, -0.2, 0.7, 1e-3]).astype(complex)
-        diag[0, 1], diag[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
-        diag[2, 3], diag[3, 2] = complex(0.0, -0.0), complex(-0.0, 0.0)
-        shapes.append(diag)
-        for m in shapes:
-            got = eig_hermitian(m)
-            want = np.linalg.eigvalsh(m)[::-1]
-            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -448,7 +410,7 @@ class TestDensityPositivityRule:
 
     def test_passing_check_runs_no_eigensolver(self, monkeypatch):
         """A passing check carries NaN as its minimum eigenvalue; only a
-        failing check runs the Jacobi sweep, to fill in the message."""
+        failing check computes eigenvalues, to fill in the message."""
         def refuse(m):
             raise AssertionError("eigenvalues computed for a passing check")
 
@@ -532,24 +494,6 @@ def test_real_trace_product_matches_numpy():
             a = random_hermitian(rng, dim)
             b = random_hermitian(rng, dim)
             assert np.isclose(real_trace_product(a, b), np.trace(a @ b).real)
-
-
-_NUMPY_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
-
-
-def test_package_never_calls_numpy_eigensolver():
-    """numpy's eigensolver is a test oracle only; the package's numeric
-    path uses the closed forms and the Jacobi sweep in qmath."""
-    offenders = []
-    for path in sorted(Path(qrsgame.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in _NUMPY_EIGENSOLVERS:
-                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and node.module and "linalg" in node.module:
-                for alias in node.names:
-                    if alias.name in _NUMPY_EIGENSOLVERS:
-                        offenders.append(f"{path.name}:{node.lineno} import {alias.name}")
-    assert not offenders, f"numpy eigensolver used in the package: {offenders}"
 
 
 def test_only_qmath_measures_hermiticity():

@@ -72,3 +72,40 @@ def test_one_stream_rule():
             if "SeedSequence(" in line:
                 found.append((path.name, lineno, any(a <= lineno <= b for a, b in spans)))
     assert found and all(inside for _, _, inside in found), found
+
+
+_NUMPY_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def test_one_eigenvalue_routine():
+    """numpy's eigensolver appears in src/qrsgame only inside
+    qmath.eig_hermitian, and eig_hermitian is read only off the hot paths:
+    in is_density_matrix, for a failing check's message, and in the two
+    fuzz families, which scale a random PSD matrix by its top eigenvalue.
+    Positivity is decided by Cholesky pivots and the witness's top
+    eigenvalue by its closed form, so nothing else needs a solver."""
+    solver, users = [], []
+    for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+        def owner(node):
+            # The innermost function whose lines hold the node, or None at module level.
+            spans = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            return max(spans, key=lambda f: f.lineno).name if spans else None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _NUMPY_EIGENSOLVERS:
+                solver.append((path.name, owner(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module and "linalg" in node.module:
+                solver += [(path.name, f"import {alias.name}") for alias in node.names
+                           if alias.name in _NUMPY_EIGENSOLVERS]
+            elif (isinstance(node, ast.Name) and node.id == "eig_hermitian"
+                  or isinstance(node, ast.Attribute) and node.attr == "eig_hermitian"):
+                users.append((path.name, owner(node)))
+    assert solver == [("qmath.py", "eig_hermitian")]
+    assert sorted(users) == [
+        ("game.py", "random_lhs_strategy"),
+        ("game.py", "random_local_strategy"),
+        ("qmath.py", "is_density_matrix"),
+    ]

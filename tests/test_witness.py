@@ -135,6 +135,10 @@ class TestWitnessOperator:
                 assignment_vectors(ens, bad)
             with pytest.raises(ValueError, match="assignment must be three values"):
                 t_operator(ens, bad, 0.5)
+        for bad in (5, None):
+            with pytest.raises(ValueError) as err:
+                assignment_vectors(ens, bad)
+            assert str(err.value) == f"assignment must be three values of +/-1, got {bad}"
         signs = (np.int64(1), 1, np.int64(-1))
         assert np.array_equal(t_operator(ens, signs, 0.5), t_operator(ens, (1, 1, -1), 0.5))
 
@@ -905,6 +909,16 @@ class TestCountsCsv:
             assert loaded.counts == built.counts
             assert all(type(v) is int for key in loaded.counts for v in key)
             assert loaded.format() == built.format()
+
+    def test_cell_keys_must_have_four_parts(self):
+        """A key that is not four parts, or not a tuple, is a malformed
+        cell: the constructor raises its ValueError, not an unpacking
+        error or a TypeError."""
+        for table, name in ((TallyTable, "tally"), (CountRecord, "count")):
+            for key in ((1, 1, 1), (1, 1, 1, 1, 1), 5, "1111", "abc"):
+                with pytest.raises(ValueError) as err:
+                    table({(1, 1, 1, 1): 3, key: 5})
+                assert str(err.value) == f"malformed {name} cell {key}"
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
