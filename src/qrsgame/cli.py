@@ -57,19 +57,16 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_ensemble(args: argparse.Namespace):
-    if args.ensemble_path is None:
-        return referee_ideal()
-    return load_ensemble(args.ensemble_path)
-
-
-def _resolve_r(args: argparse.Namespace, ensemble) -> float:
+def _game(args: argparse.Namespace) -> tuple:
+    # The --ensemble (ideal by default) and the game at --r, which 'auto' calibrates on it.
+    ensemble = referee_ideal() if args.ensemble_path is None else load_ensemble(args.ensemble_path)
     if args.r == "auto":
-        return max(rstar_oracle(ensemble), 1.0)
+        return ensemble, canonical_game(max(rstar_oracle(ensemble), 1.0))
     try:
-        return float(args.r)
+        r = float(args.r)
     except ValueError as exc:
         raise ValueError(f"--r must be a number or 'auto', got {args.r!r}") from exc
+    return ensemble, canonical_game(r)
 
 
 def _honest_strategies(weights, visibility: float) -> list[HonestQuantum]:
@@ -91,12 +88,10 @@ def cmd_payoff(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be nonnegative, got {args.n_per_setting}")
     if args.n_per_setting == 0 and args.seed is not None:
         raise ValueError("--seed is only used together with --n")
-    ensemble = _load_ensemble(args)
-    r = _resolve_r(args, ensemble)
-    spec = canonical_game(r)
+    ensemble, spec = _game(args)
     [strategy] = _honest_strategies([args.w], args.visibility)
     exact = exact_payoff(spec, strategy, ensemble)
-    reference = 3.0 * args.visibility * args.w - SQRT3 * r * (2.0 - args.visibility)
+    reference = 3.0 * args.visibility * args.w - SQRT3 * spec.r * (2.0 - args.visibility)
     regime = regime_at(args.w, werner_threshold(spec, strategy.bob_povm, ensemble))
     estimate = None
     if args.n_per_setting > 0:
@@ -105,7 +100,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
     if args.format == "json":
         data = {
             "W": args.w,
-            "r": _round10(r),
+            "r": _round10(spec.r),
             "exact_payoff": _round10(exact),
             "linear_reference": _round10(reference),
             "regime": regime,
@@ -154,9 +149,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep grid bounds must satisfy 0 <= min <= max <= 1, "
             f"got [{args.w_min}, {args.w_max}]"
         )
-    ensemble = _load_ensemble(args)
-    r = _resolve_r(args, ensemble)
-    spec = canonical_game(r)
+    ensemble, spec = _game(args)
     grid = np.linspace(args.w_min, args.w_max, args.steps)
     strategies = _honest_strategies(grid, args.visibility)
     w_game = werner_threshold(spec, strategies[0].bob_povm, ensemble)
@@ -177,9 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n_per_setting < 1:
         raise ValueError("simulate needs --n >= 1")
-    ensemble = _load_ensemble(args)
-    r = _resolve_r(args, ensemble)
-    spec = canonical_game(r)
+    ensemble, spec = _game(args)
     [strategy] = _honest_strategies([args.w], args.visibility)
     tally = simulate_runs(spec, strategy, ensemble, args.n_per_setting, args.seed or 0)
     estimate = estimate_payoff(spec, tally)

@@ -12,34 +12,34 @@ conditional averages enter, so the evaluation is independent of the
 referee's (uniform) key distribution. This is the only game the package
 plays: a frozen GameSpec holds nothing but the checked rate r.
 
-Strategies come in two forms. HonestQuantum shares a two-qubit state and
-lets Bob project his half together with the referee qubit onto a partial
-Bell-state analyzer. Alice's measurement does not involve the referee, so
-the states it leaves on Bob's qubit, cond_(j,a), and their traces p(a|j)
-are computed once at construction, as one stack. One stacked pass per
-strategy and ensemble pairs each cond_(j,a) x omega_(j,s) with the analyzer:
-the payoff reads its twelve clicks, the sampler and joint_probabilities six
-rows of four cells. Every no-steering adversary is a mixture of
-local components: Alice answers from a response table and Bob clicks
-according to an effect E_c on the referee qubit alone, whose four entries
-are read and checked once. CustomLocal is the general mixture and the fuzzing
-family of the adversarial tests; LhsDeterministic is the CustomLocal with
-one component, fixed Alice signs and the effect of a local hidden qubit. A
-CustomLocal compiles at construction into one effect table: for each input
-j and sign a, Alice's marginal p(a|j) and the Bloch form of the referee
-effect F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is affine
-in the referee Bloch vector, and the exact payoff of a local strategy is
+Strategies come in two forms. HonestQuantum shares a two-qubit state and lets
+Bob project his half together with the referee qubit onto a partial Bell-state
+analyzer. Alice's measurement does not involve the referee, so the states it
+leaves on Bob's qubit, cond_(j,a), and their traces p(a|j) are computed once at
+construction, as one stack. One stacked pass per strategy and ensemble pairs
+each cond_(j,a) x omega_(j,s) with the analyzer: the payoff reads its twelve
+clicks; the sampler, joint_probabilities and witness's covariance check read
+the one joint table, six rows of four cells (_cell_rows). Every no-steering
+adversary is a mixture of local components: Alice answers from a response table
+and Bob clicks according to an effect E_c on the referee qubit alone, whose
+four entries are read and checked once. CustomLocal is the general mixture and
+the fuzzing family of the adversarial tests; LhsDeterministic is the
+CustomLocal with one component, fixed Alice signs and the effect of a local
+hidden qubit. A CustomLocal compiles at construction into one effect table: for
+each input j and sign a, Alice's marginal p(a|j) and the Bloch form of the
+referee effect F_(j,a) = sum_c w_c p_c(a|j) E_c, so a click probability is
+affine in the referee Bloch vector, and the exact payoff of a local strategy is
 the witness pairing of that table with the pairing sums D_j and S_j of the
-ensemble's witness form, which the ensemble builds once and every local
-payoff, sign table and best adversary of it reads. LhsDeterministic accepts
-three Python-int signs by one membership test and checks its hidden vector
-once. Strategies are frozen and keep read-only copies of the arrays
-they are given, so a compiled form cannot go stale; pickling or copying
-one rebuilds it through its constructor, and == is identity. Every input
-check keeps check_hermitian's tolerances and messages. All functions are
-pure and every random draw comes from _substream, the one rule that keys
-a stream by the caller's seed and the setting or trial, so results never
-depend on scheduling or threads.
+ensemble's witness form, which the ensemble builds once and every local payoff,
+sign table and best adversary of it reads, and whose top eigenvalues states
+computes. LhsDeterministic accepts three Python-int signs by one membership
+test and checks its hidden vector once. Strategies are frozen and keep
+read-only copies of the arrays they are given, so a compiled form cannot go
+stale; pickling or copying one rebuilds it through its constructor, and == is
+identity. Every input check keeps check_hermitian's tolerances and messages.
+All functions are pure and every random draw comes from _substream, the one
+rule that keys a stream by the caller's seed and the setting or trial, so
+results never depend on scheduling or threads.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .qmath import (
     tensor,
 )
 from .states import _SINGLET, SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble, referee_states
+from .states import _first_max, _form_table, _top_eigenvalues
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 _INPUTS = frozenset((1, 2, 3))
@@ -238,6 +239,8 @@ class CustomLocal:
         object.__setattr__(self, "components", components)
         if not components:
             raise ValueError("CustomLocal needs at least one component")
+        if not all(isinstance(c, LocalComponent) for c in components):
+            raise ValueError("CustomLocal components must be LocalComponents")
         total = sum([c.weight for c in components])
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total}")
@@ -364,18 +367,12 @@ def _cell_rows(strategy: Strategy, ensemble: RefereeEnsemble) -> list:
             for (j, _), (plus, minus) in zip(SETTING_KEYS, clicks)]
 
 
-def _joint_table(strategy: Strategy, ensemble: RefereeEnsemble) -> dict:
-    # The cell rows as p(a, b) dicts over _CELLS, keyed by (j, s).
-    rows = _cell_rows(strategy, ensemble)
-    return {key: dict(zip(_CELLS, row)) for key, row in zip(SETTING_KEYS, rows)}
-
-
 def joint_probabilities(
     strategy: Strategy, ensemble: RefereeEnsemble, j: int, s: int
 ) -> dict[tuple[int, int], float]:
     """p(a, b) for one setting, as a dict over the four (a, b) cells."""
     ensemble.vector(j, s)  # raises on a key the ensemble does not have
-    return _joint_table(strategy, ensemble)[(j, s)]
+    return dict(zip(_CELLS, _cell_rows(strategy, ensemble)[SETTING_KEYS.index((j, s))]))
 
 
 def _witness_pairing(r: float, strategy: CustomLocal, ensemble: RefereeEnsemble) -> float:
@@ -413,16 +410,18 @@ def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) 
     return 2.0 * value
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountTable:
     """Integer counts per (j, s, x, y) cell, with its own CSV format.
 
     A subclass fixes the allowed (x, y) pairs in file order (CELLS), the
     CSV header (HEADER), the row format (ROW) and the name used in error
     messages (NAME). Zero cells are dropped, so they never reach a file.
+    The table is frozen and keeps its checked counts as a read-only mapping.
     """
 
-    counts: dict[tuple[int, int, int, int], int]
+    counts: Mapping[tuple[int, int, int, int], int]
+    __reduce__ = _rebuilt_from("counts")
 
     CELLS: ClassVar[tuple[tuple[int, int], ...]] = ()
     MAX_COUNT: ClassVar[int] = 2**52
@@ -432,13 +431,13 @@ class CountTable:
 
     def __post_init__(self) -> None:
         checked = [self.check_cell(cell, n) for cell, n in self.counts.items()]
-        self.counts = {cell: n for cell, n in checked if n}
+        object.__setattr__(self, "counts", MappingProxyType({cell: n for cell, n in checked if n}))
 
     @classmethod
     def _of_checked(cls, counts: dict) -> CountTable:
         # Cells that check_cell passed or numpy's multinomial drew, not checked again.
         table = cls.__new__(cls)
-        table.counts = {cell: n for cell, n in counts.items() if n}
+        object.__setattr__(table, "counts", MappingProxyType({c: n for c, n in counts.items() if n}))
         return table
 
     @classmethod
@@ -587,6 +586,8 @@ def estimate_payoff(spec: GameSpec, tally: TallyTable) -> PayoffEstimate:
     the variance is the exact multinomial covariance evaluated at the
     observed frequencies, and settings add independently.
     """
+    if not isinstance(tally, TallyTable):
+        raise ValueError(f"estimate_payoff needs a TallyTable, got {type(tally).__name__}")
     tax = spec.r / SQRT3
     value = 0.0
     variance = 0.0
@@ -618,8 +619,6 @@ def lhs_best_deterministic(
     the value reached when Bob projects onto the optimal direction at full
     strength. Ties pick the lexicographically smallest sign assignment.
     """
-    from .witness import _first_max, _form_table, _top_eigenvalues
-
     rows, vec_b = _form_table(ensemble)
     signs = _first_max(_top_eigenvalues(rows, vec_b, check_rate(spec.r)))
     t = rows[SIGN_TRIPLES.index(signs)] - spec.r * vec_b

@@ -14,7 +14,11 @@ and a frozen RefereeEnsemble stores the six checked n once, as one read-only
 Every witness reader in game and witness takes an ensemble's sums from its
 one WitnessForm, built here on the first read and kept read-only with the
 ensemble: the sign table (A_a for the eight sign rows, and B) and the
-pairing sums D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-).
+pairing sums D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-). The
+arithmetic both read on sign tables is here too: the top witness
+eigenvalues |A_a - r B| - 2 sqrt(3) r and the first sign row of their
+maximum, on stacks of tables (one per ensemble or bootstrap trial) that
+give each table the bits of a stack of one.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ SETTING_KEYS: tuple[tuple[int, int], ...] = (
 )
 
 SQRT3 = math.sqrt(3.0)
+TWO_SQRT3 = 2.0 * SQRT3
 
 SIGN_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(itertools.product((-1, 1), repeat=3))
 
@@ -84,6 +89,32 @@ class WitnessForm(NamedTuple):
     rows: np.ndarray
     vec_b: np.ndarray
     pairs: tuple
+
+
+def _form_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    # The ensemble's one sign table, (8, 3) and (3,) views of its witness form.
+    form = ensemble.witness_form
+    return form.rows[0], form.vec_b[0]
+
+
+def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float | np.ndarray) -> np.ndarray:
+    # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a, with
+    # one rate per table (r of shape ...). The norm is the sum of squares
+    # np.linalg.norm(axis=-1) takes, without its dispatch.
+    r = np.asarray(r, dtype=float)
+    t = rows - r[..., None, None] * vec_b[..., None, :]
+    return np.sqrt(np.add.reduce(t * t, axis=-1)) - TWO_SQRT3 * r[..., None]
+
+
+def _first_max(values: np.ndarray) -> tuple[int, int, int]:
+    # The sign assignment of the largest value; lexicographically smallest
+    # on ties within 1e-15, compared as Python floats.
+    values = values.tolist()
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best] + 1e-15:
+            best = i
+    return SIGN_TRIPLES[best]
 
 
 class BellIndex(Enum):

@@ -4,8 +4,9 @@ A no-steering adversary with fixed Alice signs a and an arbitrary response
 effect E on the referee qubit collects payoff tr(E T_a(r)), where T_a(r)
 is the witness operator assembled from the referee Bloch vectors. The
 best such adversary therefore earns the top eigenvalue of T_a(r), which
-is |A_a - r B| - 2 sqrt(3) r in closed form, and the game is sound at rate
-r exactly when that value is nonpositive for all eight sign assignments.
+is |A_a - r B| - 2 sqrt(3) r in closed form (states computes it beside the
+sign table, for game too), and the game is sound at rate r exactly when
+that value is nonpositive for all eight sign assignments.
 The calibration oracle takes the least such r as the largest root of a
 quadratic, rounded up to a multiple of 2^-34; the tests check it against
 bisection and the eigenvalues against numpy's eigensolver.
@@ -24,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
-from .game import BinaryPovm, CountTable, _joint_table, _substream, check_rate, exact_payoff
+from .game import BinaryPovm, CountTable, _cell_rows, _substream, check_rate, exact_payoff
 from .qmath import density_to_bloch, identity, is_integer, pauli, tensor
-from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble, _check_weight
-from .states import _sign_tables, referee_states, werner_state
-
-TWO_SQRT3 = 2.0 * SQRT3
+from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble, _check_weight
+from .states import _first_max, _form_table, _sign_tables, _top_eigenvalues, referee_states
+from .states import werner_state
 
 # Werner-weight landmarks: below W_NO_BELL no Bell inequality can be
 # violated, above W_KNOWN_BELL a (non-CHSH) violation is known, above
@@ -53,20 +53,6 @@ class UnusedArgumentsError(ValueError):
 
     def __str__(self) -> str:
         return f"calibrate with an ensemble does not use {' or '.join(self.args)}"
-
-
-# The witness arithmetic below works on stacks of sign tables (leading
-# axes ...), one per ensemble or bootstrap trial, and gives each table the
-# same bits as a stack of one. Where one table took a dot product with `@`
-# or np.linalg.norm of a vector, matmul runs the same BLAS dot and gemv
-# kernels on the stack; a summed product would round differently. An
-# ensemble's own table is its witness form, built once (states.WitnessForm).
-
-
-def _form_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    # The ensemble's one sign table, (8, 3) and (3,) views of its witness form.
-    form = ensemble.witness_form
-    return form.rows[0], form.vec_b[0]
 
 
 def assignment_vectors(
@@ -97,26 +83,6 @@ def t_operator(
     return out
 
 
-def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float | np.ndarray) -> np.ndarray:
-    # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a, with
-    # one rate per table (r of shape ...). The norm is the sum of squares
-    # np.linalg.norm(axis=-1) takes, without its dispatch.
-    r = np.asarray(r, dtype=float)
-    t = rows - r[..., None, None] * vec_b[..., None, :]
-    return np.sqrt(np.add.reduce(t * t, axis=-1)) - TWO_SQRT3 * r[..., None]
-
-
-def _first_max(values: np.ndarray) -> tuple[int, int, int]:
-    # The sign assignment of the largest value; lexicographically smallest
-    # on ties within 1e-15, compared as Python floats.
-    values = values.tolist()
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best] + 1e-15:
-            best = i
-    return SIGN_TRIPLES[best]
-
-
 def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
     """Best no-steering payoff at rate r: max over signs of the top
     witness eigenvalue."""
@@ -126,6 +92,12 @@ def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
 def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
     """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
     return _first_max(_top_eigenvalues(*_form_table(ensemble), check_rate(r)))
+
+
+# The calibration below works on stacks of sign tables, as _top_eigenvalues
+# does. Where one table took a dot product with `@` or np.linalg.norm of a
+# vector, matmul runs the same BLAS dot and gemv kernels on the stack; a
+# summed product would round differently.
 
 
 def _largest_root(rows: np.ndarray, vec_b: np.ndarray, c: float) -> np.ndarray:
@@ -492,14 +464,11 @@ def channel_covariance_check(
     open a loophole.
     """
     ops = _check_kraus(kraus)
-    state_route = _joint_table(strategy, _channel_ensemble(ops, ensemble))
-    povm_route = _joint_table(_dual_strategy(ops, strategy), ensemble)
+    state_route = _cell_rows(strategy, _channel_ensemble(ops, ensemble))
+    povm_route = _cell_rows(_dual_strategy(ops, strategy), ensemble)
     # A NaN tol fails every cell.
-    return all(
-        abs(p - povm_route[key][cell]) <= tol
-        for key, probs in state_route.items()
-        for cell, p in probs.items()
-    )
+    return all(abs(p - q) <= tol for row, other in zip(state_route, povm_route)
+               for p, q in zip(row, other))
 
 
 @dataclass

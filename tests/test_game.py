@@ -56,7 +56,7 @@ from qrsgame.states import (
     rotate_ensemble,
     werner_state,
 )
-from qrsgame.witness import SIGN_TRIPLES, _dual_strategy, channel_dual
+from qrsgame.witness import SIGN_TRIPLES, CountRecord, _dual_strategy, channel_dual
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
@@ -583,6 +583,17 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match="at least one"):
             CustomLocal(())
 
+    def test_mixture_components_must_be_local_components(self):
+        """A component that is not a LocalComponent is rejected with a
+        ValueError, as a bob_povm that is not a BinaryPovm is, before any
+        of its fields is read."""
+        comp = LocalComponent(1.0, {1: 0.5, 2: 0.5, 3: 0.5}, identity(2) / 2.0)
+        for bad in ((1.0, {1: 0.5, 2: 0.5, 3: 0.5}, identity(2) / 2.0), None,
+                    CustomLocal((comp,))):
+            for components in ((bad,), (comp, bad)):
+                with pytest.raises(ValueError, match="must be LocalComponents"):
+                    CustomLocal(components)
+
     def test_built_strategies_are_frozen(self):
         """Reassigning a field would leave the compiled form scoring the old
         strategy, so every field of a built strategy, component or POVM
@@ -877,7 +888,7 @@ class TestExactPayoff:
             return honest_clicks(*args)
 
         monkeypatch.setattr(game, "joint_probabilities", no_joint)
-        monkeypatch.setattr(game, "_joint_table", no_joint)
+        monkeypatch.setattr(game, "_cell_rows", no_joint)
         monkeypatch.setattr(game, "_honest_clicks", spy)
         for strat, score in zip(locals_, scores):
             assert abs(exact_payoff(spec, strat, ens) - score) <= 1e-12
@@ -1294,6 +1305,19 @@ class TestEstimator:
         counts = {(j, s, 1, 1): 5 for j, s in SETTING_KEYS if (j, s) != (2, -1)}
         with pytest.raises(ValueError, match=r"\(j=2, s=-1\)"):
             estimate_payoff(spec, TallyTable(counts))
+
+    def test_only_a_tally_is_estimated(self):
+        """A count record's cells are axes and outcomes, not signs and
+        clicks, so estimating one, or anything else that is not a
+        TallyTable, raises instead of returning a number."""
+        spec = canonical_game(1.0)
+        cells = [(j, s, x, y) for j, s in SETTING_KEYS for x, y in CountRecord.CELLS]
+        tally_cells = [(j, s, a, b) for j, s in SETTING_KEYS for a, b in TallyTable.CELLS]
+        for table in (CountRecord(dict.fromkeys(cells, 5)), dict.fromkeys(tally_cells, 5)):
+            with pytest.raises(ValueError, match="needs a TallyTable"):
+                estimate_payoff(spec, table)
+        uniform = estimate_payoff(spec, TallyTable(dict.fromkeys(tally_cells, 5)))
+        assert math.isclose(uniform.value, -2.0 * SQRT3, abs_tol=1e-12)  # half click, all taxed
 
     def test_to_dict_layout(self):
         spec = canonical_game(1.0)

@@ -74,6 +74,43 @@ def test_one_stream_rule():
     assert found and all(inside for _, _, inside in found), found
 
 
+# The package's modules in import order: each may import only those before it.
+_LAYERS = ("qmath", "states", "game", "witness", "cli")
+
+
+def _package_imports(node):
+    # The package modules an import statement names ("" for the package itself).
+    if isinstance(node, ast.Import):
+        return [a.name.partition(".")[2] for a in node.names if a.name.split(".")[0] == "qrsgame"]
+    if node.level == 0 and (node.module or "").split(".")[0] != "qrsgame":
+        return []
+    module = (node.module or "").partition(".")[2] if node.level == 0 else node.module
+    return [module] if module else [a.name for a in node.names]
+
+
+def test_imports_form_one_chain():
+    """Every import in src/qrsgame is a module-level statement, and a
+    module imports from the package only the modules before it in
+    _LAYERS, so the imports form the chain qmath -> states -> game ->
+    witness -> cli, with no cycle and no import deferred into a function.
+    __init__ re-exports the public names and is exempt."""
+    checked, found = set(), []
+    for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
+        if path.stem == "__init__":
+            continue
+        checked.add(path.stem)
+        earlier = _LAYERS[:_LAYERS.index(path.stem)]
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if node not in tree.body:
+                    found.append((path.name, node.lineno, "not at module level"))
+                found += [(path.name, node.lineno, f"imports {name or 'qrsgame'}")
+                          for name in _package_imports(node) if name not in earlier]
+    assert checked == set(_LAYERS)
+    assert found == []
+
+
 _NUMPY_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 

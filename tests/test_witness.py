@@ -1,7 +1,9 @@
 """Witness operators, calibration oracle, tomography ingestion, channels."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -771,8 +773,8 @@ class TestChannels:
             random_local_strategy(rng),
         )
         calls = []
-        build = witness._joint_table
-        monkeypatch.setattr(witness, "_joint_table", lambda s, e: calls.append(s) or build(s, e))
+        build = witness._cell_rows
+        monkeypatch.setattr(witness, "_cell_rows", lambda s, e: calls.append(s) or build(s, e))
 
         def forbidden(*args):
             raise AssertionError("the covariance check left its two tables")
@@ -909,6 +911,45 @@ class TestCountsCsv:
             assert loaded.counts == built.counts
             assert all(type(v) is int for key in loaded.counts for v in key)
             assert loaded.format() == built.format()
+
+    def test_counts_cannot_change_after_their_checks(self):
+        """A table's counts are checked once, when it is built, so the
+        table is frozen and its counts are a read-only mapping: a write of
+        a negative, over-cap or fractional count raises TypeError, and
+        calibrate and format still see the counts that were checked."""
+        record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 500)
+        tally = TallyTable({(1, 1, 1, 1): 3, (2, -1, -1, 0): 4})
+        want = report_to_dict(calibrate(counts=record, trials=3, seed=0))
+        text = tally.format()
+        for table in (record, tally):
+            for n in (-40, 2**60, 2.5):
+                with pytest.raises(TypeError):
+                    table.counts[(1, 1, 1, 1)] = n
+            with pytest.raises(TypeError):
+                del table.counts[(1, 1, 1, 1)]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                table.counts = {(1, 1, 1, 1): -40}
+        assert report_to_dict(calibrate(counts=record, trials=3, seed=0)) == want
+        assert tally.format() == text
+
+    def test_frozen_tables_round_trip(self, tmp_path):
+        """Pickle, copy and deepcopy rebuild a table through its checking
+        constructor, and load(save(t)) == t: each copy equals the original,
+        keeps its cell order and is read-only too."""
+        record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.9), 500)
+        tally = TallyTable({(2, -1, -1, 0): 4, (1, 1, 1, 1): 3})
+        for table in (record, tally):
+            path = str(tmp_path / f"{table.NAME}.csv")
+            table.save(path)
+            copies = (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table))
+            for other in (*copies, type(table).load(path)):
+                assert type(other) is type(table)
+                assert other == table
+                with pytest.raises(TypeError):
+                    other.counts[(1, 1, 1, 1)] = 1
+            assert all(list(c.counts.items()) == list(table.counts.items()) for c in copies)
+        assert tally != TallyTable({(1, 1, 1, 1): 3})
+        assert CountRecord({(1, 1, 1, 1): 3}) != TallyTable({(1, 1, 1, 1): 3})
 
     def test_cell_keys_must_have_four_parts(self):
         """A key that is not four parts, or not a tuple, is a malformed
