@@ -63,6 +63,7 @@ from .qmath import (
     bloch_to_density,
     check_bloch,
     check_hermitian,
+    check_real,
     eig_hermitian,
     identity,
     is_density_matrix,
@@ -74,7 +75,7 @@ from .qmath import (
     tensor,
 )
 from .states import _SINGLET, SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble, referee_states
-from .states import _first_max, _form_table, _top_eigenvalues
+from .states import TWO_SQRT3, _first_max, _witness_norms
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 _INPUTS = frozenset((1, 2, 3))
@@ -201,14 +202,17 @@ class LocalComponent:
     __reduce__ = _rebuilt_from("weight", "alice_plus", "effect")
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
-            raise ValueError(f"component weight must be finite and nonnegative, got {self.weight}")
-        if set(self.alice_plus) != _INPUTS:
+        weight, plus = self.weight, self.alice_plus
+        if type(weight) is not float:
+            weight = check_real(weight, "component weight")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(f"component weight must be finite and nonnegative, got {weight}")
+        if not (type(plus) is dict or isinstance(plus, Mapping)) or set(plus) != _INPUTS:
             raise ValueError("alice_plus must map each input j in {1, 2, 3}")
-        for j, p in self.alice_plus.items():
-            if not 0.0 <= p <= 1.0:
+        for j, p in plus.items():
+            if not 0.0 <= (p if type(p) is float else check_real(p, f"alice_plus[{j}]")) <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
-        object.__setattr__(self, "alice_plus", MappingProxyType(dict(self.alice_plus)))
+        object.__setattr__(self, "alice_plus", MappingProxyType(dict(plus)))
         effect = np.asarray(self.effect, dtype=complex)
         (e00, e01), (e10, e11) = effect.tolist() if effect.shape == (2, 2) else [[math.nan] * 2] * 2
         # |E - E^dag| summed over the entries: NaN or inf unless all are finite, and
@@ -315,8 +319,9 @@ Strategy = HonestQuantum | CustomLocal
 
 
 def check_rate(r: float) -> float:
-    """The penalty rate as a float; raises unless it is finite and >= 0."""
-    r = float(r)
+    """The penalty rate as a float; raises unless it is real, finite and >= 0."""
+    if type(r) is not float:
+        r = check_real(r, "penalty rate r")
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"penalty rate r must be finite and nonnegative, got {r}")
     return r
@@ -560,7 +565,7 @@ def simulate_runs(
     return TallyTable._of_checked(counts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PayoffEstimate:
     """Empirical payoff with a first-order multinomial standard error."""
 
@@ -617,14 +622,17 @@ def lhs_best_deterministic(
     Returns (alice signs, optimal referee-side Bloch direction, payoff).
     The payoff is the top witness eigenvalue |A - r B| - 2 sqrt(3) r, i.e.
     the value reached when Bob projects onto the optimal direction at full
-    strength. Ties pick the lexicographically smallest sign assignment.
+    strength, so it is lhs_bound at the game's rate. Ties pick the
+    lexicographically smallest sign assignment. The signs, the payoff and
+    the direction's norm come from one evaluation of the eight A - r B.
     """
-    rows, vec_b = _form_table(ensemble)
-    signs = _first_max(_top_eigenvalues(rows, vec_b, check_rate(spec.r)))
-    t = rows[SIGN_TRIPLES.index(signs)] - spec.r * vec_b
-    norm = float(np.linalg.norm(t))
-    direction = t / norm if norm > 1e-15 else np.zeros(3)
-    return signs, direction, norm - 2.0 * SQRT3 * spec.r
+    t, norms = _witness_norms(*ensemble.witness_form[:2], np.asarray(spec.r))
+    top = norms - TWO_SQRT3 * spec.r  # the values _top_eigenvalues gives
+    signs = _first_max(top)
+    best = SIGN_TRIPLES.index(signs)
+    norm = float(norms[best])
+    direction = t[best] / norm if norm > 1e-15 else np.zeros(3)
+    return signs, direction, float(top[best])
 
 
 def realize_lhs_best(spec: GameSpec, ensemble: RefereeEnsemble) -> LhsDeterministic:

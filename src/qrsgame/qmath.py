@@ -125,6 +125,16 @@ def is_integer(x: object) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_real(x: object, name: str) -> float:
+    """x as a float; bools, strings and what float() refuses raise ValueError."""
+    if not isinstance(x, (bool, np.bool_, str, bytes)):
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a real number, got {x!r}")
+
+
 def eig_hermitian(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, sorted descending."""
     m = check_hermitian(m, _as_operator(m).shape[0], "matrix")
@@ -156,7 +166,7 @@ def psd_within(m: np.ndarray) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityCheck:
     """Outcome of a density-matrix test with the measured defects.
 

@@ -13,12 +13,12 @@ and a frozen RefereeEnsemble stores the six checked n once, as one read-only
 
 Every witness reader in game and witness takes an ensemble's sums from its
 one WitnessForm, built here on the first read and kept read-only with the
-ensemble: the sign table (A_a for the eight sign rows, and B) and the
-pairing sums D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-). The
-arithmetic both read on sign tables is here too: the top witness
+ensemble: the sign table, (8, 3) A_a for the eight sign rows and (3,) B,
+and the pairing sums D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-).
+The arithmetic both read on sign tables is here too: the top witness
 eigenvalues |A_a - r B| - 2 sqrt(3) r and the first sign row of their
-maximum, on stacks of tables (one per ensemble or bootstrap trial) that
-give each table the bits of a stack of one.
+maximum, on one table or on a stack of them (one per bootstrap trial),
+each table of a stack with the bits of that table alone.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ _SIGNS = np.array(SIGN_TRIPLES, dtype=float)
 def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # From (..., 6, 3) Bloch vectors in SETTING_KEYS order: the eight A rows
     # as (..., 8, 3) in SIGN_TRIPLES order, and B as (..., 3), elementwise,
-    # so each table of a stack has the bits of a stack of one. The witness
-    # form and the bootstrap's trial stacks are built here.
+    # so each table of a stack has the bits of that table alone. The witness
+    # form's one table and the bootstrap's trial stacks are built here.
     plus, minus = vectors[..., 0::2, :], vectors[..., 1::2, :]
     diffs = (plus - minus)[..., None, :, :]
     rows = (
@@ -80,10 +80,10 @@ def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class WitnessForm(NamedTuple):
     """One ensemble's witness sums, read-only.
 
-    ``rows`` (1, 8, 3) and ``vec_b`` (1, 3) are its sign table as a stack of
-    one: A_a in SIGN_TRIPLES order and B. ``pairs[j - 1]`` is (D_j, S_j) as
-    six Python floats, the sums the witness pairing of a local strategy's
-    effect table reads.
+    ``rows`` (8, 3) and ``vec_b`` (3,) are its sign table: A_a in
+    SIGN_TRIPLES order and B. ``pairs[j - 1]`` is (D_j, S_j) as six Python
+    floats, the sums the witness pairing of a local strategy's effect table
+    reads.
     """
 
     rows: np.ndarray
@@ -91,19 +91,18 @@ class WitnessForm(NamedTuple):
     pairs: tuple
 
 
-def _form_table(ensemble: RefereeEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    # The ensemble's one sign table, (8, 3) and (3,) views of its witness form.
-    form = ensemble.witness_form
-    return form.rows[0], form.vec_b[0]
+def _witness_norms(rows: np.ndarray, vec_b: np.ndarray, r: np.ndarray) -> tuple:
+    # t_a = A_a - r B and |t_a| for all eight a, with one rate per table (r
+    # of shape ...). The norm is the sum of squares np.linalg.norm(axis=-1)
+    # takes, without its dispatch.
+    t = rows - r[..., None, None] * vec_b[..., None, :]
+    return t, np.sqrt(np.add.reduce(t * t, axis=-1))
 
 
 def _top_eigenvalues(rows: np.ndarray, vec_b: np.ndarray, r: float | np.ndarray) -> np.ndarray:
-    # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a, with
-    # one rate per table (r of shape ...). The norm is the sum of squares
-    # np.linalg.norm(axis=-1) takes, without its dispatch.
+    # lambda_max(T_a(r)) = |A_a - r B| - 2 sqrt(3) r for all eight a.
     r = np.asarray(r, dtype=float)
-    t = rows - r[..., None, None] * vec_b[..., None, :]
-    return np.sqrt(np.add.reduce(t * t, axis=-1)) - TWO_SQRT3 * r[..., None]
+    return _witness_norms(rows, vec_b, r)[1] - TWO_SQRT3 * r[..., None]
 
 
 def _first_max(values: np.ndarray) -> tuple[int, int, int]:
@@ -176,10 +175,17 @@ def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:
     return state, (4.0 * p - 1.0) / 3.0
 
 
+def _integer_pair(j: object, s: object) -> bool:
+    # Both parts of a key pass is_integer; two Python ints pass on one type test.
+    return type(j) is type(s) is int or is_integer(j) and is_integer(s)
+
+
 @dataclass(frozen=True, eq=False)
 class RefereeEnsemble:
     """Six referee states, checked once and stored once as one read-only (6, 3) ``stack``.
 
+    The keys must be the six of SETTING_KEYS, each a pair of Python or numpy
+    integers: (1.0, 1) and (2, True) are rejected, not matched by equality.
     ``witness_form`` is built from the stack on its first read and kept;
     construction never builds it, and pickling and copying drop it.
     """
@@ -195,6 +201,9 @@ class RefereeEnsemble:
                 f"ensemble must cover exactly the keys {sorted(SETTING_KEYS)}, "
                 f"got {sorted(self.vectors)}"
             )
+        for key in self.vectors:
+            if not _integer_pair(*key):
+                raise ValueError(f"ensemble key {key!r} is not a pair of integers")
         stack = np.array([check_bloch(self.vectors[key], f"Bloch vector for {key}")
                           for key in SETTING_KEYS])
         stack.setflags(write=False)
@@ -206,7 +215,7 @@ class RefereeEnsemble:
         """The ensemble's WitnessForm, built on the first read."""
         form = self._form
         if form is None:
-            rows, vec_b = _sign_tables(self.stack[None])
+            rows, vec_b = _sign_tables(self.stack)
             rows.setflags(write=False)
             vec_b.setflags(write=False)
             plus, minus = self.stack[0::2], self.stack[1::2]
@@ -217,7 +226,8 @@ class RefereeEnsemble:
         return form
 
     def vector(self, j: int, s: int) -> np.ndarray:
-        if (j, s) not in self.vectors:
+        """The Bloch vector for key (j, s); j and s follow the integer rule."""
+        if not _integer_pair(j, s) or (j, s) not in self.vectors:
             raise ValueError(f"no referee state for key (j={j}, s={s})")
         return self.vectors[(j, s)]
 

@@ -28,7 +28,7 @@ from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
 from .game import BinaryPovm, CountTable, _cell_rows, _substream, check_rate, exact_payoff
 from .qmath import density_to_bloch, identity, is_integer, pauli, tensor
 from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble, _check_weight
-from .states import _first_max, _form_table, _sign_tables, _top_eigenvalues, referee_states
+from .states import _first_max, _sign_tables, _top_eigenvalues, referee_states
 from .states import werner_state
 
 # Werner-weight landmarks: below W_NO_BELL no Bell inequality can be
@@ -66,7 +66,7 @@ def assignment_vectors(
     signs = tuple(assignment) if np.iterable(assignment) else ()
     if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
         raise ValueError(f"assignment must be three values of +/-1, got {assignment}")
-    rows, vec_b = _form_table(ensemble)
+    rows, vec_b = ensemble.witness_form[:2]
     return rows[SIGN_TRIPLES.index(signs)], vec_b
 
 
@@ -86,18 +86,18 @@ def t_operator(
 def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
     """Best no-steering payoff at rate r: max over signs of the top
     witness eigenvalue."""
-    return float(np.max(_top_eigenvalues(*_form_table(ensemble), check_rate(r))))
+    return float(np.max(_top_eigenvalues(*ensemble.witness_form[:2], check_rate(r))))
 
 
 def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
     """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
-    return _first_max(_top_eigenvalues(*_form_table(ensemble), check_rate(r)))
+    return _first_max(_top_eigenvalues(*ensemble.witness_form[:2], check_rate(r)))
 
 
-# The calibration below works on stacks of sign tables, as _top_eigenvalues
-# does. Where one table took a dot product with `@` or np.linalg.norm of a
-# vector, matmul runs the same BLAS dot and gemv kernels on the stack; a
-# summed product would round differently.
+# The calibration below takes one sign table or a stack of them, as
+# _top_eigenvalues does. Where one table took a dot product with `@` or
+# np.linalg.norm of a vector, matmul runs the same BLAS dot and gemv kernels
+# on the stack; a summed product would round differently.
 
 
 def _largest_root(rows: np.ndarray, vec_b: np.ndarray, c: float) -> np.ndarray:
@@ -123,9 +123,9 @@ def _sound(rows: np.ndarray, vec_b: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _rstar_tables(rows: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
-    # rstar_oracle for each of T tables, (T, 8, 3) and (T, 3); NaN where it
-    # raises. One grid walk for all tables: from the rounded-up root, step up
-    # while unsound (dead past 4), then down while the step below is sound.
+    # rstar_oracle for each table of (..., 8, 3) and (..., 3), shape ...; NaN
+    # where it raises. One grid walk for all tables: from the rounded-up root,
+    # step up while unsound (dead past 4), then down while the step below is sound.
     root = _largest_root(rows, vec_b, 12.0)
     live = root <= 4.0
     k = np.ceil(np.where(live, root, 0.0) / _RSTAR_GRID).astype(np.int64)
@@ -141,9 +141,9 @@ def _rstar_tables(rows: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
     return np.where(live, k * _RSTAR_GRID, np.nan)
 
 
-def _first_rstar(rates: np.ndarray) -> float:
-    # The first rate of a stack from _rstar_tables, which must be a number.
-    rstar = float(rates[0])
+def _first_rstar(rate: np.ndarray) -> float:
+    # One table's rate from _rstar_tables, which must be a number.
+    rstar = float(rate)
     if math.isnan(rstar):
         raise CalibrationError("no sound penalty rate below 4; ensemble is unphysical")
     return rstar
@@ -156,7 +156,7 @@ def rstar_oracle(ensemble: RefereeEnsemble) -> float:
     signs, so the boundary is the largest positive root of
     (12 - B.B) r^2 + 2 (A.B) r - A.A = 0. That root is rounded up onto the
     grid and walked up while the bound fails, then down while it still
-    holds one step below (the bootstrap's walk, on a stack of one): the
+    holds one step below (the bootstrap's walk, on one table): the
     upper end of the final bracket of the bisection the tests keep as this
     function's oracle, so the bound at the result is nonpositive.
 
@@ -183,7 +183,7 @@ def rstar_printed(ensemble: RefereeEnsemble) -> float:
     2, twice the operational boundary found by rstar_oracle; calibration
     reports carry both so the discrepancy stays visible.
     """
-    return _printed(*_form_table(ensemble))
+    return _printed(*ensemble.witness_form[:2])
 
 
 class CountRecord(CountTable):
@@ -229,9 +229,9 @@ def _count_row(record: CountRecord, *, whole: bool) -> np.ndarray:
 
 
 def _invert(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Direct inversion of (T, 6, 3, 2) counts into (T, 6, 3) Bloch vectors,
-    # clipped radially onto the unit ball, and which were clipped, (T, 6).
-    # An axis without counts leaves NaN in its vector.
+    # Direct inversion of (..., 6, 3, 2) counts into (..., 6, 3) Bloch
+    # vectors, clipped radially onto the unit ball, and which were clipped,
+    # (..., 6). An axis without counts leaves NaN in its vector.
     plus, minus = counts[..., 0], counts[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         vectors = (plus - minus) / (plus + minus)
@@ -249,8 +249,8 @@ def ensemble_from_counts(
     record: CountRecord,
 ) -> tuple[RefereeEnsemble, tuple[tuple[int, int], ...]]:
     """Reconstruct all six referee states; also report which got clipped."""
-    vectors, clipped = _invert(_count_row(record, whole=True).reshape(1, 6, 3, 2))
-    return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors[0]))), _clipped_keys(clipped[0])
+    vectors, clipped = _invert(_count_row(record, whole=True).reshape(6, 3, 2))
+    return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors))), _clipped_keys(clipped)
 
 
 def _mean_fidelity(vectors: np.ndarray) -> float:
@@ -267,7 +267,7 @@ def average_fidelity(ensemble: RefereeEnsemble) -> float:
     return _mean_fidelity(ensemble.stack)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BootstrapResult:
     """Spread of the calibration boundary under Poisson count resampling."""
 
@@ -286,8 +286,8 @@ def _calibrated_stack(row: np.ndarray, trials: int = 200, seed: int = 0) -> tupl
     # One pass over a (1 + trials, 6, 3, 2) count stack: row 0 is the
     # record's _count_row, row 1 + t trial t's Poisson redraw of its cells,
     # in sorted order, from substream [seed, t]. Returns the trials'
-    # BootstrapResult, then the record's rate as a stack of one (NaN if it
-    # fails), vectors and clipped flags, and its block's calibrable tables.
+    # BootstrapResult, then the record's rate (NaN if it fails), vectors,
+    # clipped flags and sign table (None unless its vectors are finite).
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not is_integer(seed) or seed < 0:
@@ -309,7 +309,8 @@ def _calibrated_stack(row: np.ndarray, trials: int = 200, seed: int = 0) -> tupl
         rates.append(np.full(len(ok), np.nan))
         rates[-1][ok] = _rstar_tables(*tables)
         if not start:
-            record = rates[0][:1], vectors[0], clipped[0], tables
+            table = (tables[0][0], tables[1][0]) if ok[0] else None
+            record = rates[0][0], vectors[0], clipped[0], table
     values = np.concatenate(rates)[1:]
     values = values[~np.isnan(values)]
     if not len(values):
@@ -471,7 +472,7 @@ def channel_covariance_check(
                for p, q in zip(row, other))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationReport:
     """Everything the referee needs to pick a defensible penalty rate."""
 
@@ -520,15 +521,14 @@ def calibrate(
         if given:
             raise UnusedArgumentsError(*given)
         vectors, clipped, boot = ensemble.stack, (), None
-        tables = ensemble.witness_form[:2]
-        rates = _rstar_tables(*tables)
+        table = ensemble.witness_form[:2]
+        rate = _rstar_tables(*table)
     else:
-        boot, (rates, vectors, flags, tables) = _calibrated_stack(
+        boot, (rate, vectors, flags, table) = _calibrated_stack(
             _count_row(counts, whole=True), **given
         )
         clipped = _clipped_keys(flags)
-    table = tables[0][0], tables[1][0]
-    oracle = _first_rstar(rates)
+    oracle = _first_rstar(rate)
     try:
         printed = _printed(*table)
     except ValueError:

@@ -21,13 +21,7 @@ from qrsgame.game import (
     simulate_runs,
     singlet_projector_bc,
 )
-from qrsgame.states import (
-    SETTING_KEYS,
-    RefereeEnsemble,
-    referee_ideal,
-    rotate_ensemble,
-    werner_state,
-)
+from qrsgame.states import referee_ideal, werner_state
 from qrsgame.witness import (
     SIGN_TRIPLES,
     TWO_SQRT3,
@@ -42,29 +36,10 @@ from qrsgame.witness import (
     rstar_printed,
 )
 
+from helpers import perturbed_ensemble
+
 IDEAL = referee_ideal()
 POVM = singlet_projector_bc()
-
-
-def random_rotation(rng):
-    g = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(g)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def perturbed_ensemble(rng):
-    base = rotate_ensemble(IDEAL, random_rotation(rng))
-    vectors = {}
-    for key in SETTING_KEYS:
-        v = rng.uniform(0.3, 1.0) * base.vector(*key) + 0.05 * rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1.0:
-            v = v / norm
-        vectors[key] = v
-    return RefereeEnsemble(vectors)
 
 
 def honest_payoff(w, r):

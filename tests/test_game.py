@@ -18,6 +18,7 @@ from qrsgame.game import (
     SQRT3,
     BinaryPovm,
     CustomLocal,
+    GameSpec,
     HonestQuantum,
     LhsDeterministic,
     LocalComponent,
@@ -53,10 +54,11 @@ from qrsgame.states import (
     bell_state,
     referee_ideal,
     referee_state,
-    rotate_ensemble,
     werner_state,
 )
 from qrsgame.witness import SIGN_TRIPLES, CountRecord, _dual_strategy, channel_dual
+
+from helpers import perturbed_ensemble
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
@@ -195,27 +197,6 @@ def random_kraus(rng):
     return (q[:2], q[2:])
 
 
-def random_rotation(rng):
-    g = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(g)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def perturbed_ensemble(rng):
-    base = rotate_ensemble(referee_ideal(), random_rotation(rng))
-    vectors = {}
-    for key in SETTING_KEYS:
-        v = rng.uniform(0.3, 1.0) * base.vector(*key) + 0.05 * rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1.0:
-            v = v / norm
-        vectors[key] = v
-    return RefereeEnsemble(vectors)
-
-
 class TestGameSpec:
     def test_canonical_structure(self):
         assert canonical_game(1.081).r == 1.081
@@ -228,6 +209,22 @@ class TestGameSpec:
         for r in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="penalty rate"):
                 canonical_game(r)
+
+    def test_rate_must_be_a_real_number(self):
+        """bools and strings are not converted into rates, and a value that
+        float() refuses is a ValueError that names the rate."""
+        from qrsgame.witness import lhs_bound
+
+        for bad in ("0.5", True, False, np.True_, b"1", None, [0.5], 1 + 0j):
+            with pytest.raises(ValueError, match="penalty rate r must be a real number"):
+                canonical_game(bad)
+            with pytest.raises(ValueError, match="penalty rate r must be a real number"):
+                GameSpec(bad)
+            with pytest.raises(ValueError, match="penalty rate r must be a real number"):
+                lhs_bound(referee_ideal(), bad)
+        for good in (1, np.int64(1), np.float32(0.5), np.float64(0.5), 0.5):
+            assert type(canonical_game(good).r) is float
+            assert canonical_game(good).r == float(good)
 
 
 class TestPovms:
@@ -382,6 +379,22 @@ def test_honest_evaluation_never_reaches_partial_trace(monkeypatch):
 
 
 class TestStrategyValidation:
+    def test_component_numbers_must_be_real(self):
+        """A bool or string weight or p(+|j) is a ValueError naming it, as is
+        a response table that is not a mapping."""
+        effect = 0.5 * identity(2)
+        table = {1: 0.5, 2: 0.5, 3: 0.5}
+        for bad in (True, "0.5", None):
+            with pytest.raises(ValueError, match="component weight must be a real number"):
+                LocalComponent(bad, table, effect)
+            with pytest.raises(ValueError, match=r"alice_plus\[2\] must be a real number"):
+                LocalComponent(1.0, {**table, 2: bad}, effect)
+        for bad in ([1, 2, 3], (1, 2, 3), "123", None):
+            with pytest.raises(ValueError, match="alice_plus must map each input"):
+                LocalComponent(1.0, bad, effect)
+        c = LocalComponent(np.float64(1.0), {1: 1, 2: np.float32(0.5), 3: 0.0}, effect)
+        assert CustomLocal((c,)).effect_table[0][0][0] == 1.0
+
     def test_honest_analyzer_must_be_binary_povm(self):
         """A missing or raw-matrix analyzer is refused at construction."""
         b1 = singlet_projector_bc().b1
@@ -1023,8 +1036,8 @@ class TestLhsOptimum:
 
     def test_one_sign_table_same_optimum(self, monkeypatch):
         """The best deterministic adversary is read from the ensemble's one
-        witness form, with the signs, direction and payoff of
-        worst_assignment and assignment_vectors: one sign table is built per
+        witness form, with the signs of worst_assignment and the direction
+        and payoff of its assignment_vectors: one sign table is built per
         ensemble for all three readers, and none through witness."""
         from qrsgame import states, witness
 
@@ -1042,10 +1055,30 @@ class TestLhsOptimum:
             vec_a, vec_b = witness.assignment_vectors(ens, want_signs)
             assert len(tables) == 1
             t = vec_a - r * vec_b
-            norm = float(np.linalg.norm(t))
+            norm = float(np.sqrt(np.add.reduce(t * t)))
             assert signs == want_signs
             assert payoff == norm - 2.0 * SQRT3 * r
             assert np.array_equal(direction, t / norm if norm > 1e-15 else np.zeros(3))
+
+    def test_payoff_is_lhs_bound(self):
+        """The best deterministic payoff is lhs_bound at the game's rate, bit
+        for bit, wherever the top sign row leads the others by more than
+        the 1e-15 tie window. A second norm of the winning row, by another
+        route, once missed it in the last bits."""
+        from qrsgame import states, witness
+
+        rng = np.random.default_rng(124)
+        checked = 0
+        for _ in range(2000):
+            vecs = rng.normal(size=(6, 3))
+            vecs *= rng.random(size=(6, 1)) ** (1.0 / 3.0) / np.linalg.norm(vecs, axis=1)[:, None]
+            ens = RefereeEnsemble(dict(zip(SETTING_KEYS, vecs)))
+            r = float(rng.uniform(0.0, 2.0))
+            top = sorted(witness._top_eigenvalues(*states._sign_tables(ens.stack), r).tolist())
+            if top[-1] - top[-2] > 1e-15:
+                checked += 1
+                assert lhs_best_deterministic(canonical_game(r), ens)[2] == witness.lhs_bound(ens, r)
+        assert checked > 1900
 
     def test_realized_strategy_attains_bound(self):
         rng = np.random.default_rng(106)

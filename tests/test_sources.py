@@ -111,6 +111,23 @@ def test_imports_form_one_chain():
     assert found == []
 
 
+def test_every_dataclass_is_frozen():
+    """Every @dataclass in src/qrsgame says frozen=True, so no checked or
+    compiled field can be reassigned after __post_init__ has passed it."""
+    found = []
+    for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            for deco in node.decorator_list if isinstance(node, ast.ClassDef) else ():
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if isinstance(target, ast.Name) and target.id == "dataclass":
+                    keywords = deco.keywords if isinstance(deco, ast.Call) else []
+                    frozen = any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                                 and k.value.value is True for k in keywords)
+                    found.append((path.name, node.name, frozen))
+    assert len(found) >= 12
+    assert [f for f in found if not f[2]] == []
+
+
 _NUMPY_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 

@@ -28,16 +28,9 @@ from qrsgame.states import (
     werner_state,
 )
 
+from helpers import random_rotation
+
 ALL_BELL = (BellIndex.PSI_MINUS, BellIndex.PSI_PLUS, BellIndex.PHI_MINUS, BellIndex.PHI_PLUS)
-
-
-def random_rotation(rng):
-    g = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(g)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 class TestBellStates:
@@ -147,6 +140,31 @@ class TestRefereeEnsemble:
     def test_unknown_lookup(self):
         with pytest.raises(ValueError, match=r"j=2, s=0"):
             referee_ideal().vector(2, 0)
+
+    def test_keys_follow_the_integer_rule(self):
+        """A key that only compares equal to a setting key, such as (1.0, 1)
+        or (2, True), is rejected by the constructor, by vector and by the
+        readers that look a key up; numpy integers are integers."""
+        from qrsgame.game import HonestQuantum, joint_probabilities, singlet_projector_bc
+
+        ideal = referee_ideal()
+        for bad in ((1.0, 1), (2, True), (np.float64(3.0), -1)):
+            vectors = {k: v for k, v in ideal.vectors.items() if k != bad}
+            vectors[bad] = ideal.vector(*map(int, bad))
+            with pytest.raises(ValueError, match="not a pair of integers"):
+                RefereeEnsemble(vectors)
+            with pytest.raises(ValueError, match="no referee state"):
+                ideal.vector(*bad)
+            with pytest.raises(ValueError, match="no referee state"):
+                referee_state(ideal, *bad)
+            honest = HonestQuantum(werner_state(0.8), singlet_projector_bc())
+            with pytest.raises(ValueError, match="no referee state"):
+                joint_probabilities(honest, ideal, *bad)
+        numpy_keys = {(np.int64(j), np.int8(s)): v for (j, s), v in ideal.vectors.items()}
+        ens = RefereeEnsemble(numpy_keys)
+        assert ens.stack.tobytes() == ideal.stack.tobytes()
+        assert list(ens.vectors) == list(SETTING_KEYS)
+        assert ens.vector(np.int32(2), np.int64(-1)).tobytes() == ideal.vector(2, -1).tobytes()
 
     def test_ensemble_keeps_read_only_copies(self):
         """A write to the caller's array after construction does not reach

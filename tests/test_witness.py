@@ -63,26 +63,7 @@ from qrsgame.witness import (
     worst_assignment,
 )
 
-
-def random_rotation(rng):
-    g = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(g)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def perturbed_ensemble(rng):
-    base = rotate_ensemble(referee_ideal(), random_rotation(rng))
-    vectors = {}
-    for key in SETTING_KEYS:
-        v = rng.uniform(0.3, 1.0) * base.vector(*key) + 0.05 * rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1.0:
-            v = v / norm
-        vectors[key] = v
-    return RefereeEnsemble(vectors)
+from helpers import perturbed_ensemble, random_rotation
 
 
 def aligned_ensemble():
@@ -364,7 +345,7 @@ class TestClosedFormOracles:
         stack[SETTING_KEYS.index((2, 1))] = [math.nan, 0.0, 0.0]
         for rows, vec_b in ((rows, vec_b), witness._sign_tables(stack)):
             with pytest.raises(CalibrationError, match="no sound penalty rate below 4"):
-                witness._first_rstar(witness._rstar_tables(rows[None], vec_b[None]))
+                witness._first_rstar(witness._rstar_tables(rows, vec_b))
 
 
 class TestPrintedReadout:
@@ -792,6 +773,20 @@ class TestChannels:
 
 
 class TestCalibrationReport:
+    def test_reports_are_frozen(self):
+        """A report's self-check holds for its life: no field of a
+        calibration report or of its bootstrap result can be reassigned,
+        so report_to_dict writes the checked values."""
+        record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.8), 400)
+        report = calibrate(counts=record, trials=5, seed=0)
+        before = report_to_dict(report)
+        for obj, name, value in ((report, "r_star_oracle", -1.0), (report, "bound_at_r", {}),
+                                 (report.bootstrap, "mean", -1.0),
+                                 (report.bootstrap, "failures", 7)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        assert report_to_dict(report) == before
+
     def test_from_ensemble(self):
         report = calibrate(ensemble=referee_ideal())
         assert abs(report.r_star_oracle - 1.0) < 1e-9
@@ -1356,7 +1351,7 @@ def _stack_readouts(ensemble, strategies, rates):
     """Every witness readout with each sign table built by _sign_tables from
     the ensemble's stack, as the readers did before the witness form."""
     rows, vec_b = states._sign_tables(ensemble.stack)
-    out = [witness._first_rstar(witness._rstar_tables(*states._sign_tables(ensemble.stack[None])))]
+    out = [witness._first_rstar(witness._rstar_tables(rows, vec_b))]
     try:
         out.append(witness._printed(rows, vec_b))
     except ValueError as exc:
@@ -1366,10 +1361,11 @@ def _stack_readouts(ensemble, strategies, rates):
     for r in rates:
         top = witness._top_eigenvalues(rows, vec_b, r)
         signs = witness._first_max(top)
-        t = rows[SIGN_TRIPLES.index(signs)] - r * vec_b
-        norm = float(np.linalg.norm(t))
+        best = SIGN_TRIPLES.index(signs)
+        t = rows[best] - r * vec_b
+        norm = float(np.sqrt(np.add.reduce(t * t)))
         direction = t / norm if norm > 1e-15 else np.zeros(3)
-        out += [float(np.max(top)), signs, (signs, direction.tobytes(), norm - TWO_SQRT3 * r)]
+        out += [float(np.max(top)), signs, (signs, direction.tobytes(), float(top[best]))]
         operator = -TWO_SQRT3 * r * identity(2)
         for i in (1, 2, 3):
             operator += (rows[2] - r * vec_b)[i - 1] * pauli(i)
@@ -1453,7 +1449,7 @@ class TestWitnessForm:
             assert builds == [] and twin._form is None
             _readouts(twin, strategies, [0.0, 0.7])
             calibrate(ensemble=twin)
-            assert builds == [(1, 6, 3)]
+            assert builds == [(6, 3)]
             builds.clear()
 
     def test_form_arrays_are_read_only(self):
@@ -1461,7 +1457,7 @@ class TestWitnessForm:
         for ens in ensembles:
             form = ens.witness_form
             assert form is ens.witness_form
-            assert form.rows.shape == (1, 8, 3) and form.vec_b.shape == (1, 3)
+            assert form.rows.shape == (8, 3) and form.vec_b.shape == (3,)
             vec_a, vec_b = assignment_vectors(ens, (1, -1, 1))
             for arr in (form.rows, form.vec_b, vec_a, vec_b):
                 assert not arr.flags.writeable
