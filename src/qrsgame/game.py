@@ -62,6 +62,7 @@ from .qmath import (
     _rebuilt_from,
     bloch_to_density,
     check_bloch,
+    check_fraction,
     check_hermitian,
     check_real,
     eig_hermitian,
@@ -142,8 +143,7 @@ def partial_bsm_povm(visibility: float) -> BinaryPovm:
     At v = 1 this is the ideal projector; at v = 0 the photons are fully
     distinguishable and every input clicks with probability 1/2.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+    visibility = check_fraction(visibility, "visibility")
     b1 = visibility * _SINGLET + (1.0 - visibility) * _HALF_IDENTITY4
     return BinaryPovm(_IDENTITY4 - b1, b1)
 
@@ -191,8 +191,9 @@ class LocalComponent:
 
     ``bloch`` is the effect's Bloch form (e0, e1, e2, e3), E = e0*1 + e.sigma,
     read once from the matrix; 0 <= E <= 1 is checked on it as e0 +/- |e|.
-    The component keeps read-only copies of the response table and the
-    effect.
+    The component keeps what it checked: the weight and each p(+|j) as
+    Python floats, the keys j as Python ints, in a read-only response table,
+    and a read-only copy of the effect.
     """
 
     weight: float
@@ -205,14 +206,21 @@ class LocalComponent:
         weight, plus = self.weight, self.alice_plus
         if type(weight) is not float:
             weight = check_real(weight, "component weight")
+            object.__setattr__(self, "weight", weight)
         if not (math.isfinite(weight) and weight >= 0.0):
             raise ValueError(f"component weight must be finite and nonnegative, got {weight}")
         if not (type(plus) is dict or isinstance(plus, Mapping)) or set(plus) != _INPUTS:
             raise ValueError("alice_plus must map each input j in {1, 2, 3}")
+        checked = {}
         for j, p in plus.items():
-            if not 0.0 <= (p if type(p) is float else check_real(p, f"alice_plus[{j}]")) <= 1.0:
+            if type(j) is not int:  # the integer rule: 1.0 and True only compare equal to 1
+                if not is_integer(j):
+                    raise ValueError(f"alice_plus key {j!r} is not an integer")
+                j = int(j)
+            checked[j] = q = p if type(p) is float else check_real(p, f"alice_plus[{j}]")
+            if not 0.0 <= q <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
-        object.__setattr__(self, "alice_plus", MappingProxyType(dict(plus)))
+        object.__setattr__(self, "alice_plus", MappingProxyType(checked))
         effect = np.asarray(self.effect, dtype=complex)
         (e00, e01), (e10, e11) = effect.tolist() if effect.shape == (2, 2) else [[math.nan] * 2] * 2
         # |E - E^dag| summed over the entries: NaN or inf unless all are finite, and
@@ -380,38 +388,32 @@ def joint_probabilities(
     return dict(zip(_CELLS, _cell_rows(strategy, ensemble)[SETTING_KEYS.index((j, s))]))
 
 
-def _witness_pairing(r: float, strategy: CustomLocal, ensemble: RefereeEnsemble) -> float:
-    # Summing the per-setting payoff over s in closed form: with t = r/sqrt(3),
-    # D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-),
-    #   payoff = 2 sum_(j,a) [-2t f0_(j,a) + (a D_j - t S_j).f_(j,a)],
-    # tr(E T_a(r)) for a deterministic Alice; a = +1, then a = -1. D_j and S_j
-    # come from the ensemble's witness form. The tests keep the per-setting
-    # sum as oracle.
-    t = r / SQRT3
-    two_t = 2.0 * t
-    value = 0.0
-    for ((_, f0, fx, fy, fz), (_, g0, gx, gy, gz)), (dx, dy, dz, sx, sy, sz) in zip(
-        strategy.effect_table, ensemble.witness_form.pairs
-    ):
-        value += (dx - t * sx) * fx + (dy - t * sy) * fy + (dz - t * sz) * fz - two_t * f0
-        value += (-dx - t * sx) * gx + (-dy - t * sy) * gy + (-dz - t * sz) * gz - two_t * g0
-    return 2.0 * value
-
-
 def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) -> float:
     """Expected payoff of a strategy, from exact joint probabilities.
 
     A local strategy is scored by the witness pairing of its effect table
     with the ensemble; an honest one by its click probabilities, summed over
-    the settings in order.
+    the settings in order. Both share the tax t = r/sqrt(3) and the scale 2.
     """
-    if isinstance(strategy, CustomLocal):
-        return _witness_pairing(spec.r, strategy, ensemble)
-    tax = spec.r / SQRT3
+    t = spec.r / SQRT3
     value = 0.0
-    for (_, s), (plus, minus) in zip(SETTING_KEYS, _honest_clicks(strategy, ensemble)):
-        value += s * (plus - minus)
-        value -= tax * (plus + minus)
+    if isinstance(strategy, CustomLocal):
+        # Summing the per-setting payoff over s in closed form: with
+        # D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-),
+        #   payoff = 2 sum_(j,a) [-2t f0_(j,a) + (a D_j - t S_j).f_(j,a)],
+        # tr(E T_a(r)) for a deterministic Alice; a = +1, then a = -1. D_j and
+        # S_j come from the ensemble's witness form. The tests keep the
+        # per-setting sum as oracle.
+        two_t = 2.0 * t
+        for ((_, f0, fx, fy, fz), (_, g0, gx, gy, gz)), (dx, dy, dz, sx, sy, sz) in zip(
+            strategy.effect_table, ensemble.witness_form.pairs
+        ):
+            value += (dx - t * sx) * fx + (dy - t * sy) * fy + (dz - t * sz) * fz - two_t * f0
+            value += (-dx - t * sx) * gx + (-dy - t * sy) * gy + (-dz - t * sz) * gz - two_t * g0
+    else:
+        for (_, s), (plus, minus) in zip(SETTING_KEYS, _honest_clicks(strategy, ensemble)):
+            value += s * (plus - minus)
+            value -= t * (plus + minus)
     return 2.0 * value
 
 
@@ -567,11 +569,18 @@ def simulate_runs(
 
 @dataclass(frozen=True)
 class PayoffEstimate:
-    """Empirical payoff with a first-order multinomial standard error."""
+    """Empirical payoff with a first-order multinomial standard error.
+
+    ``n_per_setting`` is kept as a read-only copy of the mapping given.
+    """
 
     value: float
     stderr: float
-    n_per_setting: dict[tuple[int, int], int]
+    n_per_setting: Mapping[tuple[int, int], int]
+    __reduce__ = _rebuilt_from("value", "stderr", "n_per_setting")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_per_setting", MappingProxyType(dict(self.n_per_setting)))
 
     def to_dict(self) -> dict:
         return {

@@ -6,8 +6,9 @@ answered by ``psd_within``, which reads the pivots of a Cholesky
 factorization. Eigenvalues come from numpy's ``eigvalsh`` through
 ``eig_hermitian`` alone, and only where a value is needed: the message of a
 failing density check and the scale of the random strategies. Input checks:
-``check_hermitian`` for operators, ``check_bloch`` for Bloch vectors. All
-functions are pure.
+``check_hermitian`` for operators, ``check_bloch`` for Bloch vectors,
+``check_real`` and ``check_fraction`` for real numbers. All functions are
+pure.
 """
 
 from __future__ import annotations
@@ -133,6 +134,17 @@ def check_real(x: object, name: str) -> float:
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{name} must be a real number, got {x!r}")
+
+
+def check_fraction(x: object, name: str, low: float = 0.0) -> float:
+    """x as a float in [low, 1]: check_real's rule, then the range.
+
+    A float passes on one type test; the range message shows x as given.
+    """
+    value = x if type(x) is float else check_real(x, name)
+    if not low <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [{low:g}, 1], got {x}")
+    return value
 
 
 def eig_hermitian(m: np.ndarray) -> np.ndarray:

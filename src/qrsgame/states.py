@@ -12,8 +12,8 @@ and a frozen RefereeEnsemble stores the six checked n once, as one read-only
 (6, 3) stack in SETTING_KEYS order. The ideal ensemble has n = s * e_j.
 
 Every witness reader in game and witness takes an ensemble's sums from its
-one WitnessForm, built here on the first read and kept read-only with the
-ensemble: the sign table, (8, 3) A_a for the eight sign rows and (3,) B,
+one WitnessForm, built here and cached on the first read, read-only with
+the ensemble: the sign table, (8, 3) A_a for the eight sign rows and (3,) B,
 and the pairing sums D_j = n_(j,+) - n_(j,-) and S_j = n_(j,+) + n_(j,-).
 The arithmetic both read on sign tables is here too: the top witness
 eigenvalues |A_a - r B| - 2 sqrt(3) r and the first sign row of their
@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -41,6 +42,7 @@ from .qmath import (
     _rebuilt_from,
     bloch_to_density,
     check_bloch,
+    check_fraction,
     check_hermitian,
     identity,
     is_density_matrix,
@@ -147,14 +149,9 @@ _SINGLET = _frozen(bell_state(BellIndex.PSI_MINUS))
 _QUARTER_IDENTITY4 = _frozen(identity(4) / 4.0)
 
 
-def _check_weight(w: float) -> None:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"Werner weight must lie in [0, 1], got {w}")
-
-
 def werner_state(w: float) -> np.ndarray:
     """Werner state w |Psi-><Psi-| + (1 - w) 1/4 for w in [0, 1]."""
-    _check_weight(w)
+    w = check_fraction(w, "Werner weight")
     return w * _SINGLET + (1.0 - w) * _QUARTER_IDENTITY4
 
 
@@ -164,8 +161,7 @@ def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:
     The three unwanted Bell states enter with weight (1 - p)/3 each, which
     reproduces werner_state(w) with w = (4 p - 1)/3. Returns the state and w.
     """
-    if not 0.25 <= p <= 1.0:
-        raise ValueError(f"singlet weight must lie in [0.25, 1], got {p}")
+    p = check_fraction(p, "singlet weight", 0.25)
     rest = (1.0 - p) / 3.0
     state = p * bell_state(BellIndex.PSI_MINUS) + rest * (
         bell_state(BellIndex.PSI_PLUS)
@@ -186,13 +182,13 @@ class RefereeEnsemble:
 
     The keys must be the six of SETTING_KEYS, each a pair of Python or numpy
     integers: (1.0, 1) and (2, True) are rejected, not matched by equality.
-    ``witness_form`` is built from the stack on its first read and kept;
-    construction never builds it, and pickling and copying drop it.
+    ``witness_form`` is a ``functools.cached_property``: built from the stack
+    on its first read and kept in the instance ``__dict__``; construction
+    never builds it, and pickling and copying drop it.
     """
 
     vectors: Mapping[tuple[int, int], np.ndarray]
     stack: np.ndarray = field(init=False, repr=False)
-    _form: WitnessForm | None = field(default=None, init=False, repr=False)
     __reduce__ = _rebuilt_from("vectors")
 
     def __post_init__(self) -> None:
@@ -210,20 +206,16 @@ class RefereeEnsemble:
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "vectors", MappingProxyType(dict(zip(SETTING_KEYS, stack))))
 
-    @property
+    @cached_property
     def witness_form(self) -> WitnessForm:
         """The ensemble's WitnessForm, built on the first read."""
-        form = self._form
-        if form is None:
-            rows, vec_b = _sign_tables(self.stack)
-            rows.setflags(write=False)
-            vec_b.setflags(write=False)
-            plus, minus = self.stack[0::2], self.stack[1::2]
-            pairs = tuple(tuple(d + s) for d, s in zip((plus - minus).tolist(),
-                                                       (plus + minus).tolist()))
-            form = WitnessForm(rows, vec_b, pairs)
-            object.__setattr__(self, "_form", form)
-        return form
+        rows, vec_b = _sign_tables(self.stack)
+        rows.setflags(write=False)
+        vec_b.setflags(write=False)
+        plus, minus = self.stack[0::2], self.stack[1::2]
+        pairs = tuple(tuple(d + s) for d, s in zip((plus - minus).tolist(),
+                                                   (plus + minus).tolist()))
+        return WitnessForm(rows, vec_b, pairs)
 
     def vector(self, j: int, s: int) -> np.ndarray:
         """The Bloch vector for key (j, s); j and s follow the integer rule."""
@@ -257,8 +249,7 @@ def referee_states(ensemble: RefereeEnsemble) -> np.ndarray:
 
 def depolarize_ensemble(ensemble: RefereeEnsemble, eta: float) -> RefereeEnsemble:
     """Shrink every Bloch vector by eta in [0, 1]."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"depolarizing strength must lie in [0, 1], got {eta}")
+    eta = check_fraction(eta, "depolarizing strength")
     return RefereeEnsemble({k: eta * v for k, v in ensemble.vectors.items()})
 
 

@@ -21,13 +21,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
 from .game import BinaryPovm, CountTable, _cell_rows, _substream, check_rate, exact_payoff
-from .qmath import density_to_bloch, identity, is_integer, pauli, tensor
-from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble, _check_weight
+from .qmath import _rebuilt_from, check_fraction, density_to_bloch, identity, is_integer
+from .qmath import pauli, tensor
+from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble
 from .states import _first_max, _sign_tables, _top_eigenvalues, referee_states
 from .states import werner_state
 
@@ -216,11 +219,11 @@ _CELL_POSITION = {
 _SORTED_POSITION = np.array([_CELL_POSITION[c] for c in sorted(_CELL_POSITION)], dtype=np.intp)
 
 
-def _count_row(record: CountRecord, *, whole: bool) -> np.ndarray:
-    # The record's counts in _CELL_POSITION order. With whole, an axis
-    # without counts, where inversion would leave NaN, raises.
+def _count_row(record: CountRecord) -> np.ndarray:
+    # The record's counts in _CELL_POSITION order. An axis without counts,
+    # where inversion would leave NaN, raises.
     row = np.array([record.counts.get(cell, 0) for cell in _CELL_POSITION], dtype=np.int64)
-    empty = np.argwhere(row.reshape(6, 3, 2).sum(axis=-1) == 0) if whole else ()
+    empty = np.argwhere(row.reshape(6, 3, 2).sum(axis=-1) == 0)
     if len(empty):
         key, axis = empty[0]
         j, s = SETTING_KEYS[key]
@@ -249,7 +252,7 @@ def ensemble_from_counts(
     record: CountRecord,
 ) -> tuple[RefereeEnsemble, tuple[tuple[int, int], ...]]:
     """Reconstruct all six referee states; also report which got clipped."""
-    vectors, clipped = _invert(_count_row(record, whole=True).reshape(6, 3, 2))
+    vectors, clipped = _invert(_count_row(record).reshape(6, 3, 2))
     return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors))), _clipped_keys(clipped)
 
 
@@ -282,12 +285,13 @@ class BootstrapResult:
 _BOOTSTRAP_BLOCK = 1024
 
 
-def _calibrated_stack(row: np.ndarray, trials: int = 200, seed: int = 0) -> tuple:
+def _calibrated_stack(record: CountRecord, trials: int = 200, seed: int = 0) -> tuple:
     # One pass over a (1 + trials, 6, 3, 2) count stack: row 0 is the
-    # record's _count_row, row 1 + t trial t's Poisson redraw of its cells,
-    # in sorted order, from substream [seed, t]. Returns the trials'
-    # BootstrapResult, then the record's rate (NaN if it fails), vectors,
-    # clipped flags and sign table (None unless its vectors are finite).
+    # record's _count_row (checked first), row 1 + t trial t's Poisson redraw
+    # of its cells, in sorted order, from substream [seed, t]. Returns the
+    # trials' BootstrapResult, then the record's rate (NaN if it fails),
+    # vectors, clipped flags and sign table.
+    row = _count_row(record)
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not is_integer(seed) or seed < 0:
@@ -308,15 +312,14 @@ def _calibrated_stack(row: np.ndarray, trials: int = 200, seed: int = 0) -> tupl
         tables = _sign_tables(vectors[ok])
         rates.append(np.full(len(ok), np.nan))
         rates[-1][ok] = _rstar_tables(*tables)
-        if not start:
-            table = (tables[0][0], tables[1][0]) if ok[0] else None
-            record = rates[0][0], vectors[0], clipped[0], table
+        if not start:  # row 0 has no empty axis, so its vectors are finite
+            point = rates[0][0], vectors[0], clipped[0], (tables[0][0], tables[1][0])
     values = np.concatenate(rates)[1:]
     values = values[~np.isnan(values)]
     if not len(values):
         raise CalibrationError("every bootstrap trial failed to calibrate")
     spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return BootstrapResult(float(np.mean(values)), spread, trials - len(values)), record
+    return BootstrapResult(float(np.mean(values)), spread, trials - len(values)), point
 
 
 def bootstrap_calibration(
@@ -327,11 +330,12 @@ def bootstrap_calibration(
     Every trial draws from its own substream of ``seed``, so a trial's
     counts do not depend on how many trials run; trials are inverted and
     calibrated as arrays, _BOOTSTRAP_BLOCK at a time, in the stacked pass
-    ``calibrate`` runs on counts, behind the record's own row. Trials whose
-    resampled counts cannot be calibrated (an axis without counts, or no
-    sound rate below 4) are excluded and counted.
+    ``calibrate`` runs on counts, behind the record's own row. A record with
+    an empty axis raises ValueError before any trial, as in ``calibrate``.
+    Trials whose resampled counts cannot be calibrated (an axis without
+    counts, or no sound rate below 4) are excluded and counted.
     """
-    return _calibrated_stack(_count_row(record, whole=False), trials, seed)[0]
+    return _calibrated_stack(record, trials, seed)[0]
 
 
 def chsh_werner(w: float) -> float:
@@ -341,8 +345,7 @@ def chsh_werner(w: float) -> float:
     the tests recompute the four correlators from the density matrix as
     the oracle for this closed form.
     """
-    _check_weight(w)
-    return 2.0 * math.sqrt(2.0) * w
+    return 2.0 * math.sqrt(2.0) * check_fraction(w, "Werner weight")
 
 
 def werner_threshold(spec: GameSpec, analyzer: BinaryPovm, ensemble: RefereeEnsemble) -> float:
@@ -369,7 +372,7 @@ def regime_at(w: float, w_game: float) -> str:
     """Place a Werner weight on the steering/Bell map of a game whose
     honest players win exactly above the weight w_game (see
     werner_threshold). The Bell landmarks are properties of the state."""
-    _check_weight(w)
+    w = check_fraction(w, "Werner weight")
     if w <= w_game:
         return REGIME_UNSTEERABLE
     if w > W_KNOWN_BELL:
@@ -382,7 +385,7 @@ def regime_at(w: float, w_game: float) -> str:
 def regime_classify(w: float, r: float) -> str:
     """Place a Werner weight on the steering/Bell map for a game at rate r
     played with the ideal analyzer and ensemble, where W_game = r/sqrt(3)."""
-    _check_weight(w)  # before the rate, so a bad weight is the error reported
+    check_fraction(w, "Werner weight")  # before the rate, so a bad weight is the error reported
     return regime_at(w, check_rate(r) / SQRT3)
 
 
@@ -430,20 +433,16 @@ def channel_ensemble(
     return _channel_ensemble(_check_kraus(kraus), ensemble)
 
 
-def _dual_povm(kraus: tuple[np.ndarray, ...], povm: BinaryPovm) -> BinaryPovm:
-    # Dual map acting on the referee factor only; b0 follows from b1
-    # because the dual of a trace-preserving channel is unital.
-    b1 = _dual(tuple(tensor(identity(2), k) for k in kraus), povm.b1)
-    return BinaryPovm(identity(4) - b1, b1)
-
-
 def _dual_strategy(ops: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
     # Bob's side of the strategy through the dual map of checked Kraus operators.
     if isinstance(strategy, HonestQuantum):
-        return HonestQuantum(strategy.shared_state, _dual_povm(ops, strategy.bob_povm))
+        # The dual map acts on the referee factor only; b0 follows from b1
+        # because the dual of a trace-preserving channel is unital.
+        b1 = _dual(tuple(tensor(identity(2), k) for k in ops), strategy.bob_povm.b1)
+        return HonestQuantum(strategy.shared_state, BinaryPovm(identity(4) - b1, b1))
     if isinstance(strategy, CustomLocal):
         components = tuple(
-            LocalComponent(c.weight, dict(c.alice_plus), _dual(ops, c.effect))
+            LocalComponent(c.weight, c.alice_plus, _dual(ops, c.effect))
             for c in strategy.components
         )
         return CustomLocal(components)
@@ -474,23 +473,31 @@ def channel_covariance_check(
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Everything the referee needs to pick a defensible penalty rate."""
+    """Everything the referee needs to pick a defensible penalty rate.
+
+    ``bound_at_r`` is kept as a read-only copy of the mapping checked here.
+    """
 
     r_star_oracle: float
     r_star_printed: float
     r_star_legal: float
     worst_assignment: tuple[int, int, int]
     avg_fidelity: float
-    bound_at_r: dict[float, float]
+    bound_at_r: Mapping[float, float]
     clipped_keys: tuple[tuple[int, int], ...]
     bootstrap: BootstrapResult | None
+    __reduce__ = _rebuilt_from("r_star_oracle", "r_star_printed", "r_star_legal",
+                               "worst_assignment", "avg_fidelity", "bound_at_r",
+                               "clipped_keys", "bootstrap")
 
     def __post_init__(self) -> None:
+        bound_at = MappingProxyType(dict(self.bound_at_r))
         if self.r_star_oracle < 0.0:
             raise ValueError("calibrated rate cannot be negative")
-        at_oracle = self.bound_at_r.get(self.r_star_oracle)
+        at_oracle = bound_at.get(self.r_star_oracle)
         if at_oracle is None or at_oracle > 1e-9:
             raise ValueError("report bound curve is inconsistent with the calibrated rate")
+        object.__setattr__(self, "bound_at_r", bound_at)
 
 
 _BOUND_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -524,9 +531,7 @@ def calibrate(
         table = ensemble.witness_form[:2]
         rate = _rstar_tables(*table)
     else:
-        boot, (rate, vectors, flags, table) = _calibrated_stack(
-            _count_row(counts, whole=True), **given
-        )
+        boot, (rate, vectors, flags, table) = _calibrated_stack(counts, **given)
         clipped = _clipped_keys(flags)
     oracle = _first_rstar(rate)
     try:

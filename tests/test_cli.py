@@ -24,6 +24,7 @@ from qrsgame.states import (
     save_ensemble,
     werner_state,
 )
+from qrsgame.witness import CountRecord
 from test_witness import counts_from_ensemble
 
 # Tilting the j = 3 axis by asin(0.2528414998...) pushes the calibration
@@ -290,6 +291,17 @@ class TestCalibrate:
         path.write_text("j,s,axis,outcome,count\n1,+1,1,+1,10\n1,+1,4,+1,3\n")
         assert main(["calibrate", "--counts", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_empty_axis_names_key_and_axis(self, tmp_path, capsys):
+        path = str(tmp_path / "counts.csv")
+        counts = dict(counts_from_ensemble(referee_ideal(), 100).counts)
+        counts[(3, -1, 1, 1)] = counts[(3, -1, 1, -1)] = 0
+        CountRecord(counts).save(path)
+        for extra in ([], ["--trials", "5", "--seed", "1"]):
+            assert main(["calibrate", "--counts", path, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: no counts for key (j=3, s=-1) on axis 1\n"
 
     def test_count_beyond_exact_floats_names_line(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"

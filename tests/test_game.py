@@ -395,6 +395,28 @@ class TestStrategyValidation:
         c = LocalComponent(np.float64(1.0), {1: 1, 2: np.float32(0.5), 3: 0.0}, effect)
         assert CustomLocal((c,)).effect_table[0][0][0] == 1.0
 
+    def test_component_stores_what_it_checked(self):
+        """The weight and each p(+|j) are kept as the Python floats that
+        were checked and the keys j as Python ints, so a float16, float32
+        or Decimal input scores bit for bit as its float does; a key that
+        only compares equal to an input, such as 1.0 or True, is rejected."""
+        import decimal
+
+        effect = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
+        ens = perturbed_ensemble(np.random.default_rng(61))
+        plain = LocalComponent(1.0, {1: 0.25, 2: 0.5, 3: 0.875}, effect)
+        want = exact_payoff(canonical_game(1.081), CustomLocal((plain,)), ens)
+        for num in (np.float16, np.float32, decimal.Decimal):
+            table = {np.int64(1): num("0.25"), 2: num("0.5"), np.int8(3): num("0.875")}
+            c = LocalComponent(num("1.0"), table, effect)
+            assert type(c.weight) is float
+            assert [type(j) for j in c.alice_plus] == [int] * 3
+            assert all(type(p) is float for p in c.alice_plus.values())
+            assert exact_payoff(canonical_game(1.081), CustomLocal((c,)), ens) == want, num
+        for key in (1.0, True, np.float64(1.0)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                LocalComponent(1.0, {key: 0.5, 2: 0.5, 3: 0.5}, effect)
+
     def test_honest_analyzer_must_be_binary_povm(self):
         """A missing or raw-matrix analyzer is refused at construction."""
         b1 = singlet_projector_bc().b1
@@ -1286,6 +1308,25 @@ class TestEstimator:
             est = estimate_payoff(spec, TallyTable(counts))
             assert math.isclose(est.value, 3.0 - SQRT3 * r, abs_tol=1e-12)
             assert est.stderr > 0.0
+
+    def test_counts_per_setting_are_read_only(self):
+        """n_per_setting is a read-only copy: neither an item assignment nor a
+        write to the caller's dict reaches to_dict, and pickling or copying
+        rebuilds the estimate with a read-only mapping."""
+        strat = HonestQuantum(werner_state(0.8), singlet_projector_bc())
+        est = estimate_payoff(canonical_game(1.0),
+                              simulate_runs(canonical_game(1.0), strat, referee_ideal(), 50, 0))
+        before = est.to_dict()
+        with pytest.raises(TypeError):
+            est.n_per_setting[(1, 1)] = -3
+        given = dict(est.n_per_setting)
+        mine = game.PayoffEstimate(est.value, est.stderr, given)
+        given[(1, 1)] = -3
+        assert mine.to_dict() == est.to_dict() == before
+        for clone in (pickle.loads(pickle.dumps(est)), copy.deepcopy(est), copy.copy(est)):
+            assert clone == est and clone.to_dict() == before
+            with pytest.raises(TypeError):
+                clone.n_per_setting[(1, 1)] = -3
 
     def test_no_clicks_means_zero(self):
         spec = canonical_game(1.0)

@@ -163,3 +163,32 @@ def test_one_eigenvalue_routine():
         ("game.py", "random_local_strategy"),
         ("qmath.py", "is_density_matrix"),
     ]
+
+
+# Where a frozen value may be written: its own constructor, the count-table
+# builder that skips a second check, and the honest click memo, keyed by the
+# ensemble it was computed for.
+_FROZEN_WRITERS = {("game.py", "CountTable", "_of_checked"), ("game.py", None, "_honest_clicks")}
+
+
+def test_frozen_values_are_written_while_built():
+    """`object.__setattr__` appears in src/qrsgame only inside `__init__`,
+    `__post_init__`, CountTable._of_checked and game._honest_clicks, the one
+    keyed memo. A value computed later on a frozen object is a
+    functools.cached_property or a field set while it is built, never a
+    write from another method."""
+    found = []
+    for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes = [(cls.name if isinstance(cls, ast.ClassDef) else None, fn)
+                  for cls in ast.walk(tree)
+                  if isinstance(cls, (ast.Module, ast.ClassDef))
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                owners = [(cls, fn.name) for cls, fn in scopes
+                          if fn.lineno <= node.lineno <= fn.end_lineno]
+                found.append((path.name, *(owners[0] if owners else (None, None))))
+    assert len(found) >= 20
+    assert {f for f in found if f[2] not in ("__init__", "__post_init__")} == _FROZEN_WRITERS

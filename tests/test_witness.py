@@ -31,6 +31,7 @@ from qrsgame.states import (
     referee_ideal,
     referee_state,
     rotate_ensemble,
+    werner_from_bell_weights,
     werner_state,
 )
 from qrsgame.witness import (
@@ -478,11 +479,19 @@ class TestBootstrap:
         assert math.isfinite(result.mean)
 
     def test_all_failures_is_an_error(self):
+        """A record with an empty axis raises before any trial runs; a record
+        whose axes all have counts but whose trials all fail raises
+        CalibrationError."""
         counts = {c: n for c, n in counts_from_ensemble(referee_ideal(), 100).counts.items()}
         counts[(3, -1, 1, 1)] = 0
         counts[(3, -1, 1, -1)] = 0
-        with pytest.raises(CalibrationError, match="every bootstrap trial"):
+        with pytest.raises(ValueError, match=r"no counts for key \(j=3, s=-1\) on axis 1"):
             bootstrap_calibration(CountRecord(counts), trials=10, seed=0)
+        # One count per axis: a trial's Poisson(1) redraw empties some axis
+        # unless all eighteen draws are nonzero, about 1 time in 3900.
+        single = {(j, s, axis, 1): 1 for j, s in SETTING_KEYS for axis in (1, 2, 3)}
+        with pytest.raises(CalibrationError, match="every bootstrap trial"):
+            bootstrap_calibration(CountRecord(single), trials=10, seed=0)
 
     def test_non_integer_arguments_rejected(self):
         record = counts_from_ensemble(referee_ideal(), 100)
@@ -498,6 +507,46 @@ class TestBootstrap:
             bootstrap_calibration(record, trials=0)
         with pytest.raises(ValueError, match="seed"):
             bootstrap_calibration(record, seed=-1)
+
+
+class TestRealArguments:
+    # Each function taking a real argument, with a value in its range.
+    CASES = (
+        ("Werner weight", werner_state, 0.5),
+        ("Werner weight", chsh_werner, 0.5),
+        ("Werner weight", lambda w: regime_at(w, 0.5), 0.75),
+        ("Werner weight", lambda w: regime_classify(w, 1.0), 0.75),
+        ("visibility", lambda v: partial_bsm_povm(v).b1, 0.5),
+        ("depolarizing strength", lambda e: depolarize_ensemble(referee_ideal(), e).stack, 0.5),
+        ("singlet weight", lambda p: werner_from_bell_weights(p)[0], 0.5),
+    )
+
+    def test_one_real_number_rule(self):
+        """Every real argument takes check_real's rule: a bool or a string
+        is a ValueError naming it, not 1 or a TypeError, and a numpy float
+        or an int gives what its float gives."""
+        for name, fn, value in self.CASES:
+            for bad in (True, np.bool_(False), "0.5", None):
+                with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                    fn(bad)
+            want = fn(value)
+            for same in (np.float64(value), np.float32(value)):
+                got = fn(same)
+                if isinstance(want, np.ndarray):
+                    assert got.tobytes() == want.tobytes(), (name, same)
+                else:
+                    assert got == want and type(got) is type(want), (name, same)
+            assert np.array_equal(fn(1), fn(1.0)), name
+
+    def test_range_messages(self):
+        """The range message shows the value as given."""
+        for name, fn, _ in self.CASES:
+            low = "0.25" if name == "singlet weight" else "0"
+            for bad, shown in ((2.0, "2.0"), (-1, "-1"), (np.float64(1.5), "1.5"),
+                               (math.nan, "nan")):
+                with pytest.raises(ValueError) as info:
+                    fn(bad)
+                assert str(info.value) == f"{name} must lie in [{low}, 1], got {shown}"
 
 
 class TestRegimes:
@@ -786,6 +835,23 @@ class TestCalibrationReport:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, value)
         assert report_to_dict(report) == before
+
+    def test_bound_curve_is_read_only(self):
+        """bound_at_r is a read-only copy of the curve the report checked, so
+        no write can put a positive bound at r*; pickling or copying
+        rebuilds the report through that check."""
+        record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.8), 400)
+        report = calibrate(counts=record, trials=5, seed=0)
+        with pytest.raises(TypeError):
+            report.bound_at_r[report.r_star_oracle] = 5.0
+        curve = dict(report.bound_at_r)
+        mine = dataclasses.replace(report, bound_at_r=curve)
+        curve[report.r_star_oracle] = 5.0
+        assert mine.bound_at_r[report.r_star_oracle] <= 0.0
+        for clone in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert clone == report and report_to_dict(clone) == report_to_dict(report)
+            with pytest.raises(TypeError):
+                clone.bound_at_r[0.0] = 5.0
 
     def test_from_ensemble(self):
         report = calibrate(ensemble=referee_ideal())
@@ -1241,8 +1307,8 @@ class TestBatchedCalibration:
             assert report.worst_assignment == worst_assignment(ens, rstar)
 
     def test_empty_axes_raise_no_warnings(self):
-        """Trials with an empty axis fail by mask, silently; so does a
-        record with no counts at all on one key."""
+        """Trials with an empty axis fail by mask, silently; a record with
+        no counts on one axis raises the same ValueError on every path."""
         records = _bootstrap_records()
         dead = dict(records["ideal"].counts)
         dead[(3, -1, 1, 1)] = dead[(3, -1, 1, -1)] = 0
@@ -1250,7 +1316,7 @@ class TestBatchedCalibration:
             warnings.simplefilter("error")
             for name in ("sparse", "fragile"):
                 assert bootstrap_calibration(records[name], trials=300, seed=0).failures > 0
-            with pytest.raises(CalibrationError, match="every bootstrap trial"):
+            with pytest.raises(ValueError, match=r"\(j=3, s=-1\) on axis 1"):
                 bootstrap_calibration(CountRecord(dead), trials=20, seed=0)
             with pytest.raises(ValueError, match=r"\(j=3, s=-1\) on axis 1"):
                 ensemble_from_counts(CountRecord(dead))
@@ -1432,7 +1498,8 @@ class TestWitnessForm:
                 rows, vec_b = states._sign_tables(ens.stack)
                 grid = (0.0, 0.5, 1.0, 1.5, 2.0, want[0])
                 values = witness._top_eigenvalues(rows, vec_b, np.array(grid))
-                assert _same(report.bound_at_r, dict(zip(grid, np.max(values, axis=-1).tolist())))
+                curve = dict(zip(grid, np.max(values, axis=-1).tolist()))
+                assert _same(dict(report.bound_at_r), curve)
                 assert report.worst_assignment == witness._first_max(values[-1])
 
     def test_form_is_built_once_on_first_read(self, monkeypatch):
@@ -1446,7 +1513,7 @@ class TestWitnessForm:
         monkeypatch.setattr(witness, "_sign_tables", lambda v: builds.append(v.shape) or real(v))
         for ens in ensembles:
             twin = RefereeEnsemble(ens.vectors)
-            assert builds == [] and twin._form is None
+            assert builds == [] and "witness_form" not in twin.__dict__
             _readouts(twin, strategies, [0.0, 0.7])
             calibrate(ensemble=twin)
             assert builds == [(6, 3)]
@@ -1479,7 +1546,7 @@ class TestWitnessForm:
             assert repr(ens) == before == repr(RefereeEnsemble(ens.vectors))
             assert hash(ens) == key and ens == ens
             for clone in (pickle.loads(pickle.dumps(ens)), copy.deepcopy(ens), copy.copy(ens)):
-                assert clone._form is None and clone != ens
+                assert "witness_form" not in clone.__dict__ and clone != ens
                 assert np.array_equal(clone.stack, ens.stack)
                 assert clone.witness_form is not form
                 assert _same(clone.witness_form.pairs, form.pairs)
