@@ -27,15 +27,9 @@ from .game import (
     singlet_projector_bc,
 )
 from .states import (
-    BellIndex,
     RefereeEnsemble,
-    bell_state,
-    depolarize_ensemble,
-    fidelity_pure,
     referee_ideal,
     referee_state,
-    rotate_ensemble,
-    werner_from_bell_weights,
     werner_state,
 )
 from .witness import (
@@ -43,12 +37,11 @@ from .witness import (
     CalibrationError,
     CalibrationReport,
     CountRecord,
-    average_fidelity,
-    bloch_from_counts,
     bootstrap_calibration,
     calibrate,
     channel_covariance_check,
     chsh_werner,
+    ensemble_from_counts,
     lhs_bound,
     regime_at,
     regime_classify,
@@ -59,7 +52,6 @@ from .witness import (
 )
 
 __all__ = [
-    "BellIndex",
     "BinaryPovm",
     "BootstrapResult",
     "CalibrationError",
@@ -74,18 +66,14 @@ __all__ = [
     "RefereeEnsemble",
     "Strategy",
     "TallyTable",
-    "average_fidelity",
-    "bell_state",
-    "bloch_from_counts",
     "bootstrap_calibration",
     "calibrate",
     "canonical_game",
     "channel_covariance_check",
     "chsh_werner",
-    "depolarize_ensemble",
+    "ensemble_from_counts",
     "estimate_payoff",
     "exact_payoff",
-    "fidelity_pure",
     "joint_probabilities",
     "lhs_best_deterministic",
     "lhs_bound",
@@ -94,13 +82,11 @@ __all__ = [
     "referee_state",
     "regime_at",
     "regime_classify",
-    "rotate_ensemble",
     "rstar_oracle",
     "rstar_printed",
     "simulate_runs",
     "singlet_projector_bc",
     "t_operator",
-    "werner_from_bell_weights",
     "werner_state",
     "werner_threshold",
 ]

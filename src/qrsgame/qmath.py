@@ -136,14 +136,14 @@ def check_real(x: object, name: str) -> float:
     raise ValueError(f"{name} must be a real number, got {x!r}")
 
 
-def check_fraction(x: object, name: str, low: float = 0.0) -> float:
-    """x as a float in [low, 1]: check_real's rule, then the range.
+def check_fraction(x: object, name: str) -> float:
+    """x as a float in [0, 1]: check_real's rule, then the range.
 
     A float passes on one type test; the range message shows x as given.
     """
     value = x if type(x) is float else check_real(x, name)
-    if not low <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [{low:g}, 1], got {x}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
     return value
 
 

@@ -2,9 +2,9 @@
 
 Conventions used by every module in this package: the computational basis
 is the sigma_3 eigenbasis with |0> the +1 eigenvector, two-qubit operators
-are Kronecker products in (first x second) order, and the Bell states are
+are Kronecker products in (first x second) order, and the singlet is
 
-    |Psi-+-> = (|01> -+- |10>)/sqrt(2),   |Phi-+-> = (|00> -+- |11>)/sqrt(2).
+    |Psi-> = (|01> - |10>)/sqrt(2).
 
 Referee ensembles are six qubit states indexed by a key (j, s) with
 j in {1, 2, 3} and s in {+1, -1}; the state for key (j, s) is (1 + n.sigma)/2,
@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -35,20 +34,14 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .qmath import (
-    BLOCH_NORM_TOL,
-    TRACE_TOL,
     _density_entries,
     _frozen,
     _rebuilt_from,
     bloch_to_density,
     check_bloch,
     check_fraction,
-    check_hermitian,
     identity,
-    is_density_matrix,
     is_integer,
-    psd_within,
-    real_trace_product,
 )
 
 SETTING_KEYS: tuple[tuple[int, int], ...] = (
@@ -118,34 +111,13 @@ def _first_max(values: np.ndarray) -> tuple[int, int, int]:
     return SIGN_TRIPLES[best]
 
 
-class BellIndex(Enum):
-    PSI_MINUS = "PsiMinus"
-    PSI_PLUS = "PsiPlus"
-    PHI_MINUS = "PhiMinus"
-    PHI_PLUS = "PhiPlus"
-
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-_BELL_KETS = {
-    BellIndex.PSI_MINUS: np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex),
-    BellIndex.PSI_PLUS: np.array([0.0, _INV_SQRT2, _INV_SQRT2, 0.0], dtype=complex),
-    BellIndex.PHI_MINUS: np.array([_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2], dtype=complex),
-    BellIndex.PHI_PLUS: np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex),
-}
-
-
-def bell_state(idx: BellIndex) -> np.ndarray:
-    """Projector onto the requested Bell state."""
-    if not isinstance(idx, BellIndex):
-        raise ValueError(f"expected a BellIndex, got {idx!r}")
-    ket = _BELL_KETS[idx]
-    return np.outer(ket, ket.conj())
-
-
-# Read-only operators the constructors scale; the identity fraction is an exact
-# power of two, so each entry has the bits that scaling a fresh identity gives.
-_SINGLET = _frozen(bell_state(BellIndex.PSI_MINUS))
+# Read-only operators the constructors scale. The singlet is the outer product
+# of |Psi-> with entries 1/sqrt(2), not a literal 0.5: its bits (entries
+# 0.4999999999999999, signed zeros in three imaginary parts) are the ones every
+# honest payoff reads. The identity fraction is an exact power of two, so each
+# entry has the bits that scaling a fresh identity gives.
+_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+_SINGLET = _frozen(np.outer(_PSI_MINUS, _PSI_MINUS.conj()))
 _QUARTER_IDENTITY4 = _frozen(identity(4) / 4.0)
 
 
@@ -153,22 +125,6 @@ def werner_state(w: float) -> np.ndarray:
     """Werner state w |Psi-><Psi-| + (1 - w) 1/4 for w in [0, 1]."""
     w = check_fraction(w, "Werner weight")
     return w * _SINGLET + (1.0 - w) * _QUARTER_IDENTITY4
-
-
-def werner_from_bell_weights(p: float) -> tuple[np.ndarray, float]:
-    """Mix |Psi-> with weight p against the other three Bell states.
-
-    The three unwanted Bell states enter with weight (1 - p)/3 each, which
-    reproduces werner_state(w) with w = (4 p - 1)/3. Returns the state and w.
-    """
-    p = check_fraction(p, "singlet weight", 0.25)
-    rest = (1.0 - p) / 3.0
-    state = p * bell_state(BellIndex.PSI_MINUS) + rest * (
-        bell_state(BellIndex.PSI_PLUS)
-        + bell_state(BellIndex.PHI_MINUS)
-        + bell_state(BellIndex.PHI_PLUS)
-    )
-    return state, (4.0 * p - 1.0) / 3.0
 
 
 def _integer_pair(j: object, s: object) -> bool:
@@ -245,39 +201,6 @@ def referee_states(ensemble: RefereeEnsemble) -> np.ndarray:
     """
     rows = [_density_entries(*n) for n in ensemble.stack.tolist()]
     return np.array(rows, dtype=complex).reshape(3, 2, 2, 2)
-
-
-def depolarize_ensemble(ensemble: RefereeEnsemble, eta: float) -> RefereeEnsemble:
-    """Shrink every Bloch vector by eta in [0, 1]."""
-    eta = check_fraction(eta, "depolarizing strength")
-    return RefereeEnsemble({k: eta * v for k, v in ensemble.vectors.items()})
-
-
-def rotate_ensemble(ensemble: RefereeEnsemble, rot: np.ndarray) -> RefereeEnsemble:
-    """Apply one rotation matrix to every Bloch vector."""
-    rot = np.asarray(rot, dtype=float)
-    if rot.shape != (3, 3):
-        raise ValueError(f"rotation must be a 3x3 matrix, got shape {rot.shape}")
-    if not np.isfinite(rot).all():
-        raise ValueError("rotation is not finite")
-    if np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-9 or np.linalg.det(rot) < 0.0:
-        raise ValueError("rotation must be orthogonal with determinant +1")
-    return RefereeEnsemble({k: rot @ v for k, v in ensemble.vectors.items()})
-
-
-def fidelity_pure(rho: np.ndarray, m: np.ndarray) -> float:
-    """Fidelity of a qubit state with the pure state of unit Bloch vector m.
-
-    For a target projector (1 + m.sigma)/2 this is (1 + n_rho . m)/2.
-    """
-    m = check_bloch(m, "target Bloch vector")
-    if abs(np.linalg.norm(m) - 1.0) > BLOCH_NORM_TOL:
-        raise ValueError("target Bloch vector must be a unit vector")
-    rho = check_hermitian(rho, 2, "fidelity_pure density matrix")
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL or not psd_within(rho):
-        defects = is_density_matrix(rho).describe()  # measured only for the message
-        raise ValueError(f"fidelity_pure expects a density matrix ({defects})")
-    return real_trace_product(rho, bloch_to_density(m))
 
 
 def ensemble_to_dict(ensemble: RefereeEnsemble) -> dict:

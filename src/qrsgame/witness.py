@@ -18,7 +18,6 @@ differ. The oracle is the operational one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -29,7 +28,7 @@ import numpy as np
 from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
 from .game import BinaryPovm, CountTable, _cell_rows, _substream, check_rate, exact_payoff
 from .qmath import _rebuilt_from, check_fraction, density_to_bloch, identity, is_integer
-from .qmath import pauli, tensor
+from .qmath import check_real, pauli, tensor
 from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble
 from .states import _first_max, _sign_tables, _top_eigenvalues, referee_states
 from .states import werner_state
@@ -198,15 +197,6 @@ class CountRecord(CountTable):
     NAME = "count"
 
 
-def bloch_from_counts(record: CountRecord, key: tuple[int, int]) -> np.ndarray:
-    """Direct-inversion Bloch vector for one key of a complete record (all six keys).
-
-    Component i is (N+ - N-)/(N+ + N-) on axis i; vectors that land outside
-    the unit ball from counting noise are clipped radially back onto it.
-    """
-    return ensemble_from_counts(record)[0].vector(*key)
-
-
 # Position of each (j, s, axis, outcome) cell in a flattened (6, 3, 2)
 # count array: key in SETTING_KEYS order, axis, then outcome +1 before -1.
 _CELL_POSITION = {
@@ -257,17 +247,9 @@ def ensemble_from_counts(
 
 
 def _mean_fidelity(vectors: np.ndarray) -> float:
+    # avg_fidelity: the mean over keys of (1 + s n_(j,s)[j]) / 2, each state's fidelity with s e_j.
     total = sum(1.0 + s * n[j - 1] for (j, s), n in zip(SETTING_KEYS, vectors))
     return float(total) / (2.0 * len(SETTING_KEYS))
-
-
-def average_fidelity(ensemble: RefereeEnsemble) -> float:
-    """Mean fidelity of the six referee states with their ideal directions.
-
-    The ideal state for key (j, s) is pure with Bloch vector s e_j, so each
-    fidelity is (1 + s n_(j,s)[j]) / 2, the value fidelity_pure returns.
-    """
-    return _mean_fidelity(ensemble.stack)
 
 
 @dataclass(frozen=True)
@@ -371,8 +353,13 @@ def werner_threshold(spec: GameSpec, analyzer: BinaryPovm, ensemble: RefereeEnse
 def regime_at(w: float, w_game: float) -> str:
     """Place a Werner weight on the steering/Bell map of a game whose
     honest players win exactly above the weight w_game (see
-    werner_threshold). The Bell landmarks are properties of the state."""
+    werner_threshold). w_game takes check_real's rule and may be
+    infinite, as werner_threshold's inf is, but not NaN. The Bell
+    landmarks are properties of the state."""
     w = check_fraction(w, "Werner weight")
+    w_game = check_real(w_game, "w_game")
+    if math.isnan(w_game):
+        raise ValueError("w_game must not be NaN")
     if w <= w_game:
         return REGIME_UNSTEERABLE
     if w > W_KNOWN_BELL:
@@ -400,37 +387,20 @@ def _check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 
 def _apply(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    # channel_apply on Kraus operators that _check_kraus has passed.
+    # The channel sum_i K_i rho K_i^dag, on Kraus operators that _check_kraus has passed.
     return sum(k @ np.asarray(rho, dtype=complex) @ k.conj().T for k in ops)
 
 
 def _dual(ops: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
-    # channel_dual on Kraus operators that _check_kraus has passed.
+    # The dual map sum_i K_i^dag E K_i, on Kraus operators that _check_kraus has passed.
     return sum(k.conj().T @ np.asarray(effect, dtype=complex) @ k for k in ops)
 
 
-def channel_apply(kraus: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    """Apply the channel sum_i K_i rho K_i^dag to a qubit state."""
-    return _apply(_check_kraus(kraus), rho)
-
-
-def channel_dual(kraus: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
-    """Apply the dual map sum_i K_i^dag E K_i to a qubit effect."""
-    return _dual(_check_kraus(kraus), effect)
-
-
 def _channel_ensemble(ops: tuple[np.ndarray, ...], ensemble: RefereeEnsemble) -> RefereeEnsemble:
-    # channel_ensemble on Kraus operators that _check_kraus has passed.
+    # Every referee state sent through the channel of checked Kraus operators.
     states = referee_states(ensemble).reshape(6, 2, 2)
     vectors = (density_to_bloch(_apply(ops, rho)) for rho in states)
     return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors)))
-
-
-def channel_ensemble(
-    kraus: tuple[np.ndarray, ...], ensemble: RefereeEnsemble
-) -> RefereeEnsemble:
-    """Send every referee state through the channel."""
-    return _channel_ensemble(_check_kraus(kraus), ensemble)
 
 
 def _dual_strategy(ops: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
@@ -568,8 +538,3 @@ def report_to_dict(report: CalibrationReport) -> dict:
         else {"mean": boot.mean, "std": boot.std, "failures": boot.failures},
     }
 
-
-def save_report(report: CalibrationReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")

@@ -18,13 +18,14 @@ from qrsgame.game import (
 from qrsgame.states import (
     SETTING_KEYS,
     RefereeEnsemble,
-    depolarize_ensemble,
     ensemble_to_dict,
     referee_ideal,
     save_ensemble,
     werner_state,
 )
 from qrsgame.witness import CountRecord
+
+from helpers import depolarize_ensemble
 from test_witness import counts_from_ensemble
 
 # Tilting the j = 3 axis by asin(0.2528414998...) pushes the calibration

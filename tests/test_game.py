@@ -49,16 +49,14 @@ from qrsgame.qmath import (
 )
 from qrsgame.states import (
     SETTING_KEYS,
-    BellIndex,
     RefereeEnsemble,
-    bell_state,
     referee_ideal,
     referee_state,
     werner_state,
 )
-from qrsgame.witness import SIGN_TRIPLES, CountRecord, _dual_strategy, channel_dual
+from qrsgame.witness import SIGN_TRIPLES, CountRecord, _check_kraus, _dual, _dual_strategy
 
-from helpers import perturbed_ensemble
+from helpers import BELL_PROJECTORS, perturbed_ensemble
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
@@ -230,7 +228,7 @@ class TestGameSpec:
 class TestPovms:
     def test_singlet_projector(self):
         povm = singlet_projector_bc()
-        assert np.allclose(povm.b1, bell_state(BellIndex.PSI_MINUS))
+        assert povm.b1.tobytes() == BELL_PROJECTORS["PsiMinus"].tobytes()
         assert np.allclose(povm.b0 + povm.b1, identity(4))
 
     def test_visibility_limits(self):
@@ -239,7 +237,7 @@ class TestPovms:
 
     def test_visibility_click_rate_on_singlet(self):
         povm = partial_bsm_povm(0.89)
-        singlet = bell_state(BellIndex.PSI_MINUS)
+        singlet = BELL_PROJECTORS["PsiMinus"]
         assert np.isclose(np.trace(povm.b1 @ singlet).real, 0.945)
 
     def test_visibility_range(self):
@@ -820,16 +818,16 @@ class TestJointProbabilities:
         component's effect against the referee density matrix, for random
         mixtures, their channel duals and random LHS adversaries."""
         rng = np.random.default_rng(105)
-        kraus = (
+        kraus = _check_kraus((
             np.sqrt(0.8) * identity(2),
             np.sqrt(0.2) * pauli(1),
-        )
+        ))
         strategies = []
         for _ in range(10):
             mix = random_local_strategy(rng, n_components=int(rng.integers(1, 5)))
             strategies.append(mix)
             strategies.append(CustomLocal(tuple(
-                LocalComponent(c.weight, dict(c.alice_plus), channel_dual(kraus, c.effect))
+                LocalComponent(c.weight, dict(c.alice_plus), _dual(kraus, c.effect))
                 for c in mix.components
             )))
             strategies.append(random_lhs_strategy(rng))

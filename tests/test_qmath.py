@@ -31,7 +31,9 @@ from qrsgame.qmath import (
     real_trace_product,
     tensor,
 )
-from qrsgame.states import BellIndex, bell_state, werner_state
+from qrsgame.states import werner_state
+
+from helpers import BELL_PROJECTORS
 
 
 def random_hermitian(rng, dim):
@@ -289,7 +291,7 @@ class TestPsdWithin:
                           bloch_to_density(n / np.linalg.norm(n)))
             accepted += [proj, identity(4) - proj]
         rejected = [zero_lead_indefinite, np.array([[0.0, 1.0], [1.0, 0.0]]),
-                    -bell_state(BellIndex.PSI_MINUS), np.diag([1.0, 1.0, 1.0, -1e-8])]
+                    -BELL_PROJECTORS["PsiMinus"], np.diag([1.0, 1.0, 1.0, -1e-8])]
         for m in accepted:
             assert psd_within(m) and eigvalsh_decision(m)
         for m in rejected:
@@ -351,7 +353,7 @@ class TestDensityChecks:
     def test_accepts_states(self):
         rng = np.random.default_rng(31)
         assert is_density_matrix(identity(2) / 2.0)
-        assert is_density_matrix(bell_state(BellIndex.PHI_PLUS))
+        assert is_density_matrix(BELL_PROJECTORS["PhiPlus"])
         for _ in range(20):
             assert is_density_matrix(random_density(rng, 4))
 

@@ -1,4 +1,4 @@
-"""Bell states, Werner family, referee ensembles and their JSON form."""
+"""The singlet, the Werner family, referee ensembles and their JSON form."""
 
 import copy
 import dataclasses
@@ -8,35 +8,38 @@ import numpy as np
 import pytest
 
 from qrsgame import states
+from qrsgame.game import singlet_projector_bc
 from qrsgame.qmath import identity, is_density_matrix, partial_trace, real_trace_product
 from qrsgame.states import (
     SETTING_KEYS,
-    BellIndex,
     RefereeEnsemble,
-    bell_state,
-    depolarize_ensemble,
     ensemble_from_dict,
     ensemble_to_dict,
-    fidelity_pure,
     load_ensemble,
     referee_ideal,
     referee_state,
     referee_states,
-    rotate_ensemble,
     save_ensemble,
-    werner_from_bell_weights,
     werner_state,
 )
 
-from helpers import random_rotation
+from helpers import (
+    BELL_PROJECTORS,
+    depolarize_ensemble,
+    fidelity_pure,
+    random_rotation,
+    rotate_ensemble,
+    werner_from_bell_weights,
+)
 
-ALL_BELL = (BellIndex.PSI_MINUS, BellIndex.PSI_PLUS, BellIndex.PHI_MINUS, BellIndex.PHI_PLUS)
+ALL_BELL = tuple(BELL_PROJECTORS.values())
 
 
 class TestBellStates:
+    """The Bell projectors the tests use as oracles, and the singlet the package keeps."""
+
     def test_projectors(self):
-        for idx in ALL_BELL:
-            p = bell_state(idx)
+        for p in ALL_BELL:
             assert np.allclose(p @ p, p)
             assert np.isclose(np.trace(p), 1.0)
             assert is_density_matrix(p)
@@ -44,11 +47,10 @@ class TestBellStates:
     def test_mutually_orthogonal(self):
         for i, a in enumerate(ALL_BELL):
             for b in ALL_BELL[i + 1:]:
-                assert abs(real_trace_product(bell_state(a), bell_state(b))) < 1e-15
+                assert abs(real_trace_product(a, b)) < 1e-15
 
     def test_marginals_maximally_mixed(self):
-        for idx in ALL_BELL:
-            p = bell_state(idx)
+        for p in ALL_BELL:
             assert np.allclose(partial_trace(p, "first"), identity(2) / 2.0)
             assert np.allclose(partial_trace(p, "second"), identity(2) / 2.0)
 
@@ -57,17 +59,25 @@ class TestBellStates:
         want = np.zeros((4, 4), dtype=complex)
         want[1, 1] = want[2, 2] = 0.5
         want[1, 2] = want[2, 1] = -0.5
-        assert np.allclose(bell_state(BellIndex.PSI_MINUS), want)
+        assert np.allclose(states._SINGLET, want)
 
-    def test_rejects_bare_string(self):
-        with pytest.raises(ValueError, match="BellIndex"):
-            bell_state("PsiMinus")
+    def test_singlet_bits(self):
+        """The singlet is the outer product of the |Psi-> ket with entries
+        1/sqrt(2), bit for bit: 0.4999999999999999, not 0.5, and three
+        imaginary parts -0.0. Every honest payoff reads these bits, and the
+        singlet analyzer's click element is the same read-only array."""
+        want = BELL_PROJECTORS["PsiMinus"]
+        assert states._SINGLET.tobytes() == want.tobytes()
+        assert states._SINGLET[1, 1].real == 0.4999999999999999
+        assert np.signbit(states._SINGLET.imag).sum() == 3
+        assert not states._SINGLET.flags.writeable
+        assert singlet_projector_bc().b1.tobytes() == want.tobytes()
 
 
 class TestWernerFamily:
     def test_endpoints(self):
         assert np.allclose(werner_state(0.0), identity(4) / 4.0)
-        assert np.allclose(werner_state(1.0), bell_state(BellIndex.PSI_MINUS))
+        assert np.allclose(werner_state(1.0), BELL_PROJECTORS["PsiMinus"])
 
     def test_always_a_state(self):
         for w in np.linspace(0.0, 1.0, 11):
@@ -80,7 +90,7 @@ class TestWernerFamily:
             werner_state(1.01)
 
     def test_bell_weight_form_matches(self):
-        """Mixing the other three Bell states at (1-p)/3 gives W = (4p-1)/3."""
+        """Oracle: mixing the other three Bell states at (1-p)/3 gives W = (4p-1)/3."""
         for p in np.linspace(0.25, 1.0, 16):
             state, w = werner_from_bell_weights(float(p))
             assert np.isclose(w, (4.0 * p - 1.0) / 3.0)
@@ -89,12 +99,6 @@ class TestWernerFamily:
     def test_bell_weight_for_golden_w(self):
         _, w = werner_from_bell_weights(0.7735)
         assert np.isclose(w, 0.698)
-
-    def test_bell_weight_range(self):
-        with pytest.raises(ValueError, match="singlet weight"):
-            werner_from_bell_weights(0.2)
-        with pytest.raises(ValueError):
-            werner_from_bell_weights(1.1)
 
 
 class TestRefereeEnsemble:
@@ -220,14 +224,12 @@ class TestRefereeEnsemble:
 
 
 class TestEnsembleTransforms:
+    """The transforms the tests build ensembles with."""
+
     def test_depolarize_scales(self):
         ens = depolarize_ensemble(referee_ideal(), 0.75)
         for j, s in SETTING_KEYS:
             assert np.isclose(np.linalg.norm(ens.vector(j, s)), 0.75)
-
-    def test_depolarize_range(self):
-        with pytest.raises(ValueError, match="depolarizing strength"):
-            depolarize_ensemble(referee_ideal(), 1.2)
 
     def test_rotation_preserves_norms_and_angles(self):
         rng = np.random.default_rng(7)
@@ -244,24 +246,10 @@ class TestEnsembleTransforms:
             b = ens.vector(1, 1) @ ens.vector(2, 1)
             assert np.isclose(a, b)
 
-    def test_rotation_must_be_special_orthogonal(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            rotate_ensemble(referee_ideal(), 2.0 * np.eye(3))
-        with pytest.raises(ValueError):
-            rotate_ensemble(referee_ideal(), np.diag([1.0, 1.0, -1.0]))
-        with pytest.raises(ValueError, match="3x3"):
-            rotate_ensemble(referee_ideal(), np.eye(2))
-
-    def test_rotation_must_be_finite(self):
-        # The rotation is blamed, not the first Bloch vector it would spoil.
-        for bad in (np.nan, np.inf):
-            rot = np.eye(3)
-            rot[1, 2] = bad
-            with pytest.raises(ValueError, match="rotation is not finite"):
-                rotate_ensemble(referee_ideal(), rot)
-
 
 class TestFidelity:
+    """The fidelity oracle that avg_fidelity is checked against."""
+
     def test_pure_targets(self):
         e3 = np.array([0.0, 0.0, 1.0])
         assert np.isclose(fidelity_pure(np.diag([1.0, 0.0]), e3), 1.0)
@@ -272,50 +260,6 @@ class TestFidelity:
         ens = depolarize_ensemble(referee_ideal(), 0.974)
         f = fidelity_pure(referee_state(ens, 1, 1), np.array([1.0, 0.0, 0.0]))
         assert np.isclose(f, 0.987)
-
-    def test_target_must_be_unit(self):
-        with pytest.raises(ValueError, match="unit vector"):
-            fidelity_pure(identity(2) / 2.0, np.array([0.5, 0.0, 0.0]))
-
-    def test_target_must_be_finite(self):
-        for i in range(3):
-            m = np.zeros(3)
-            m[i] = np.nan
-            with pytest.raises(ValueError, match="target Bloch vector is not finite"):
-                fidelity_pure(identity(2) / 2.0, m)
-
-    def test_state_must_be_density(self):
-        with pytest.raises(ValueError, match="density matrix"):
-            fidelity_pure(identity(2), np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="density matrix"):
-            fidelity_pure(np.diag([np.nan, 1.0]), np.array([0.0, 0.0, 1.0]))
-
-
-    def test_state_checked_once(self, monkeypatch):
-        """check_hermitian's message for a non-Hermitian state, then one
-        trace and positivity decision; is_density_matrix only measures the
-        defects of a state that failed, for the same message as before."""
-        e3 = np.array([0.0, 0.0, 1.0])
-        for rho, message in (
-            (np.array([[0.5, 1.0], [0.0, 0.5]]),
-             "fidelity_pure density matrix is not Hermitian within tolerance"),
-            (identity(2), "fidelity_pure expects a density matrix (hermiticity 0.00e+00, "
-                          "trace error 1.00e+00, min eigenvalue 1.00e+00)"),
-            (np.diag([1.5, -0.5]), "fidelity_pure expects a density matrix (hermiticity "
-                                   "0.00e+00, trace error 0.00e+00, min eigenvalue -5.00e-01)"),
-            (np.array([[0.5, 0.6], [0.6, 0.5]]), "fidelity_pure expects a density matrix "
-             "(hermiticity 0.00e+00, trace error 0.00e+00, min eigenvalue -1.00e-01)"),
-        ):
-            with pytest.raises(ValueError) as err:
-                fidelity_pure(rho, e3)
-            assert str(err.value) == message
-        monkeypatch.setattr(states, "is_density_matrix", None)
-        assert fidelity_pure(np.diag([0.25, 0.75]), e3) == 0.25
-
-    def test_state_must_be_a_qubit(self):
-        """A two-qubit state fails at the check, not inside numpy's matmul."""
-        with pytest.raises(ValueError, match="density matrix must be 2x2"):
-            fidelity_pure(werner_state(0.5), np.array([0.0, 0.0, 1.0]))
 
 
 class TestJsonRoundTrip:

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,12 +27,8 @@ from qrsgame.qmath import identity, pauli, real_trace_product, tensor
 from qrsgame.states import (
     SETTING_KEYS,
     RefereeEnsemble,
-    depolarize_ensemble,
-    fidelity_pure,
     referee_ideal,
     referee_state,
-    rotate_ensemble,
-    werner_from_bell_weights,
     werner_state,
 )
 from qrsgame.witness import (
@@ -42,14 +39,9 @@ from qrsgame.witness import (
     CalibrationReport,
     CountRecord,
     assignment_vectors,
-    average_fidelity,
-    bloch_from_counts,
     bootstrap_calibration,
     calibrate,
-    channel_apply,
     channel_covariance_check,
-    channel_dual,
-    channel_ensemble,
     chsh_werner,
     ensemble_from_counts,
     lhs_bound,
@@ -58,13 +50,18 @@ from qrsgame.witness import (
     report_to_dict,
     rstar_oracle,
     rstar_printed,
-    save_report,
     t_operator,
     werner_threshold,
     worst_assignment,
 )
 
-from helpers import perturbed_ensemble, random_rotation
+from helpers import (
+    depolarize_ensemble,
+    fidelity_pure,
+    perturbed_ensemble,
+    random_rotation,
+    rotate_ensemble,
+)
 
 
 def aligned_ensemble():
@@ -371,29 +368,25 @@ class TestTomography:
     def test_exact_counts_invert_exactly(self):
         ens = depolarize_ensemble(referee_ideal(), 0.8)
         record = counts_from_ensemble(ens, 10000)
+        got, clipped = ensemble_from_counts(record)
+        assert clipped == ()
         for key in SETTING_KEYS:
-            assert np.allclose(bloch_from_counts(record, key), ens.vector(*key))
+            assert np.allclose(got.vector(*key), ens.vector(*key))
 
     def test_single_key_reads_the_full_inversion(self):
-        """bloch_from_counts is one row of ensemble_from_counts, so it needs
-        a complete record even for a key whose own counts are present."""
+        """Inversion needs a complete record: the counts of one key alone,
+        all of its axes present, raise at the first key without counts."""
         record = counts_from_ensemble(depolarize_ensemble(referee_ideal(), 0.8), 1000)
-        ens, _ = ensemble_from_counts(record)
-        for key in SETTING_KEYS:
-            assert np.array_equal(bloch_from_counts(record, key), ens.vector(*key))
         partial = CountRecord({c: n for c, n in record.counts.items() if c[:2] == (1, 1)})
-        with pytest.raises(ValueError, match="no counts for key"):
-            bloch_from_counts(partial, (1, 1))
+        with pytest.raises(ValueError, match=r"no counts for key \(j=1, s=-1\) on axis 1"):
+            ensemble_from_counts(partial)
 
     def test_noisy_vector_is_clipped(self):
         counts = {(1, 1, axis, 1): 10 for axis in (1, 2, 3)}
         counts.update({(1, 1, axis, -1): 0 for axis in (1, 2, 3)})
         counts.update({(j, s, axis, o): 5 for j, s in SETTING_KEYS[1:]
                        for axis in (1, 2, 3) for o in (1, -1)})
-        record = CountRecord(counts)
-        vec = bloch_from_counts(record, (1, 1))
-        assert math.isclose(float(np.linalg.norm(vec)), 1.0, abs_tol=1e-12)
-        ens, clipped = ensemble_from_counts(record)
+        ens, clipped = ensemble_from_counts(CountRecord(counts))
         assert clipped == ((1, 1),)
         assert math.isclose(float(np.linalg.norm(ens.vector(1, 1))), 1.0, abs_tol=1e-12)
 
@@ -401,7 +394,7 @@ class TestTomography:
         record = counts_from_ensemble(referee_ideal(), 100)
         counts = {c: n for c, n in record.counts.items() if c[:3] != (2, -1, 3)}
         with pytest.raises(ValueError, match=r"\(j=2, s=-1\) on axis 3"):
-            bloch_from_counts(CountRecord(counts), (2, -1))
+            ensemble_from_counts(CountRecord(counts))
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="malformed count cell"):
@@ -417,8 +410,8 @@ class TestTomography:
                 CountRecord({(1, 1, 1, 1): n})
 
     def test_average_fidelity(self):
-        assert math.isclose(average_fidelity(referee_ideal()), 1.0)
-        got = average_fidelity(depolarize_ensemble(referee_ideal(), 0.974))
+        assert calibrate(ensemble=referee_ideal()).avg_fidelity == 1.0
+        got = calibrate(ensemble=depolarize_ensemble(referee_ideal(), 0.974)).avg_fidelity
         assert math.isclose(got, 0.987, abs_tol=1e-12)
 
     def test_average_fidelity_matches_density_matrices(self):
@@ -432,7 +425,7 @@ class TestTomography:
                 [fidelity_pure(referee_state(ens, j, s), ideal.vector(j, s))
                  for j, s in SETTING_KEYS]
             )
-            assert math.isclose(average_fidelity(ens), want, abs_tol=1e-12)
+            assert math.isclose(calibrate(ensemble=ens).avg_fidelity, want, abs_tol=1e-12)
 
 
 class TestBootstrap:
@@ -517,8 +510,6 @@ class TestRealArguments:
         ("Werner weight", lambda w: regime_at(w, 0.5), 0.75),
         ("Werner weight", lambda w: regime_classify(w, 1.0), 0.75),
         ("visibility", lambda v: partial_bsm_povm(v).b1, 0.5),
-        ("depolarizing strength", lambda e: depolarize_ensemble(referee_ideal(), e).stack, 0.5),
-        ("singlet weight", lambda p: werner_from_bell_weights(p)[0], 0.5),
     )
 
     def test_one_real_number_rule(self):
@@ -541,12 +532,11 @@ class TestRealArguments:
     def test_range_messages(self):
         """The range message shows the value as given."""
         for name, fn, _ in self.CASES:
-            low = "0.25" if name == "singlet weight" else "0"
             for bad, shown in ((2.0, "2.0"), (-1, "-1"), (np.float64(1.5), "1.5"),
                                (math.nan, "nan")):
                 with pytest.raises(ValueError) as info:
                     fn(bad)
-                assert str(info.value) == f"{name} must lie in [{low}, 1], got {shown}"
+                assert str(info.value) == f"{name} must lie in [0, 1], got {shown}"
 
 
 class TestRegimes:
@@ -680,6 +670,26 @@ class TestGameThreshold:
             for r in (0.0, 0.5, 1.0, 1.081):
                 assert regime_at(float(w), r / SQRT3) == regime_classify(float(w), r)
 
+    def test_regime_at_checks_the_threshold(self):
+        """w_game takes check_real's rule, after the weight: a bool, a
+        string or None is a ValueError naming it, and so is NaN, which
+        compares false with every weight. An infinite threshold is valid:
+        werner_threshold returns inf when no weight wins."""
+        for bad in (True, np.bool_(False), "0.5", None, 1j):
+            with pytest.raises(ValueError, match="w_game must be a real number"):
+                regime_at(0.1, bad)
+        for nan in (math.nan, np.float64("nan"), np.float32("nan")):
+            with pytest.raises(ValueError, match="w_game must not be NaN"):
+                regime_at(0.1, nan)
+        with pytest.raises(ValueError, match="Werner weight"):
+            regime_at(2.0, math.nan)
+        assert regime_at(1.0, math.inf) == "unsteerable-by-this-game"
+        assert regime_at(0.0, -math.inf) == "steerable-no-known-Bell"
+        for same in (np.float64(0.5), np.float32(0.5), 0.5, Fraction(1, 2)):
+            assert regime_at(0.5, same) == "unsteerable-by-this-game"
+            assert regime_at(0.75, same) == "Bell-violating"
+        assert regime_at(0.6, 1) == "unsteerable-by-this-game"
+
 
 DEPOLARIZING_03 = tuple(
     np.sqrt(c) * m
@@ -713,27 +723,31 @@ class TestChannels:
             rho /= np.trace(rho).real
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             effect = h + h.conj().T
-            lhs = np.trace(effect @ channel_apply(kraus, rho))
-            rhs = np.trace(channel_dual(kraus, effect) @ rho)
+            ops = witness._check_kraus(kraus)
+            lhs = np.trace(effect @ witness._apply(ops, rho))
+            rhs = np.trace(witness._dual(ops, effect) @ rho)
             assert math.isclose(lhs.real, rhs.real, abs_tol=1e-12)
 
     def test_depolarizing_shrinks_bloch_vectors(self):
-        moved = channel_ensemble(DEPOLARIZING_03, referee_ideal())
+        moved = witness._channel_ensemble(witness._check_kraus(DEPOLARIZING_03), referee_ideal())
         for key in SETTING_KEYS:
             assert np.allclose(moved.vector(*key), 0.7 * referee_ideal().vector(*key))
 
     def test_incomplete_kraus_rejected(self):
+        strat = HonestQuantum(werner_state(0.7), singlet_projector_bc())
         with pytest.raises(ValueError, match="completeness"):
-            channel_apply((0.5 * identity(2),), identity(2) / 2.0)
-        with pytest.raises(ValueError, match="2x2"):
-            channel_apply((identity(4),), identity(2) / 2.0)
+            channel_covariance_check(referee_ideal(), (0.5 * identity(2),), strat)
+        for kraus in ((identity(4),), ()):
+            with pytest.raises(ValueError, match="2x2"):
+                channel_covariance_check(referee_ideal(), kraus, strat)
 
     def test_non_finite_kraus_rejected(self):
+        strat = HonestQuantum(werner_state(0.7), singlet_projector_bc())
         for bad in (np.nan, np.inf):
             k = identity(2)
             k[0, 1] = bad
             with pytest.raises(ValueError, match="finite 2x2 Kraus"):
-                channel_dual((k,), identity(2) / 2.0)
+                channel_covariance_check(referee_ideal(), (k,), strat)
 
     def test_covariance_nan_tolerance_fails(self):
         strat = HonestQuantum(werner_state(0.7), singlet_projector_bc())
@@ -768,8 +782,7 @@ class TestChannels:
 
     def test_covariance_checks_kraus_once(self, monkeypatch):
         """One covariance check runs _check_kraus once, however many states
-        and components the channel is applied to; the public maps each
-        still check their own operators."""
+        and components the channel is applied to."""
         calls = []
         check = witness._check_kraus
 
@@ -782,14 +795,6 @@ class TestChannels:
         strat = random_local_strategy(rng, n_components=3)
         assert channel_covariance_check(perturbed_ensemble(rng), DEPOLARIZING_03, strat)
         assert len(calls) == 1
-        for run in (
-            lambda: channel_apply(DEPOLARIZING_03, identity(2) / 2.0),
-            lambda: channel_dual(DEPOLARIZING_03, identity(2)),
-            lambda: channel_ensemble(DEPOLARIZING_03, referee_ideal()),
-        ):
-            calls.clear()
-            run()
-            assert len(calls) == 1
 
     def test_covariance_builds_each_joint_table_once(self, monkeypatch):
         """One covariance check builds one six-setting joint table per
@@ -930,15 +935,6 @@ class TestCalibrationReport:
         }
         assert data["worst_assignment"] == [-1, -1, -1]
         assert data["bootstrap"] is None
-
-    def test_save_report(self, tmp_path):
-        import json
-
-        path = str(tmp_path / "report.json")
-        save_report(calibrate(ensemble=referee_ideal()), path)
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        assert data["r_star_printed"] == 2.0
 
 
 class TestCountsCsv:
@@ -1164,7 +1160,7 @@ def _composed_report(record, trials, seed):
     bound = {r: lhs_bound(ens, r) for r in (0.0, 0.5, 1.0, 1.5, 2.0, rstar)}
     return CalibrationReport(
         rstar, printed, max(rstar, 1.0), worst_assignment(ens, rstar),
-        average_fidelity(ens), bound, clipped, boot,
+        calibrate(ensemble=ens).avg_fidelity, bound, clipped, boot,
     )
 
 
