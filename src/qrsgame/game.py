@@ -33,13 +33,17 @@ the witness pairing of that table with the pairing sums D_j and S_j of the
 ensemble's witness form, which the ensemble builds once and every local payoff,
 sign table and best adversary of it reads, and whose top eigenvalues states
 computes. LhsDeterministic accepts three Python-int signs by one membership
-test and checks its hidden vector once. Strategies are frozen and keep
-read-only copies of the arrays they are given, so a compiled form cannot go
-stale; pickling or copying one rebuilds it through its constructor, and == is
-identity. Every input check keeps check_hermitian's tolerances and messages.
-All functions are pure and every random draw comes from _substream, the one
-rule that keys a stream by the caller's seed and the setting or trial, so
-results never depend on scheduling or threads.
+test, checks its hidden vector once and compiles its one component in that
+same pass. A BinaryPovm passes a common pair on Python scalars (psd_clear);
+every other pair goes to check_hermitian and psd_within per element, which
+alone reject. Strategies are frozen (a POVM and the local forms check and
+store each field once, in their own __init__) and keep read-only copies of
+the arrays they are given, so a compiled form cannot go stale; pickling or
+copying one rebuilds it through its constructor, and == is identity. Every
+input check keeps check_hermitian's tolerances and messages. All functions
+are pure and every random draw comes from _substream, the one rule that keys
+a stream by the caller's seed and the setting or trial, so results never
+depend on scheduling or threads.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
     TRACE_TOL,
-    _PSD_SHIFT,
     _density_entries,
     _frozen,
     _rebuilt_from,
@@ -65,12 +68,14 @@ from .qmath import (
     check_fraction,
     check_hermitian,
     check_real,
+    check_type,
     eig_hermitian,
     identity,
     is_density_matrix,
     is_integer,
     partial_trace,
     pauli,
+    psd_clear,
     psd_within,
     real_trace_product,
     tensor,
@@ -89,45 +94,71 @@ _LIFTS = _frozen(np.array([[tensor(0.5 * (identity(2) + a * pauli(j)), identity(
                             for a in (1, -1)] for j in (1, 2, 3)]))
 
 
-@dataclass(frozen=True, eq=False)
+# Python moduli can miss numpy's by an ulp or two, so a scalar defect passes
+# on its own only at half the tolerance; between that and the tolerance, the
+# numpy check that owns the message decides.
+_CLEAR_DEFECT = 0.5 * HERMITIAN_TOL
+
+
+def _clear_povm(e0: list, e1: list) -> bool:
+    # True only when the per-element checks surely pass b0 and b1, given as
+    # rows of Python complex numbers: each Hermitian and their sum the
+    # identity within half the tolerance (a diagonal entry's Hermiticity
+    # defect is twice its imaginary part), and each clearly positive.
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = e0
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = e1
+    return (max(abs(a00.imag), abs(a11.imag), abs(a22.imag), abs(a33.imag), abs(b00.imag),
+                abs(b11.imag), abs(b22.imag), abs(b33.imag)) <= 0.5 * _CLEAR_DEFECT
+            and max(abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()),
+                    abs(a03 - a30.conjugate()), abs(a12 - a21.conjugate()),
+                    abs(a13 - a31.conjugate()), abs(a23 - a32.conjugate()),
+                    abs(b01 - b10.conjugate()), abs(b02 - b20.conjugate()),
+                    abs(b03 - b30.conjugate()), abs(b12 - b21.conjugate()),
+                    abs(b13 - b31.conjugate()), abs(b23 - b32.conjugate()),
+                    abs(a00 + b00 - 1.0), abs(a11 + b11 - 1.0), abs(a22 + b22 - 1.0),
+                    abs(a33 + b33 - 1.0), abs(a01 + b01), abs(a02 + b02), abs(a03 + b03),
+                    abs(a12 + b12), abs(a13 + b13), abs(a23 + b23), abs(a10 + b10),
+                    abs(a20 + b20), abs(a30 + b30), abs(a21 + b21), abs(a31 + b31),
+                    abs(a32 + b32)) <= _CLEAR_DEFECT
+            and psd_clear(e0) and psd_clear(e1))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class BinaryPovm:
     """Two-outcome POVM {b0, b1} on the Bob + referee pair.
 
     Each element must be a finite, Hermitian 4x4 operator, and the two must
     sum to the identity. An element is positive when el + PSD_TOL*1 is
-    positive definite, decided as ``psd_within`` does from Cholesky pivots,
-    with no eigenvalue computed; the exact boundary lambda_min = -PSD_TOL
-    fails. The elements are checked as one stack, with one finiteness test
-    (a finite sum of squared moduli), one Hermiticity defect and one
-    Cholesky; only when that fails are they checked one by one, by
-    ``check_hermitian`` and ``psd_within``, to name the one at fault or to
-    pass finite elements whose squares overflow. The POVM keeps read-only
-    copies of the two elements.
+    positive definite, as ``psd_within`` decides from Cholesky pivots, with
+    no eigenvalue computed; the exact boundary lambda_min = -PSD_TOL fails.
+    The common case is passed on Python scalars, from one copy of the pair:
+    a finite sum of squared moduli, Hermiticity and sum defects within half
+    of HERMITIAN_TOL, and ``psd_clear`` on each element. Every other pair is
+    judged by the per-element checks, ``check_hermitian`` on b0 then b1,
+    ``psd_within`` on each and the sum rule, which alone reject and name
+    the fault. The POVM keeps read-only copies of the two elements.
     """
 
     b0: np.ndarray
     b1: np.ndarray
     __reduce__ = _rebuilt_from("b0", "b1")
 
-    def __post_init__(self) -> None:
-        try:  # one stack: one finiteness test, one Hermiticity defect, one Cholesky
-            pair = np.array((self.b0, self.b1), dtype=complex)
-            adj = pair.conj().swapaxes(-1, -2)
-            ok = (pair.shape == (2, 4, 4) and math.isfinite(np.vdot(pair, pair).real)
-                  and np.abs(pair - adj).max() <= HERMITIAN_TOL)
-            if ok:  # the sum psd_within factors
-                np.linalg.cholesky(pair + adj + _PSD_SHIFT[4])
-        except (TypeError, ValueError, OverflowError):  # LinAlgError is a ValueError
-            ok = False
-        if not ok:  # element by element, to name the one at fault
-            pair = np.array((check_hermitian(self.b0, 4, "POVM element b0"),
-                             check_hermitian(self.b1, 4, "POVM element b1")))
+    def __init__(self, b0: np.ndarray, b1: np.ndarray) -> None:
+        try:
+            pair = np.array((b0, b1), dtype=complex)
+            clear = (pair.shape == (2, 4, 4) and math.isfinite(np.vdot(pair, pair).real)
+                     and _clear_povm(*pair.tolist()))
+        except (TypeError, ValueError, OverflowError):
+            clear = False
+        if not clear:
+            pair = np.array((check_hermitian(b0, 4, "POVM element b0"),
+                             check_hermitian(b1, 4, "POVM element b1")))
             for name, el in zip(("b0", "b1"), pair):
                 if not psd_within(el):
                     raise ValueError(f"POVM element {name} is not positive semidefinite")
+            if np.abs(pair[0] + pair[1] - _IDENTITY4).max() > HERMITIAN_TOL:
+                raise ValueError("POVM elements must sum to the identity")
         pair.setflags(write=False)
-        if np.abs(pair[0] + pair[1] - _IDENTITY4).max() > HERMITIAN_TOL:
-            raise ValueError("POVM elements must sum to the identity")
         object.__setattr__(self, "b0", pair[0])
         object.__setattr__(self, "b1", pair[1])
 
@@ -185,7 +216,25 @@ class HonestQuantum:
         object.__setattr__(self, "marginals", tuple(map(tuple, traces)))
 
 
-@dataclass(frozen=True, eq=False)
+def _effect_bloch(effect: np.ndarray) -> tuple[float, float, float, float]:
+    # The Bloch form (e0, e1, e2, e3), E = e0*1 + e.sigma, of a complex array
+    # that must be a Hermitian 2x2 effect with 0 <= E <= 1, read once.
+    (e00, e01), (e10, e11) = effect.tolist() if effect.shape == (2, 2) else [[math.nan] * 2] * 2
+    # |E - E^dag| summed over the entries: NaN or inf unless all are finite, and
+    # math.hypot, unlike complex abs, gives inf on overflow. Python's moduli can miss
+    # numpy's by an ulp or two, so check_hermitian decides all but a clear pass.
+    defect = (abs(e00 - e00.conjugate()) + abs(e11 - e11.conjugate())
+              + math.hypot(e01.real - e10.real, e01.imag + e10.imag))
+    if not defect <= _CLEAR_DEFECT:
+        check_hermitian(effect, 2, "component effect")
+    e0, e3 = 0.5 * (e00.real + e11.real), 0.5 * (e00.real - e11.real)
+    radius = math.hypot(e3, abs(e01))
+    if e0 - radius < -PSD_TOL or e0 + radius > 1.0 + PSD_TOL:
+        raise ValueError("component effect must satisfy 0 <= E <= 1")
+    return e0, e01.real, -e01.imag, e3
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LocalComponent:
     """One hidden variable: Alice's response table plus Bob's referee effect.
 
@@ -202,17 +251,16 @@ class LocalComponent:
     bloch: tuple[float, float, float, float] = field(init=False, repr=False)
     __reduce__ = _rebuilt_from("weight", "alice_plus", "effect")
 
-    def __post_init__(self) -> None:
-        weight, plus = self.weight, self.alice_plus
+    def __init__(self, weight: float, alice_plus: Mapping[int, float], effect: np.ndarray) -> None:
         if type(weight) is not float:
             weight = check_real(weight, "component weight")
-            object.__setattr__(self, "weight", weight)
         if not (math.isfinite(weight) and weight >= 0.0):
             raise ValueError(f"component weight must be finite and nonnegative, got {weight}")
-        if not (type(plus) is dict or isinstance(plus, Mapping)) or set(plus) != _INPUTS:
+        if (not (type(alice_plus) is dict or isinstance(alice_plus, Mapping))
+                or set(alice_plus) != _INPUTS):
             raise ValueError("alice_plus must map each input j in {1, 2, 3}")
         checked = {}
-        for j, p in plus.items():
+        for j, p in alice_plus.items():
             if type(j) is not int:  # the integer rule: 1.0 and True only compare equal to 1
                 if not is_integer(j):
                     raise ValueError(f"alice_plus key {j!r} is not an integer")
@@ -220,25 +268,34 @@ class LocalComponent:
             checked[j] = q = p if type(p) is float else check_real(p, f"alice_plus[{j}]")
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
+        effect = np.asarray(effect, dtype=complex)
+        bloch = _effect_bloch(effect)
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "alice_plus", MappingProxyType(checked))
-        effect = np.asarray(self.effect, dtype=complex)
-        (e00, e01), (e10, e11) = effect.tolist() if effect.shape == (2, 2) else [[math.nan] * 2] * 2
-        # |E - E^dag| summed over the entries: NaN or inf unless all are finite, and
-        # math.hypot, unlike complex abs, gives inf on overflow. Python's moduli can miss
-        # numpy's by an ulp or two, so check_hermitian decides all but a clear pass.
-        defect = (abs(e00 - e00.conjugate()) + abs(e11 - e11.conjugate())
-                  + math.hypot(e01.real - e10.real, e01.imag + e10.imag))
-        if not defect <= 0.5 * HERMITIAN_TOL:
-            check_hermitian(effect, 2, "component effect")
         object.__setattr__(self, "effect", _frozen(effect))
-        e0, e3 = 0.5 * (e00.real + e11.real), 0.5 * (e00.real - e11.real)
-        radius = math.hypot(e3, abs(e01))
-        if e0 - radius < -PSD_TOL or e0 + radius > 1.0 + PSD_TOL:
-            raise ValueError("component effect must satisfy 0 <= E <= 1")
-        object.__setattr__(self, "bloch", (e0, e01.real, -e01.imag, e3))
+        object.__setattr__(self, "bloch", bloch)
 
 
-@dataclass(frozen=True, eq=False)
+def _effect_table(components: tuple[LocalComponent, ...]) -> tuple:
+    # Row [j - 1][0 for a = +1, 1 for a = -1] is (p(a|j), f0, f1, f2, f3):
+    # Alice's marginal and F_(j,a) = sum_c w_c p_c(a|j) E_c as
+    # f0 = tr F / 2, f_i = tr(sigma_i F) / 2, so that for the referee state
+    # (1 + n.sigma)/2 the click probability is tr(omega F) = f0 + n.f.
+    # Each sum runs over the components in order, on scalars.
+    table = []
+    for j in (1, 2, 3):
+        p0 = p1 = p2 = p3 = p4 = m0 = m1 = m2 = m3 = m4 = 0.0
+        for c in components:
+            w, p = c.weight, c.alice_plus[j]
+            wp, wm = w * p, w * (1.0 - p)
+            e0, e1, e2, e3 = c.bloch
+            p0, p1, p2, p3, p4 = p0 + wp, p1 + wp * e0, p2 + wp * e1, p3 + wp * e2, p4 + wp * e3
+            m0, m1, m2, m3, m4 = m0 + wm, m1 + wm * e0, m2 + wm * e1, m3 + wm * e2, m4 + wm * e3
+        table.append(((p0, p1, p2, p3, p4), (m0, m1, m2, m3, m4)))
+    return tuple(table)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CustomLocal:
     """Mixture of local response tables; the general no-steering adversary."""
 
@@ -246,9 +303,8 @@ class CustomLocal:
     effect_table: tuple = field(init=False, repr=False)
     __reduce__ = _rebuilt_from("components")
 
-    def __post_init__(self) -> None:
-        components = tuple(self.components)
-        object.__setattr__(self, "components", components)
+    def __init__(self, components: tuple[LocalComponent, ...]) -> None:
+        components = tuple(components)
         if not components:
             raise ValueError("CustomLocal needs at least one component")
         if not all(isinstance(c, LocalComponent) for c in components):
@@ -256,30 +312,17 @@ class CustomLocal:
         total = sum([c.weight for c in components])
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total}")
-        # Row [j - 1][0 for a = +1, 1 for a = -1] is (p(a|j), f0, f1, f2, f3):
-        # Alice's marginal and F_(j,a) = sum_c w_c p_c(a|j) E_c as
-        # f0 = tr F / 2, f_i = tr(sigma_i F) / 2, so that for the referee state
-        # (1 + n.sigma)/2 the click probability is tr(omega F) = f0 + n.f.
-        # Each sum runs over the components in order, on scalars.
-        table = []
-        for j in (1, 2, 3):
-            p0 = p1 = p2 = p3 = p4 = m0 = m1 = m2 = m3 = m4 = 0.0
-            for c in components:
-                w, p = c.weight, c.alice_plus[j]
-                wp, wm = w * p, w * (1.0 - p)
-                e0, e1, e2, e3 = c.bloch
-                p0, p1, p2, p3, p4 = p0 + wp, p1 + wp * e0, p2 + wp * e1, p3 + wp * e2, p4 + wp * e3
-                m0, m1, m2, m3, m4 = m0 + wm, m1 + wm * e0, m2 + wm * e1, m3 + wm * e2, m4 + wm * e3
-            table.append(((p0, p1, p2, p3, p4), (m0, m1, m2, m3, m4)))
-        object.__setattr__(self, "effect_table", tuple(table))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "effect_table", _effect_table(components))
 
 
 # Flat positions of b1[(m, j), (i, l)] at row (i, m), column (j, l): the
 # reordered copy of b1 that LhsDeterministic pairs with its hidden state.
 _HIDDEN_FIRST = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
 
-# Alice's p(+|j) table for each assignment of three Python-int signs.
-_ALICE_PLUS = {signs: {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), signs)}
+# Alice's read-only p(+|j) table for each assignment of three Python-int signs.
+_ALICE_PLUS = {signs: MappingProxyType({j: 1.0 if a == 1 else 0.0
+                                         for j, a in zip((1, 2, 3), signs)})
                for signs in SIGN_TRIPLES}
 
 
@@ -293,7 +336,11 @@ class LhsDeterministic(CustomLocal):
     one-component CustomLocal whose Alice answers ``alice_signs`` for sure.
     Three Python-int signs pass with one membership test; any other signs
     take the per-element integer rule. The hidden state is checked once, and
-    the strategy keeps a read-only copy of the checked array.
+    the strategy keeps a read-only copy of the checked array. The component
+    is compiled here, in the pass that checks the inputs: its effect is
+    checked once, by LocalComponent's rule, and its effect table comes from
+    CustomLocal's routine, so each field is what
+    ``CustomLocal((LocalComponent(1.0, plus, effect),))`` builds.
     """
 
     alice_signs: tuple[int, int, int]
@@ -310,17 +357,29 @@ class LhsDeterministic(CustomLocal):
             if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
                 raise ValueError(f"alice_signs must be three integers +/-1, got {alice_signs}")
             signs = tuple(int(a) for a in signs)
-        object.__setattr__(self, "alice_signs", signs)
         hidden = check_bloch(hidden_state)
-        rho = np.array(_density_entries(*hidden.tolist()), dtype=complex)  # bloch_to_density
-        object.__setattr__(self, "hidden_state", _frozen(hidden))
-        object.__setattr__(self, "bob_povm", bob_povm)
+        (r00, r01), (r10, r11) = _density_entries(*hidden.tolist())  # bloch_to_density's
         # E_jl = sum_(i,m) rho_im b1[(m, j), (i, l)] = tr_hidden[(rho x 1) b1],
         # as one product of rho, flattened over (i, m), with b1 reordered
         # to rows (i, m) and columns (j, l).
-        effect = np.dot(rho.reshape(4), bob_povm.b1.take(_HIDDEN_FIRST)).reshape(2, 2)
-        super().__init__((LocalComponent(1.0, _ALICE_PLUS[signs], effect),))
-        object.__setattr__(self, "effect", self.components[0].effect)
+        rho = np.array((r00, r01, r10, r11), dtype=complex)
+        effect = np.dot(rho, bob_povm.b1.take(_HIDDEN_FIRST))
+        effect.setflags(write=False)  # before the reshape, so its base is read-only too
+        effect = effect.reshape(2, 2)
+        bloch = _effect_bloch(effect)
+        # LocalComponent(1.0, _ALICE_PLUS[signs], effect), field for field,
+        # without checking again the weight, table and effect checked here.
+        component = LocalComponent.__new__(LocalComponent)
+        object.__setattr__(component, "weight", 1.0)
+        object.__setattr__(component, "alice_plus", _ALICE_PLUS[signs])
+        object.__setattr__(component, "effect", effect)
+        object.__setattr__(component, "bloch", bloch)
+        object.__setattr__(self, "alice_signs", signs)
+        object.__setattr__(self, "hidden_state", _frozen(hidden))
+        object.__setattr__(self, "bob_povm", bob_povm)
+        object.__setattr__(self, "effect", effect)
+        object.__setattr__(self, "components", (component,))
+        object.__setattr__(self, "effect_table", _effect_table((component,)))
 
 
 Strategy = HonestQuantum | CustomLocal
@@ -384,7 +443,8 @@ def joint_probabilities(
     strategy: Strategy, ensemble: RefereeEnsemble, j: int, s: int
 ) -> dict[tuple[int, int], float]:
     """p(a, b) for one setting, as a dict over the four (a, b) cells."""
-    ensemble.vector(j, s)  # raises on a key the ensemble does not have
+    # Raises on a key the ensemble does not have.
+    check_type(ensemble, RefereeEnsemble, "ensemble").vector(j, s)
     return dict(zip(_CELLS, _cell_rows(strategy, ensemble)[SETTING_KEYS.index((j, s))]))
 
 
@@ -395,7 +455,8 @@ def exact_payoff(spec: GameSpec, strategy: Strategy, ensemble: RefereeEnsemble) 
     with the ensemble; an honest one by its click probabilities, summed over
     the settings in order. Both share the tax t = r/sqrt(3) and the scale 2.
     """
-    t = spec.r / SQRT3
+    t = check_type(spec, GameSpec, "spec").r / SQRT3
+    check_type(ensemble, RefereeEnsemble, "ensemble")
     value = 0.0
     if isinstance(strategy, CustomLocal):
         # Summing the per-setting payoff over s in closed form: with
@@ -552,6 +613,8 @@ def simulate_runs(
     scheduled.
     The draws do not depend on the rate in ``spec``.
     """
+    check_type(spec, GameSpec, "spec")
+    check_type(ensemble, RefereeEnsemble, "ensemble")
     if not is_integer(n_per_setting) or not 1 <= n_per_setting <= TallyTable.MAX_COUNT:
         raise ValueError("n_per_setting must be an integer from 1 to 2^52, a tally count's cap,"
                          f" got {n_per_setting!r}")
@@ -602,7 +665,7 @@ def estimate_payoff(spec: GameSpec, tally: TallyTable) -> PayoffEstimate:
     """
     if not isinstance(tally, TallyTable):
         raise ValueError(f"estimate_payoff needs a TallyTable, got {type(tally).__name__}")
-    tax = spec.r / SQRT3
+    tax = check_type(spec, GameSpec, "spec").r / SQRT3
     value = 0.0
     variance = 0.0
     totals = {}
@@ -635,8 +698,10 @@ def lhs_best_deterministic(
     lexicographically smallest sign assignment. The signs, the payoff and
     the direction's norm come from one evaluation of the eight A - r B.
     """
-    t, norms = _witness_norms(*ensemble.witness_form[:2], np.asarray(spec.r))
-    top = norms - TWO_SQRT3 * spec.r  # the values _top_eigenvalues gives
+    r = check_type(spec, GameSpec, "spec").r
+    t, norms = _witness_norms(*check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2],
+                              np.asarray(r))
+    top = norms - TWO_SQRT3 * r  # the values _top_eigenvalues gives
     signs = _first_max(top)
     best = SIGN_TRIPLES.index(signs)
     norm = float(norms[best])

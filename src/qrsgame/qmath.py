@@ -2,12 +2,17 @@
 
 Every operator in this package is a plain numpy array of dimension 2 or 4;
 nothing here allocates anything larger. A yes/no positivity question is
-answered by ``psd_within``, which reads the pivots of a Cholesky
-factorization. Eigenvalues come from numpy's ``eigvalsh`` through
-``eig_hermitian`` alone, and only where a value is needed: the message of a
-failing density check and the scale of the random strategies. Input checks:
-``check_hermitian`` for operators, ``check_bloch`` for Bloch vectors,
-``check_real`` and ``check_fraction`` for real numbers. All functions are
+answered by ``psd_within``, which reads the pivots of numpy's Cholesky
+factorization. ``psd_clear`` is its scalar clear pass for a 4x4 operator
+held as Python numbers: an unrolled LDL^dag that says yes only when the
+lowest eigenvalue lies half way from psd_within's bound, a margin that
+dwarfs the rounding of either factorization, so a yes is one psd_within
+gives; a no is no verdict, and the caller asks psd_within. Eigenvalues come
+from numpy's ``eigvalsh`` through ``eig_hermitian`` alone, and only where a
+value is needed: the message of a failing density check and the scale of the
+random strategies. Input checks: ``check_hermitian`` for operators,
+``check_bloch`` for Bloch vectors, ``check_real`` and ``check_fraction`` for
+real numbers, ``check_type`` for the package's own values. All functions are
 pure.
 """
 
@@ -136,6 +141,13 @@ def check_real(x: object, name: str) -> float:
     raise ValueError(f"{name} must be a real number, got {x!r}")
 
 
+def check_type(x: object, kind: type, name: str):
+    """x itself when it is a ``kind``; otherwise ValueError naming the parameter."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
 def check_fraction(x: object, name: str) -> float:
     """x as a float in [0, 1]: check_real's rule, then the range.
 
@@ -176,6 +188,55 @@ def psd_within(m: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# Why a yes from psd_clear is one psd_within gives. psd_clear factors
+# H - PSD_TOL*1 = m + m^dag + PSD_TOL*1, where H is the matrix psd_within
+# factors, and says yes when every pivot is positive. A factorization that
+# completes is exact for the matrix plus some E with |E| <= 5u |L||D||L^dag|
+# entrywise (u = 2^-53; a little more for complex arithmetic), and each entry
+# of |L||D||L^dag| is at most the largest diagonal entry, below 5 once m's
+# diagonal is at most 2. So a yes proves lambda_min(H) > PSD_TOL - 1e-13,
+# and numpy's Cholesky, which completes whenever 20 n^1.5 u kappa_2(H) < 1
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), here
+# at most 3e-4, passes H. A margin on the pivots of H alone would not do:
+# pivots bound lambda_min only from above, and on ill-conditioned leading
+# blocks the pivots of two factorizations of one matrix differ by 1e-7.
+def psd_clear(rows: list) -> bool:
+    """True only when psd_within surely passes the 4x4 operator m given as rows.
+
+    ``rows`` holds m as four rows of four finite Python complex numbers. An
+    unrolled LDL^dag factorization on scalars: true when m's diagonal is at
+    most 2 and every pivot of m + m^dag + PSD_TOL*1 is positive, so that the
+    Hermitian part's lowest eigenvalue lies above -PSD_TOL/2, half way from
+    psd_within's bound. False is no verdict; psd_within decides.
+    """
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
+    h00, h11, h22, h33 = m00.real, m11.real, m22.real, m33.real
+    if not max(h00, h11, h22, h33) <= 2.0:
+        return False
+    d = h00 + h00 + PSD_TOL
+    if not d > 0.0:
+        return False
+    # Column 0 below the pivot, then the Schur complement, one column at a
+    # time; c_k = conj(x_k) / pivot, so x_k c_k is |x_k|^2 / pivot.
+    x1, x2, x3 = m10 + m01.conjugate(), m20 + m02.conjugate(), m30 + m03.conjugate()
+    c1, c2, c3 = x1.conjugate() / d, x2.conjugate() / d, x3.conjugate() / d
+    h11 = h11 + h11 + PSD_TOL - (x1 * c1).real
+    if not h11 > 0.0:
+        return False
+    h21 = m21 + m12.conjugate() - x2 * c1
+    h31 = m31 + m13.conjugate() - x3 * c1
+    h22 = h22 + h22 + PSD_TOL - (x2 * c2).real
+    h32 = m32 + m23.conjugate() - x3 * c2
+    h33 = h33 + h33 + PSD_TOL - (x3 * c3).real
+    c2, c3 = h21.conjugate() / h11, h31.conjugate() / h11
+    h22 -= (h21 * c2).real
+    if not h22 > 0.0:
+        return False
+    h32 -= h31 * c2
+    h33 -= (h31 * c3).real
+    return h33 - (h32 * h32.conjugate()).real / h22 > 0.0
 
 
 @dataclass(frozen=True)

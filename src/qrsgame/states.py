@@ -40,6 +40,7 @@ from .qmath import (
     bloch_to_density,
     check_bloch,
     check_fraction,
+    check_type,
     identity,
     is_integer,
 )
@@ -189,7 +190,7 @@ def referee_ideal() -> RefereeEnsemble:
 
 def referee_state(ensemble: RefereeEnsemble, j: int, s: int) -> np.ndarray:
     """Density matrix of the referee state for key (j, s)."""
-    return bloch_to_density(ensemble.vector(j, s))
+    return bloch_to_density(check_type(ensemble, RefereeEnsemble, "ensemble").vector(j, s))
 
 
 def referee_states(ensemble: RefereeEnsemble) -> np.ndarray:

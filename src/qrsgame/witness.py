@@ -28,7 +28,7 @@ import numpy as np
 from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
 from .game import BinaryPovm, CountTable, _cell_rows, _substream, check_rate, exact_payoff
 from .qmath import _rebuilt_from, check_fraction, density_to_bloch, identity, is_integer
-from .qmath import check_real, pauli, tensor
+from .qmath import check_real, check_type, pauli, tensor
 from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble
 from .states import _first_max, _sign_tables, _top_eigenvalues, referee_states
 from .states import werner_state
@@ -68,7 +68,7 @@ def assignment_vectors(
     signs = tuple(assignment) if np.iterable(assignment) else ()
     if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
         raise ValueError(f"assignment must be three values of +/-1, got {assignment}")
-    rows, vec_b = ensemble.witness_form[:2]
+    rows, vec_b = check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2]
     return rows[SIGN_TRIPLES.index(signs)], vec_b
 
 
@@ -88,12 +88,14 @@ def t_operator(
 def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
     """Best no-steering payoff at rate r: max over signs of the top
     witness eigenvalue."""
-    return float(np.max(_top_eigenvalues(*ensemble.witness_form[:2], check_rate(r))))
+    table = check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2]
+    return float(np.max(_top_eigenvalues(*table, check_rate(r))))
 
 
 def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
     """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
-    return _first_max(_top_eigenvalues(*ensemble.witness_form[:2], check_rate(r)))
+    table = check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2]
+    return _first_max(_top_eigenvalues(*table, check_rate(r)))
 
 
 # The calibration below takes one sign table or a stack of them, as
@@ -166,7 +168,8 @@ def rstar_oracle(ensemble: RefereeEnsemble) -> float:
     2 sqrt(3) r, so r* <= sqrt(3) for every ensemble in the unit ball; the
     "below 4" error only guards roots that come out NaN or infinite.
     """
-    return _first_rstar(_rstar_tables(*ensemble.witness_form[:2]))
+    table = check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2]
+    return _first_rstar(_rstar_tables(*table))
 
 
 def _printed(rows: np.ndarray, vec_b: np.ndarray) -> float:
@@ -185,7 +188,7 @@ def rstar_printed(ensemble: RefereeEnsemble) -> float:
     2, twice the operational boundary found by rstar_oracle; calibration
     reports carry both so the discrepancy stays visible.
     """
-    return _printed(*ensemble.witness_form[:2])
+    return _printed(*check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2])
 
 
 class CountRecord(CountTable):
@@ -242,7 +245,8 @@ def ensemble_from_counts(
     record: CountRecord,
 ) -> tuple[RefereeEnsemble, tuple[tuple[int, int], ...]]:
     """Reconstruct all six referee states; also report which got clipped."""
-    vectors, clipped = _invert(_count_row(record).reshape(6, 3, 2))
+    row = _count_row(check_type(record, CountRecord, "record"))
+    vectors, clipped = _invert(row.reshape(6, 3, 2))
     return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors))), _clipped_keys(clipped)
 
 
@@ -317,7 +321,7 @@ def bootstrap_calibration(
     Trials whose resampled counts cannot be calibrated (an axis without
     counts, or no sound rate below 4) are excluded and counted.
     """
-    return _calibrated_stack(record, trials, seed)[0]
+    return _calibrated_stack(check_type(record, CountRecord, "record"), trials, seed)[0]
 
 
 def chsh_werner(w: float) -> float:
@@ -433,6 +437,7 @@ def channel_covariance_check(
     quantifies over all of Bob's measurements, such a channel can never
     open a loophole.
     """
+    check_type(ensemble, RefereeEnsemble, "ensemble")
     ops = _check_kraus(kraus)
     state_route = _cell_rows(strategy, _channel_ensemble(ops, ensemble))
     povm_route = _cell_rows(_dual_strategy(ops, strategy), ensemble)
@@ -497,11 +502,12 @@ def calibrate(
     if counts is None:
         if given:
             raise UnusedArgumentsError(*given)
-        vectors, clipped, boot = ensemble.stack, (), None
+        vectors, clipped, boot = check_type(ensemble, RefereeEnsemble, "ensemble").stack, (), None
         table = ensemble.witness_form[:2]
         rate = _rstar_tables(*table)
     else:
-        boot, (rate, vectors, flags, table) = _calibrated_stack(counts, **given)
+        boot, (rate, vectors, flags, table) = _calibrated_stack(
+            check_type(counts, CountRecord, "counts"), **given)
         clipped = _clipped_keys(flags)
     oracle = _first_rstar(rate)
     try:

@@ -1608,3 +1608,113 @@ def test_values_holding_arrays_compare_by_identity():
         assert hash(x) == hash(x) and {x: 1, twin: 2}[x] == 1
     assert canonical_game(1.0) == canonical_game(1.0)
     assert hash(canonical_game(1.0)) == hash(canonical_game(1.0))
+
+
+def _generic_lhs(strat):
+    # The generic path LhsDeterministic stands for: one LocalComponent of
+    # weight 1 with Alice's 0/1 table and the induced effect, in a CustomLocal.
+    plus = {j: 1.0 if a == 1 else 0.0 for j, a in zip((1, 2, 3), strat.alice_signs)}
+    return CustomLocal((LocalComponent(1.0, plus, strat.effect),))
+
+
+def _same_component(got, want):
+    return (type(got.weight) is float and got.weight == want.weight
+            and dict(got.alice_plus) == dict(want.alice_plus)
+            and all(type(j) is int and type(p) is float for j, p in got.alice_plus.items())
+            and got.effect.tobytes() == want.effect.tobytes()
+            and got.effect.dtype == want.effect.dtype and got.effect.shape == want.effect.shape
+            and not got.effect.flags.writeable and got.bloch == want.bloch
+            and (got.effect.base is None or not got.effect.base.flags.writeable))
+
+
+def test_lhs_compiles_what_the_generic_path_builds():
+    """2000 seeded random_lhs_strategy draws, plus numpy-int and list signs:
+    LhsDeterministic's directly compiled component and effect table equal,
+    bit for bit, those of CustomLocal((LocalComponent(1.0, plus, effect),)),
+    the generic path kept as oracle."""
+    rng = np.random.default_rng(2801)
+    strategies = [random_lhs_strategy(rng) for _ in range(2000)]
+    hidden, povm = np.array([0.3, -0.1, 0.5]), partial_bsm_povm(0.8)
+    for signs in SIGN_TRIPLES:
+        strategies += [LhsDeterministic([np.int64(a) for a in signs], hidden, povm),
+                       LhsDeterministic(list(signs), hidden, povm)]
+    for strat in strategies:
+        want = _generic_lhs(strat)
+        assert len(strat.components) == 1
+        assert _same_component(strat.components[0], want.components[0])
+        assert strat.effect is strat.components[0].effect
+        assert strat.effect_table == want.effect_table
+
+
+def _edge_povm(rng, lowest):
+    # A POVM (1 - b1, b1) whose b1 has lowest eigenvalue `lowest` and top 1/2.
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, _ = np.linalg.qr(g)
+    spectrum = np.concatenate(([lowest], rng.uniform(0.0, 0.5, size=2), [0.5]))
+    b1 = (u * spectrum) @ u.conj().T
+    return [identity(4) - b1, b1]
+
+
+def _skewed(rng, defect, diagonal=False):
+    # A clear POVM with one entry of b0 or b1 moved so that its Hermiticity
+    # defect is `defect`: an imaginary part of defect/2 on the diagonal, or
+    # the whole defect on one entry off it.
+    pair = _edge_povm(rng, 0.0)
+    k = rng.integers(2)
+    i, j = (rng.integers(4),) * 2 if diagonal else rng.choice(4, size=2, replace=False)
+    pair[k] = pair[k].copy()
+    pair[k][i, j] += 0.5j * defect if diagonal else defect * np.exp(2j * np.pi * rng.random())
+    return pair
+
+
+def _off_identity(rng, defect):
+    # A clear POVM whose sum misses the identity by `defect` on one diagonal entry.
+    pair = _edge_povm(rng, 0.0)
+    i = rng.integers(4)
+    pair[0] = pair[0].copy()
+    pair[0][i, i] += defect
+    return pair
+
+
+def test_clear_pass_edges_match_per_element_oracle(monkeypatch):
+    """The clear pass on its edges: lowest eigenvalues within 1e-11 either
+    side of -PSD_TOL/2, where m + m^dag + PSD_TOL*1 stops being positive
+    definite, and Hermiticity and sum defects either side of
+    HERMITIAN_TOL/2. BinaryPovm gives the per-element oracle's outcome on
+    every pair, and each family reaches both the clear pass and the
+    per-element checks."""
+    calls = []
+    real = game.check_hermitian
+    monkeypatch.setattr(game, "check_hermitian", lambda *a: calls.append(a[2]) or real(*a))
+    rng = np.random.default_rng(2802)
+    half = 0.5 * HERMITIAN_TOL
+    families = {
+        "lowest eigenvalue": lambda: _edge_povm(rng, -0.5 * PSD_TOL + rng.uniform(-1e-11, 1e-11)),
+        "Hermiticity": lambda: _skewed(rng, half * (1.0 + rng.uniform(-1e-3, 1e-3))),
+        "diagonal": lambda: _skewed(rng, half * (1.0 + rng.uniform(-1e-3, 1e-3)), diagonal=True),
+        "sum": lambda: _off_identity(rng, half * (1.0 + rng.uniform(-1e-3, 1e-3))),
+    }
+    for family, build in families.items():
+        paths = set()
+        for _ in range(300):
+            pair = build()
+            del calls[:]
+            assert _outcome(BinaryPovm, *pair) == _povm_oracle(*pair), family
+            paths.add(bool(calls))
+        assert paths == {False, True}, family
+
+
+def test_common_povms_take_the_clear_pass(monkeypatch):
+    """1000 random_lhs_strategy analyzers and partial_bsm_povm on a 0..1
+    grid are passed on scalars: BinaryPovm calls check_hermitian on no
+    element, so the common case cannot fall to the per-element checks
+    unnoticed."""
+    calls = []
+    real = game.check_hermitian
+    monkeypatch.setattr(game, "check_hermitian", lambda *a: calls.append(a[2]) or real(*a))
+    rng = np.random.default_rng(2803)
+    for _ in range(1000):
+        random_lhs_strategy(rng)
+    for v in np.linspace(0.0, 1.0, 101):
+        partial_bsm_povm(float(v))
+    assert [name for name in calls if name.startswith("POVM element")] == []
