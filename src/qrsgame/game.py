@@ -36,8 +36,8 @@ computes. LhsDeterministic accepts three Python-int signs by one membership
 test, checks its hidden vector once and compiles its one component in that
 same pass. A BinaryPovm passes a common pair on Python scalars (psd_clear);
 every other pair goes to check_hermitian and psd_within per element, which
-alone reject. Strategies are frozen (a POVM and the local forms check and
-store each field once, in their own __init__) and keep read-only copies of
+alone reject. Strategies are frozen (every strategy and POVM checks and
+stores each field once, in its own __init__) and keep read-only copies of
 the arrays they are given, so a compiled form cannot go stale; pickling or
 copying one rebuilds it through its constructor, and == is identity. Every
 input check keeps check_hermitian's tolerances and messages. All functions
@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import ClassVar, Mapping
+from typing import ClassVar
 
 import numpy as np
 
@@ -179,7 +180,7 @@ def partial_bsm_povm(visibility: float) -> BinaryPovm:
     return BinaryPovm(_IDENTITY4 - b1, b1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HonestQuantum:
     """Shared two-qubit state; Alice measures sigma_j, Bob runs the analyzer.
 
@@ -189,8 +190,9 @@ class HonestQuantum:
     outcome leaves on Bob's qubit. ``marginals[j - 1]`` holds Alice's p(a|j),
     the trace of cond_(j,a), for a = +1 then a = -1. Each entry is bitwise
     the one an evaluation that rebuilds it for every setting gives; the
-    tests keep that evaluation as oracle. The strategy keeps a read-only copy
-    of the shared state, a read-only stack and its last ensemble's click table.
+    tests keep that evaluation as oracle. The strategy checks the analyzer,
+    then the shared state, and keeps a read-only copy of the state, a
+    read-only stack and its last ensemble's click table.
     """
 
     shared_state: np.ndarray
@@ -200,19 +202,20 @@ class HonestQuantum:
     _clicks: tuple = field(default=(None, None), init=False, repr=False)  # (ensemble, table)
     __reduce__ = _rebuilt_from("shared_state", "bob_povm")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bob_povm, BinaryPovm):
+    def __init__(self, shared_state: np.ndarray, bob_povm: BinaryPovm) -> None:
+        if not isinstance(bob_povm, BinaryPovm):
             raise ValueError("bob_povm must be a BinaryPovm")
-        rho = check_hermitian(self.shared_state, 4, "shared_state")
+        rho = check_hermitian(shared_state, 4, "shared_state")
         if abs(np.trace(rho) - 1.0) > TRACE_TOL or not psd_within(rho):
             defects = is_density_matrix(rho).describe()  # measured only for the message
             raise ValueError(f"shared_state is not a density matrix ({defects})")
         rho = _frozen(rho)
-        object.__setattr__(self, "shared_state", rho)
-        cond = partial_trace(_LIFTS @ rho, "first")
+        cond = partial_trace(_LIFTS @ rho)
         cond.setflags(write=False)
-        object.__setattr__(self, "cond_stack", cond)
         traces = cond.trace(axis1=-2, axis2=-1).real.tolist()
+        object.__setattr__(self, "shared_state", rho)
+        object.__setattr__(self, "bob_povm", bob_povm)
+        object.__setattr__(self, "cond_stack", cond)
         object.__setattr__(self, "marginals", tuple(map(tuple, traces)))
 
 
@@ -304,6 +307,9 @@ class CustomLocal:
     __reduce__ = _rebuilt_from("components")
 
     def __init__(self, components: tuple[LocalComponent, ...]) -> None:
+        if not np.iterable(components):
+            raise ValueError("CustomLocal components must be an iterable of LocalComponents,"
+                             f" got {type(components).__name__}")
         components = tuple(components)
         if not components:
             raise ValueError("CustomLocal needs at least one component")
@@ -498,7 +504,8 @@ class CountTable:
     NAME: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        checked = [self.check_cell(cell, n) for cell, n in self.counts.items()]
+        counts = check_type(self.counts, Mapping, "counts")
+        checked = [self.check_cell(cell, n) for cell, n in counts.items()]
         object.__setattr__(self, "counts", MappingProxyType({cell: n for cell, n in checked if n}))
 
     @classmethod
@@ -643,7 +650,8 @@ class PayoffEstimate:
     __reduce__ = _rebuilt_from("value", "stderr", "n_per_setting")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_per_setting", MappingProxyType(dict(self.n_per_setting)))
+        n_per_setting = dict(check_type(self.n_per_setting, Mapping, "n_per_setting"))
+        object.__setattr__(self, "n_per_setting", MappingProxyType(n_per_setting))
 
     def to_dict(self) -> dict:
         return {

@@ -1,11 +1,11 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Every operator in this package is a plain numpy array of dimension 2 or 4;
-nothing here allocates anything larger. A yes/no positivity question is
-answered by ``psd_within``, which reads the pivots of numpy's Cholesky
-factorization. ``psd_clear`` is its scalar clear pass for a 4x4 operator
-held as Python numbers: an unrolled LDL^dag that says yes only when the
-lowest eigenvalue lies half way from psd_within's bound, a margin that
+nothing here allocates anything larger. A yes/no positivity question about
+one operator is answered by ``psd_within``, which reads the pivots of numpy's
+Cholesky factorization. ``psd_clear`` is its scalar clear pass for a 4x4
+operator held as Python numbers: an unrolled LDL^dag that says yes only when
+the lowest eigenvalue lies half way from psd_within's bound, a margin that
 dwarfs the rounding of either factorization, so a yes is one psd_within
 gives; a no is no verdict, and the caller asks psd_within. Eigenvalues come
 from numpy's ``eigvalsh`` through ``eig_hermitian`` alone, and only where a
@@ -91,21 +91,12 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-4] + (4, 4))
 
 
-def partial_trace(m: np.ndarray, subsystem: str) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator, or of each in a stack (..., 4, 4).
-
-    ``subsystem`` names the factor that is removed: ``"first"`` keeps the
-    second qubit, ``"second"`` keeps the first.
-    """
+def partial_trace(m: np.ndarray) -> np.ndarray:
+    """Trace out the first qubit of a two-qubit operator, or of each in a stack (..., 4, 4)."""
     m = _as_operators(m)
     if m.shape[-1] != 4:
         raise ValueError("partial_trace expects a dimension-4 operator")
-    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
-    if subsystem == "first":
-        return np.einsum("...ijil->...jl", r)
-    if subsystem == "second":
-        return np.einsum("...ijkj->...ik", r)
-    raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
+    return np.einsum("...ijil->...jl", m.reshape(m.shape[:-2] + (2, 2, 2, 2)))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -127,8 +118,8 @@ def check_hermitian(m: np.ndarray, dim: int, name: str) -> np.ndarray:
 
 
 def is_integer(x: object) -> bool:
-    """True for a Python or numpy integer; bools, floats and strings are not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """True for a Python or numpy integer or an int subclass; bools, floats and strings are not."""
+    return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
 
 
 def check_real(x: object, name: str) -> float:
@@ -176,15 +167,14 @@ def psd_within(m: np.ndarray) -> bool:
     H + PSD_TOL*1, with H = (m + m^dag)/2, must be positive definite, which
     numpy's Cholesky factorization decides from its pivots without computing
     an eigenvalue. The exact boundary lambda_min = -PSD_TOL gives a zero
-    pivot and is rejected. Non-finite input is rejected. A stack (..., d, d)
-    is one decision, true when every operator in it passes: numpy factors
-    each matrix of the stack as it would factor that matrix alone.
+    pivot and is rejected. Non-finite input is rejected. m must be one
+    operator; a stack raises ValueError.
     """
-    m = _as_operators(m)
+    m = _as_operator(m)
     if not np.isfinite(m).all():
         return False
     try:
-        np.linalg.cholesky(m + m.conj().swapaxes(-1, -2) + _PSD_SHIFT[m.shape[-1]])
+        np.linalg.cholesky(m + m.conj().T + _PSD_SHIFT[m.shape[0]])
     except np.linalg.LinAlgError:
         return False
     return True

@@ -26,10 +26,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,11 +129,6 @@ def werner_state(w: float) -> np.ndarray:
     return w * _SINGLET + (1.0 - w) * _QUARTER_IDENTITY4
 
 
-def _integer_pair(j: object, s: object) -> bool:
-    # Both parts of a key pass is_integer; two Python ints pass on one type test.
-    return type(j) is type(s) is int or is_integer(j) and is_integer(s)
-
-
 @dataclass(frozen=True, eq=False)
 class RefereeEnsemble:
     """Six referee states, checked once and stored once as one read-only (6, 3) ``stack``.
@@ -149,13 +145,13 @@ class RefereeEnsemble:
     __reduce__ = _rebuilt_from("vectors")
 
     def __post_init__(self) -> None:
-        if set(self.vectors) != set(SETTING_KEYS):
+        if set(check_type(self.vectors, Mapping, "vectors")) != set(SETTING_KEYS):
             raise ValueError(
                 f"ensemble must cover exactly the keys {sorted(SETTING_KEYS)}, "
                 f"got {sorted(self.vectors)}"
             )
         for key in self.vectors:
-            if not _integer_pair(*key):
+            if not all(map(is_integer, key)):
                 raise ValueError(f"ensemble key {key!r} is not a pair of integers")
         stack = np.array([check_bloch(self.vectors[key], f"Bloch vector for {key}")
                           for key in SETTING_KEYS])
@@ -176,7 +172,7 @@ class RefereeEnsemble:
 
     def vector(self, j: int, s: int) -> np.ndarray:
         """The Bloch vector for key (j, s); j and s follow the integer rule."""
-        if not _integer_pair(j, s) or (j, s) not in self.vectors:
+        if not (is_integer(j) and is_integer(s)) or (j, s) not in self.vectors:
             raise ValueError(f"no referee state for key (j={j}, s={s})")
         return self.vectors[(j, s)]
 

@@ -427,22 +427,20 @@ def channel_covariance_check(
     ensemble: RefereeEnsemble,
     kraus: tuple[np.ndarray, ...],
     strategy: Strategy,
-    tol: float = 1e-9,
 ) -> bool:
     """Verify that a channel on the referee states only relabels Bob's POVM.
 
     Sending every referee state through the channel while Bob keeps his
-    measurement gives the same joint probabilities as keeping the states
-    and handing Bob the dual-transformed measurement. Since soundness
-    quantifies over all of Bob's measurements, such a channel can never
-    open a loophole.
+    measurement gives the same joint probabilities, within 1e-9 on every
+    cell, as keeping the states and handing Bob the dual-transformed
+    measurement. Since soundness quantifies over all of Bob's measurements,
+    such a channel can never open a loophole.
     """
     check_type(ensemble, RefereeEnsemble, "ensemble")
     ops = _check_kraus(kraus)
     state_route = _cell_rows(strategy, _channel_ensemble(ops, ensemble))
     povm_route = _cell_rows(_dual_strategy(ops, strategy), ensemble)
-    # A NaN tol fails every cell.
-    return all(abs(p - q) <= tol for row, other in zip(state_route, povm_route)
+    return all(abs(p - q) <= 1e-9 for row, other in zip(state_route, povm_route)
                for p, q in zip(row, other))
 
 

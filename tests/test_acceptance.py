@@ -184,7 +184,7 @@ def test_criterion_09_channel_covariance():
         g = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
         q, _ = np.linalg.qr(g)
         kraus = tuple(q[2 * k: 2 * k + 2, :] for k in range(n_kraus))
-        assert channel_covariance_check(IDEAL, kraus, strategies[i % 3], tol=1e-9)
+        assert channel_covariance_check(IDEAL, kraus, strategies[i % 3])
     print("\nACCEPTANCE 09 PASS: 20 random CP maps on the referee states "
           "are equivalent to dual POVM relabelings within 1e-9")
 

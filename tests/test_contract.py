@@ -59,3 +59,43 @@ def test_wrong_kind_raises_value_error_naming_the_parameter(parameter, call, bad
     with pytest.raises(ValueError) as err:
         call(bad)
     assert str(err.value) == f"{parameter} must be a {KINDS[parameter]}, got {type(bad).__name__}"
+
+
+# (id, call, message): a public constructor given the wrong kind of container
+# raises ValueError, not the TypeError or AttributeError that set(), tuple(),
+# dict() or .items() would raise on it.
+CONTAINERS = [
+    ("RefereeEnsemble-None", lambda: states.RefereeEnsemble(None),
+     "vectors must be a Mapping, got NoneType"),
+    ("RefereeEnsemble-int", lambda: states.RefereeEnsemble(5),
+     "vectors must be a Mapping, got int"),
+    ("RefereeEnsemble-pairs", lambda: states.RefereeEnsemble([((1, 1), [0, 0, 1])]),
+     "vectors must be a Mapping, got list"),
+    ("CustomLocal-int", lambda: game.CustomLocal(5),
+     "CustomLocal components must be an iterable of LocalComponents, got int"),
+    ("CustomLocal-None", lambda: game.CustomLocal(None),
+     "CustomLocal components must be an iterable of LocalComponents, got NoneType"),
+    ("TallyTable-None", lambda: game.TallyTable(None), "counts must be a Mapping, got NoneType"),
+    ("CountRecord-int", lambda: witness.CountRecord(5), "counts must be a Mapping, got int"),
+    ("CountRecord-pairs", lambda: witness.CountRecord([((1, 1, 1, 1), 3)]),
+     "counts must be a Mapping, got list"),
+    ("PayoffEstimate-None", lambda: game.PayoffEstimate(0.0, 0.0, None),
+     "n_per_setting must be a Mapping, got NoneType"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in CONTAINERS],
+                         ids=[row[0] for row in CONTAINERS])
+def test_wrong_container_raises_value_error_naming_the_argument(call, message):
+    """A constructor given the wrong kind of container raises ValueError
+    naming the argument and the type it got."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_custom_local_takes_a_generator_of_components():
+    components = STRATEGY.components
+    built = game.CustomLocal(c for c in components)
+    assert built.components == components
+    assert built.effect_table == game.CustomLocal(components).effect_table

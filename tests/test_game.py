@@ -83,7 +83,7 @@ def per_setting_honest(strategy, ensemble, j, s):
     out = {}
     for a in (1, -1):
         proj = 0.5 * (identity(2) + a * pauli(j))
-        cond = partial_trace(np.kron(proj, identity(2)) @ strategy.shared_state, "first")
+        cond = partial_trace(np.kron(proj, identity(2)) @ strategy.shared_state)
         p_a = float(np.trace(cond).real)
         p_click = real_trace_product(np.kron(cond, omega), strategy.bob_povm.b1)
         out[(a, 1)] = p_click
@@ -364,7 +364,7 @@ def test_honest_evaluation_never_reaches_partial_trace(monkeypatch):
     strat = HonestQuantum(werner_state(0.7), partial_bsm_povm(0.9))
     ens = referee_ideal()
 
-    def no_partial_trace(m, subsystem):
+    def no_partial_trace(m):
         raise AssertionError("partial_trace reached in a per-setting evaluation")
 
     monkeypatch.setattr(game, "partial_trace", no_partial_trace)

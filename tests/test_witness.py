@@ -749,12 +749,6 @@ class TestChannels:
             with pytest.raises(ValueError, match="finite 2x2 Kraus"):
                 channel_covariance_check(referee_ideal(), (k,), strat)
 
-    def test_covariance_nan_tolerance_fails(self):
-        strat = HonestQuantum(werner_state(0.7), singlet_projector_bc())
-        assert not channel_covariance_check(
-            referee_ideal(), (identity(2),), strat, tol=math.nan
-        )
-
     def test_covariance_identity_channel(self):
         strat = HonestQuantum(werner_state(0.7), singlet_projector_bc())
         assert channel_covariance_check(referee_ideal(), (identity(2),), strat)
