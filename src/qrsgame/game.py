@@ -23,7 +23,7 @@ the one joint table, six rows of four cells (_cell_rows). Every no-steering
 adversary is a mixture of local components: Alice answers from a response table
 and Bob clicks according to an effect E_c on the referee qubit alone, whose
 four entries are read and checked once. CustomLocal is the general mixture and
-the fuzzing family of the adversarial tests; LhsDeterministic is the
+the form every local adversary takes; LhsDeterministic is the
 CustomLocal with one component, fixed Alice signs and the effect of a local
 hidden qubit. A CustomLocal compiles at construction into one effect table: for
 each input j and sign a, Alice's marginal p(a|j) and the Bloch form of the
@@ -61,6 +61,7 @@ from .qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
     TRACE_TOL,
+    _as_numbers,
     _density_entries,
     _frozen,
     _rebuilt_from,
@@ -70,7 +71,6 @@ from .qmath import (
     check_hermitian,
     check_real,
     check_type,
-    eig_hermitian,
     identity,
     is_density_matrix,
     is_integer,
@@ -128,8 +128,8 @@ def _clear_povm(e0: list, e1: list) -> bool:
 class BinaryPovm:
     """Two-outcome POVM {b0, b1} on the Bob + referee pair.
 
-    Each element must be a finite, Hermitian 4x4 operator, and the two must
-    sum to the identity. An element is positive when el + PSD_TOL*1 is
+    Each element must be a finite, Hermitian 4x4 array of numbers, and the
+    two must sum to the identity. An element is positive when el + PSD_TOL*1 is
     positive definite, as ``psd_within`` decides from Cholesky pivots, with
     no eigenvalue computed; the exact boundary lambda_min = -PSD_TOL fails.
     The common case is passed on Python scalars, from one copy of the pair:
@@ -145,6 +145,9 @@ class BinaryPovm:
     __reduce__ = _rebuilt_from("b0", "b1")
 
     def __init__(self, b0: np.ndarray, b1: np.ndarray) -> None:
+        # Each element on its own: stacked with a float, a bool element would be promoted.
+        b0 = _as_numbers(b0, complex, "POVM element b0")
+        b1 = _as_numbers(b1, complex, "POVM element b1")
         try:
             pair = np.array((b0, b1), dtype=complex)
             clear = (pair.shape == (2, 4, 4) and math.isfinite(np.vdot(pair, pair).real)
@@ -271,7 +274,7 @@ class LocalComponent:
             checked[j] = q = p if type(p) is float else check_real(p, f"alice_plus[{j}]")
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
-        effect = np.asarray(effect, dtype=complex)
+        effect = _as_numbers(effect, complex, "component effect")
         bloch = _effect_bloch(effect)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "alice_plus", MappingProxyType(checked))
@@ -731,35 +734,3 @@ def realize_lhs_best(spec: GameSpec, ensemble: RefereeEnsemble) -> LhsDeterminis
     projector = bloch_to_density(direction)
     b1 = tensor(projector, projector)
     return LhsDeterministic(signs, direction, BinaryPovm(_IDENTITY4 - b1, b1))
-
-
-def random_lhs_strategy(rng: np.random.Generator) -> LhsDeterministic:
-    """Random deterministic adversary: signs, hidden qubit and analyzer."""
-    signs = tuple(int(x) for x in rng.integers(0, 2, size=3) * 2 - 1)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    hidden = direction * rng.random() ** (1.0 / 3.0)
-    if rng.random() < 0.5:
-        # Rank-one analyzer aimed at a random referee-side direction.
-        target = rng.normal(size=3)
-        target /= np.linalg.norm(target)
-        b1 = tensor(bloch_to_density(direction), bloch_to_density(target))
-    else:
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        s = g.conj().T @ g
-        b1 = rng.random() * s / eig_hermitian(s)[0]
-    return LhsDeterministic(signs, hidden, BinaryPovm(identity(4) - b1, b1))
-
-
-def random_local_strategy(rng: np.random.Generator, n_components: int = 3) -> CustomLocal:
-    """Random mixture of local response tables (adversarial fuzzing family)."""
-    weights = rng.random(n_components)
-    weights /= weights.sum()
-    components = []
-    for w in weights:
-        alice = {j: float(rng.random()) for j in (1, 2, 3)}
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        s = g.conj().T @ g
-        effect = rng.random() * s / eig_hermitian(s)[0]
-        components.append(LocalComponent(float(w), alice, effect))
-    return CustomLocal(tuple(components))

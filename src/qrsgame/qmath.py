@@ -9,11 +9,10 @@ the lowest eigenvalue lies half way from psd_within's bound, a margin that
 dwarfs the rounding of either factorization, so a yes is one psd_within
 gives; a no is no verdict, and the caller asks psd_within. Eigenvalues come
 from numpy's ``eigvalsh`` through ``eig_hermitian`` alone, and only where a
-value is needed: the message of a failing density check and the scale of the
-random strategies. Input checks: ``check_hermitian`` for operators,
-``check_bloch`` for Bloch vectors, ``check_real`` and ``check_fraction`` for
-real numbers, ``check_type`` for the package's own values. All functions are
-pure.
+value is needed: the message of a failing density check. Input checks:
+``check_hermitian`` for operators, ``check_bloch`` for Bloch vectors,
+``check_real`` and ``check_fraction`` for real numbers, ``check_type`` for
+the package's own values. All functions are pure.
 """
 
 from __future__ import annotations
@@ -105,9 +104,23 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+def _as_numbers(x: object, dtype: type, name: str) -> np.ndarray:
+    # x as a float or complex array by the scalars' number rule: bools, strings,
+    # objects and, for float, complex numbers raise, as does a nesting numpy
+    # cannot make one array of, which older numpy made an object array.
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError):
+        a = np.asarray(None)
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        kind = "numbers" if dtype is complex else "real numbers"
+        raise ValueError(f"{name} must be an array of {kind}, got dtype {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
 def check_hermitian(m: np.ndarray, dim: int, name: str) -> np.ndarray:
-    """m as a complex dim x dim array; raises unless finite and Hermitian to HERMITIAN_TOL."""
-    m = np.asarray(m, dtype=complex)
+    """m as a complex dim x dim array; raises unless numeric, finite and Hermitian to tolerance."""
+    m = _as_numbers(m, complex, name)
     if m.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {m.shape}")
     if not np.isfinite(m).all():
@@ -269,8 +282,8 @@ def is_density_matrix(m: np.ndarray) -> DensityCheck:
 
 
 def check_bloch(n: np.ndarray, name: str = "Bloch vector") -> np.ndarray:
-    """n as a float array; raises unless it has shape (3,), is finite and |n| <= 1."""
-    n = np.asarray(n, dtype=float)
+    """n as a float array; raises unless real numbers of shape (3,), finite and |n| <= 1."""
+    n = _as_numbers(n, float, name)
     if n.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {n.shape}")
     norm = math.hypot(*n.tolist())  # inf or nan when a component is

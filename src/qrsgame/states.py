@@ -145,14 +145,14 @@ class RefereeEnsemble:
     __reduce__ = _rebuilt_from("vectors")
 
     def __post_init__(self) -> None:
-        if set(check_type(self.vectors, Mapping, "vectors")) != set(SETTING_KEYS):
+        for key in check_type(self.vectors, Mapping, "vectors"):
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_integer, key))):
+                raise ValueError(f"ensemble key {key!r} is not a pair of integers")
+        if set(self.vectors) != set(SETTING_KEYS):
             raise ValueError(
                 f"ensemble must cover exactly the keys {sorted(SETTING_KEYS)}, "
                 f"got {sorted(self.vectors)}"
             )
-        for key in self.vectors:
-            if not all(map(is_integer, key)):
-                raise ValueError(f"ensemble key {key!r} is not a pair of integers")
         stack = np.array([check_bloch(self.vectors[key], f"Bloch vector for {key}")
                           for key in SETTING_KEYS])
         stack.setflags(write=False)

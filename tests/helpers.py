@@ -1,8 +1,10 @@
-"""Random ensembles, ensemble transforms and Bell-state oracles shared by the test modules."""
+"""Random ensembles, ensemble transforms, Bell-state oracles and the two
+fuzz families of no-steering strategies shared by the test modules."""
 
 import numpy as np
 
-from qrsgame.qmath import bloch_to_density, real_trace_product
+from qrsgame.game import BinaryPovm, CustomLocal, LhsDeterministic, LocalComponent
+from qrsgame.qmath import bloch_to_density, eig_hermitian, identity, real_trace_product, tensor
 from qrsgame.states import SETTING_KEYS, RefereeEnsemble, referee_ideal
 
 # The four Bell kets, |Psi-+> = (|01> -+ |10>)/sqrt(2) and
@@ -63,3 +65,35 @@ def perturbed_ensemble(rng):
             v = v / norm
         vectors[key] = v
     return RefereeEnsemble(vectors)
+
+
+def random_lhs_strategy(rng: np.random.Generator) -> LhsDeterministic:
+    """Random deterministic adversary: signs, hidden qubit and analyzer."""
+    signs = tuple(int(x) for x in rng.integers(0, 2, size=3) * 2 - 1)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    hidden = direction * rng.random() ** (1.0 / 3.0)
+    if rng.random() < 0.5:
+        # Rank-one analyzer aimed at a random referee-side direction.
+        target = rng.normal(size=3)
+        target /= np.linalg.norm(target)
+        b1 = tensor(bloch_to_density(direction), bloch_to_density(target))
+    else:
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        s = g.conj().T @ g
+        b1 = rng.random() * s / eig_hermitian(s)[0]
+    return LhsDeterministic(signs, hidden, BinaryPovm(identity(4) - b1, b1))
+
+
+def random_local_strategy(rng: np.random.Generator, n_components: int = 3) -> CustomLocal:
+    """Random mixture of local response tables (adversarial fuzzing family)."""
+    weights = rng.random(n_components)
+    weights /= weights.sum()
+    components = []
+    for w in weights:
+        alice = {j: float(rng.random()) for j in (1, 2, 3)}
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        s = g.conj().T @ g
+        effect = rng.random() * s / eig_hermitian(s)[0]
+        components.append(LocalComponent(float(w), alice, effect))
+    return CustomLocal(tuple(components))

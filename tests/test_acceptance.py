@@ -15,8 +15,6 @@ from qrsgame.game import (
     canonical_game,
     estimate_payoff,
     exact_payoff,
-    random_lhs_strategy,
-    random_local_strategy,
     realize_lhs_best,
     simulate_runs,
     singlet_projector_bc,
@@ -36,7 +34,7 @@ from qrsgame.witness import (
     rstar_printed,
 )
 
-from helpers import perturbed_ensemble
+from helpers import perturbed_ensemble, random_lhs_strategy, random_local_strategy
 
 IDEAL = referee_ideal()
 POVM = singlet_projector_bc()

@@ -4,9 +4,11 @@ ValueError naming the parameter, never an AttributeError from inside."""
 import numpy as np
 import pytest
 
-from qrsgame import game, states, witness
-from qrsgame.game import canonical_game, partial_bsm_povm, random_lhs_strategy
+from qrsgame import game, qmath, states, witness
+from qrsgame.game import canonical_game, partial_bsm_povm
 from qrsgame.states import referee_ideal
+
+from helpers import random_lhs_strategy
 
 ENSEMBLE = referee_ideal()
 SPEC = canonical_game(1.0)
@@ -99,3 +101,79 @@ def test_custom_local_takes_a_generator_of_components():
     built = game.CustomLocal(c for c in components)
     assert built.components == components
     assert built.effect_table == game.CustomLocal(components).effect_table
+
+
+IDEAL = ENSEMBLE.vectors
+POVM = game.singlet_projector_bc()
+PLUS = {1: 0.5, 2: 0.5, 3: 0.5}
+RAGGED = [[1.0, 0.0], [0.0]]
+# Numbers written as strings, which numpy converts without complaint.
+PURE_STATE = np.diag(["1", "0", "0", "0"])
+EYE4 = np.eye(4).astype(str)
+
+
+def _ensemble_with(key, value):
+    return lambda: states.RefereeEnsemble({**IDEAL, key: value})
+
+
+def _numbers(name, real=False):
+    kind = "real numbers" if real else "numbers"
+    return lambda dtype: f"{name} must be an array of {kind}, got dtype {dtype}"
+
+
+BLOCH_11 = _numbers("Bloch vector for (1, 1)", real=True)
+HIDDEN = _numbers("Bloch vector", real=True)
+STATE, B0, B1, EFFECT = (_numbers(n) for n in ("shared_state", "POVM element b0",
+                                               "POVM element b1", "component effect"))
+
+# (id, call, message): an ensemble key that is not a pair of integers, or an
+# array argument that is not all numbers (bools, strings, a ragged nesting
+# and, for a Bloch vector, complex numbers), raises ValueError naming the
+# argument, as a scalar argument does; never a TypeError from sorting the
+# keys, numpy's conversion message or a silent conversion.
+NUMBER_RULE = [
+    ("RefereeEnsemble-mixed-keys", lambda: states.RefereeEnsemble({"a": 1, (1, 1): 2}),
+     "ensemble key 'a' is not a pair of integers"),
+    ("RefereeEnsemble-int-key", _ensemble_with(5, [0.0, 0.0, 1.0]),
+     "ensemble key 5 is not a pair of integers"),
+    ("Bloch-str", _ensemble_with((1, 1), ["1", "0", "0"]), BLOCH_11("<U1")),
+    ("Bloch-bool", _ensemble_with((1, 1), [True, False, False]), BLOCH_11("bool")),
+    ("Bloch-complex", _ensemble_with((1, 1), [1j, 0, 0]), BLOCH_11("complex128")),
+    ("Bloch-ragged", _ensemble_with((1, 1), [1.0, [0.0, 0.0]]), BLOCH_11("object")),
+    ("check_bloch-complex", lambda: qmath.check_bloch([1j, 0, 0]), HIDDEN("complex128")),
+    ("check_hermitian-str", lambda: qmath.check_hermitian(np.full((2, 2), "0"), 2, "m"),
+     "m must be an array of numbers, got dtype <U1"),
+    ("check_hermitian-bool", lambda: qmath.check_hermitian(np.eye(2, dtype=bool), 2, "m"),
+     "m must be an array of numbers, got dtype bool"),
+    ("shared_state-str", lambda: game.HonestQuantum(PURE_STATE, POVM), STATE("<U1")),
+    ("shared_state-bool", lambda: game.HonestQuantum(PURE_STATE == "1", POVM), STATE("bool")),
+    ("shared_state-ragged", lambda: game.HonestQuantum(RAGGED, POVM), STATE("object")),
+    ("b0-str", lambda: game.BinaryPovm(EYE4, np.zeros((4, 4))), B0("<U32")),
+    ("b0-bool", lambda: game.BinaryPovm(np.eye(4, dtype=bool), np.zeros((4, 4))), B0("bool")),
+    ("b0-ragged", lambda: game.BinaryPovm(RAGGED, np.zeros((4, 4))), B0("object")),
+    ("b1-str", lambda: game.BinaryPovm(np.zeros((4, 4)), EYE4), B1("<U32")),
+    ("b1-bool", lambda: game.BinaryPovm(np.zeros((4, 4)), np.eye(4, dtype=bool)), B1("bool")),
+    ("b1-ragged", lambda: game.BinaryPovm(np.zeros((4, 4)), RAGGED), B1("object")),
+    ("effect-str", lambda: game.LocalComponent(1.0, PLUS, np.full((2, 2), "0")), EFFECT("<U1")),
+    ("effect-bool", lambda: game.LocalComponent(1.0, PLUS, np.eye(2, dtype=bool)),
+     EFFECT("bool")),
+    ("effect-ragged", lambda: game.LocalComponent(1.0, PLUS, RAGGED), EFFECT("object")),
+    ("hidden_state-str", lambda: game.LhsDeterministic((1, 1, 1), ["0", "0", "1"], POVM),
+     HIDDEN("<U1")),
+    ("hidden_state-bool", lambda: game.LhsDeterministic((1, 1, 1), [False, False, True], POVM),
+     HIDDEN("bool")),
+    ("hidden_state-complex", lambda: game.LhsDeterministic((1, 1, 1), [0, 0, 1j], POVM),
+     HIDDEN("complex128")),
+    ("hidden_state-ragged", lambda: game.LhsDeterministic((1, 1, 1), [0.0, [0.0, 1.0]], POVM),
+     HIDDEN("object")),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in NUMBER_RULE],
+                         ids=[row[0] for row in NUMBER_RULE])
+def test_keys_and_arrays_follow_the_number_rule(call, message):
+    """A bad ensemble key or a non-numeric array raises ValueError with a
+    message that names the argument."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -29,8 +29,6 @@ from qrsgame.game import (
     joint_probabilities,
     lhs_best_deterministic,
     partial_bsm_povm,
-    random_lhs_strategy,
-    random_local_strategy,
     realize_lhs_best,
     simulate_runs,
     singlet_projector_bc,
@@ -56,7 +54,12 @@ from qrsgame.states import (
 )
 from qrsgame.witness import SIGN_TRIPLES, CountRecord, _check_kraus, _dual, _dual_strategy
 
-from helpers import BELL_PROJECTORS, perturbed_ensemble
+from helpers import (
+    BELL_PROJECTORS,
+    perturbed_ensemble,
+    random_lhs_strategy,
+    random_local_strategy,
+)
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 
@@ -337,8 +340,8 @@ def test_povm_validation_never_reaches_jacobi(monkeypatch):
     """Building a valid analyzer decides positivity without eigenvalues:
     with numpy's eigvalsh made to fail, every constructor still succeeds."""
     rng = np.random.default_rng(109)
-    # random_lhs_strategy may scale its analyzer with eig_hermitian, so the
-    # strategies are drawn before the solver is disabled.
+    # The test helper random_lhs_strategy may scale its analyzer with
+    # eig_hermitian, so the strategies are drawn before the solver is disabled.
     adversaries = [random_lhs_strategy(rng) for _ in range(20)]
 
     def no_eigenvalues(m):

@@ -59,9 +59,6 @@ def test_every_private_name_is_used():
 # Public names that stay although nothing in the package or the bench reads
 # them and __all__ does not export them, each with its reason.
 _UNREACHED_PUBLIC = {
-    # The fuzz families the tests draw no-steering strategies from.
-    "random_lhs_strategy",
-    "random_local_strategy",
     # The writer of the CLI's --ensemble format, which load_ensemble reads.
     "save_ensemble",
 }
@@ -177,11 +174,10 @@ _NUMPY_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 def test_one_eigenvalue_routine():
     """numpy's eigensolver appears in src/qrsgame only inside
-    qmath.eig_hermitian, and eig_hermitian is read only off the hot paths:
-    in is_density_matrix, for a failing check's message, and in the two
-    fuzz families, which scale a random PSD matrix by its top eigenvalue.
-    Positivity is decided by Cholesky pivots and the witness's top
-    eigenvalue by its closed form, so nothing else needs a solver."""
+    qmath.eig_hermitian, and eig_hermitian is read only in
+    is_density_matrix, for a failing check's message. Positivity is decided
+    by Cholesky pivots and the witness's top eigenvalue by its closed form,
+    so nothing else needs a solver."""
     solver, users = [], []
     for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -202,11 +198,7 @@ def test_one_eigenvalue_routine():
                   or isinstance(node, ast.Attribute) and node.attr == "eig_hermitian"):
                 users.append((path.name, owner(node)))
     assert solver == [("qmath.py", "eig_hermitian")]
-    assert sorted(users) == [
-        ("game.py", "random_lhs_strategy"),
-        ("game.py", "random_local_strategy"),
-        ("qmath.py", "is_density_matrix"),
-    ]
+    assert users == [("qmath.py", "is_density_matrix")]
 
 
 # Where a frozen value may be written: its own constructor, the count-table

@@ -19,8 +19,6 @@ from qrsgame.game import (
     canonical_game,
     exact_payoff,
     partial_bsm_povm,
-    random_lhs_strategy,
-    random_local_strategy,
     singlet_projector_bc,
 )
 from qrsgame.qmath import identity, pauli, real_trace_product, tensor
@@ -59,6 +57,8 @@ from helpers import (
     depolarize_ensemble,
     fidelity_pure,
     perturbed_ensemble,
+    random_lhs_strategy,
+    random_local_strategy,
     random_rotation,
     rotate_ensemble,
 )
