@@ -32,18 +32,15 @@ affine in the referee Bloch vector, and the exact payoff of a local strategy is
 the witness pairing of that table with the pairing sums D_j and S_j of the
 ensemble's witness form, which the ensemble builds once and every local payoff,
 sign table and best adversary of it reads, and whose top eigenvalues states
-computes. LhsDeterministic accepts three Python-int signs by one membership
-test, checks its hidden vector once and compiles its one component in that
-same pass. A BinaryPovm passes a common pair on Python scalars (psd_clear);
-every other pair goes to check_hermitian and psd_within per element, which
-alone reject. Strategies are frozen (every strategy and POVM checks and
-stores each field once, in its own __init__) and keep read-only copies of
-the arrays they are given, so a compiled form cannot go stale; pickling or
-copying one rebuilds it through its constructor, and == is identity. Every
-input check keeps check_hermitian's tolerances and messages. All functions
-are pure and every random draw comes from _substream, the one rule that keys
-a stream by the caller's seed and the setting or trial, so results never
-depend on scheduling or threads.
+computes. Every argument passes the one check of its kind in qmath or
+states, which owns the message; a POVM or an effect may first pass on Python
+scalars (psd_clear), but only those checks reject. Strategies are frozen
+(each checks and stores each field once, in its own __init__) and keep
+read-only copies of the arrays they are given, so a compiled form cannot go
+stale; pickling or copying one rebuilds it through its constructor, and ==
+is identity. All functions are pure and every random draw comes from
+_substream, the one rule that keys a stream by the caller's seed and the
+setting or trial, so results never depend on scheduling or threads.
 """
 
 from __future__ import annotations
@@ -69,7 +66,9 @@ from .qmath import (
     check_bloch,
     check_fraction,
     check_hermitian,
-    check_real,
+    check_integer,
+    check_nonnegative,
+    check_seed,
     check_type,
     identity,
     is_density_matrix,
@@ -82,7 +81,7 @@ from .qmath import (
     tensor,
 )
 from .states import _SINGLET, SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble, referee_states
-from .states import TWO_SQRT3, _first_max, _witness_norms
+from .states import TWO_SQRT3, _first_max, _witness_norms, check_signs
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 _INPUTS = frozenset((1, 2, 3))
@@ -149,7 +148,7 @@ class BinaryPovm:
         b0 = _as_numbers(b0, complex, "POVM element b0")
         b1 = _as_numbers(b1, complex, "POVM element b1")
         try:
-            pair = np.array((b0, b1), dtype=complex)
+            pair = np.array((b0, b1))
             clear = (pair.shape == (2, 4, 4) and math.isfinite(np.vdot(pair, pair).real)
                      and _clear_povm(*pair.tolist()))
         except (TypeError, ValueError, OverflowError):
@@ -206,8 +205,7 @@ class HonestQuantum:
     __reduce__ = _rebuilt_from("shared_state", "bob_povm")
 
     def __init__(self, shared_state: np.ndarray, bob_povm: BinaryPovm) -> None:
-        if not isinstance(bob_povm, BinaryPovm):
-            raise ValueError("bob_povm must be a BinaryPovm")
+        check_type(bob_povm, BinaryPovm, "bob_povm")
         rho = check_hermitian(shared_state, 4, "shared_state")
         if abs(np.trace(rho) - 1.0) > TRACE_TOL or not psd_within(rho):
             defects = is_density_matrix(rho).describe()  # measured only for the message
@@ -258,10 +256,7 @@ class LocalComponent:
     __reduce__ = _rebuilt_from("weight", "alice_plus", "effect")
 
     def __init__(self, weight: float, alice_plus: Mapping[int, float], effect: np.ndarray) -> None:
-        if type(weight) is not float:
-            weight = check_real(weight, "component weight")
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ValueError(f"component weight must be finite and nonnegative, got {weight}")
+        weight = check_nonnegative(weight, "component weight")
         if (not (type(alice_plus) is dict or isinstance(alice_plus, Mapping))
                 or set(alice_plus) != _INPUTS):
             raise ValueError("alice_plus must map each input j in {1, 2, 3}")
@@ -271,9 +266,9 @@ class LocalComponent:
                 if not is_integer(j):
                     raise ValueError(f"alice_plus key {j!r} is not an integer")
                 j = int(j)
-            checked[j] = q = p if type(p) is float else check_real(p, f"alice_plus[{j}]")
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"alice_plus[{j}] = {p} is not a probability")
+            if not (type(p) is float and 0.0 <= p <= 1.0):
+                p = check_fraction(p, f"alice_plus[{j}]")
+            checked[j] = p
         effect = _as_numbers(effect, complex, "component effect")
         bloch = _effect_bloch(effect)
         object.__setattr__(self, "weight", weight)
@@ -343,8 +338,7 @@ class LhsDeterministic(CustomLocal):
     ``hidden_state``) and the referee qubit, so he clicks by the induced
     ``effect`` on the referee qubit alone, computed once here. This is the
     one-component CustomLocal whose Alice answers ``alice_signs`` for sure.
-    Three Python-int signs pass with one membership test; any other signs
-    take the per-element integer rule. The hidden state is checked once, and
+    The signs pass states.check_signs and the hidden state is checked once;
     the strategy keeps a read-only copy of the checked array. The component
     is compiled here, in the pass that checks the inputs: its effect is
     checked once, by LocalComponent's rule, and its effect table comes from
@@ -359,13 +353,8 @@ class LhsDeterministic(CustomLocal):
     __reduce__ = _rebuilt_from("alice_signs", "hidden_state", "bob_povm")
 
     def __init__(self, alice_signs: tuple, hidden_state: np.ndarray, bob_povm: BinaryPovm) -> None:
-        if not isinstance(bob_povm, BinaryPovm):
-            raise ValueError("bob_povm must be a BinaryPovm")
-        signs = tuple(alice_signs) if np.iterable(alice_signs) else ()
-        if tuple(map(type, signs)) != (int, int, int) or signs not in _ALICE_PLUS:
-            if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
-                raise ValueError(f"alice_signs must be three integers +/-1, got {alice_signs}")
-            signs = tuple(int(a) for a in signs)
+        check_type(bob_povm, BinaryPovm, "bob_povm")
+        signs = check_signs(alice_signs, "alice_signs")
         hidden = check_bloch(hidden_state)
         (r00, r01), (r10, r11) = _density_entries(*hidden.tolist())  # bloch_to_density's
         # E_jl = sum_(i,m) rho_im b1[(m, j), (i, l)] = tr_hidden[(rho x 1) b1],
@@ -394,15 +383,6 @@ class LhsDeterministic(CustomLocal):
 Strategy = HonestQuantum | CustomLocal
 
 
-def check_rate(r: float) -> float:
-    """The penalty rate as a float; raises unless it is real, finite and >= 0."""
-    if type(r) is not float:
-        r = check_real(r, "penalty rate r")
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"penalty rate r must be finite and nonnegative, got {r}")
-    return r
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """The steering game at one penalty rate r >= 0."""
@@ -410,7 +390,7 @@ class GameSpec:
     r: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", check_rate(self.r))
+        object.__setattr__(self, "r", check_nonnegative(self.r, "penalty rate r"))
 
 
 def canonical_game(r: float) -> GameSpec:
@@ -421,9 +401,8 @@ def canonical_game(r: float) -> GameSpec:
 def _honest_clicks(strategy: HonestQuantum, ensemble: RefereeEnsemble) -> list:
     # (p(+, 1), p(-, 1)) = Re tr[(cond_(j,a) x omega_(j,s)) b1] per setting, bitwise the 2-D
     # evaluation, from one stacked pass kept with its frozen ensemble, matched by identity.
-    if not isinstance(strategy, HonestQuantum):
-        raise ValueError(f"unknown strategy type {type(strategy).__name__}")
-    last, clicks = strategy._clicks
+    # Every strategy that is not a CustomLocal comes here: one of neither kind is refused.
+    last, clicks = check_type(strategy, Strategy, "strategy")._clicks
     if last is not ensemble:
         pairs = tensor(strategy.cond_stack[:, None], referee_states(ensemble)[:, :, None])
         clicks = real_trace_product(pairs, strategy.bob_povm.b1).reshape(6, 2).tolist()
@@ -534,13 +513,9 @@ class CountTable:
             j, s, x, y = (int(v) if is_integer(v) else None for v in (j, s, x, y))
         if (j, s) not in SETTING_KEYS or (x, y) not in cls.CELLS:
             raise ValueError(f"malformed {cls.NAME} cell {cell}")
-        if not is_integer(n):
-            raise ValueError(f"count {n!r} for cell {cell} is not an integer")
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"negative count {n} for cell {cell}")
-        if n > cls.MAX_COUNT:
-            raise ValueError(f"count {n} for cell {cell} exceeds 2^52")
+        if not (type(n) is int and 0 <= n <= cls.MAX_COUNT):  # else the message is built
+            n = check_integer(n, 0, cls.MAX_COUNT,
+                              f"count for cell {cell} must be an integer from 0 to 2^52")
         return (j, s, x, y), n
 
     def cell(self, j: int, s: int, x: int, y: int) -> int:
@@ -625,11 +600,9 @@ def simulate_runs(
     """
     check_type(spec, GameSpec, "spec")
     check_type(ensemble, RefereeEnsemble, "ensemble")
-    if not is_integer(n_per_setting) or not 1 <= n_per_setting <= TallyTable.MAX_COUNT:
-        raise ValueError("n_per_setting must be an integer from 1 to 2^52, a tally count's cap,"
-                         f" got {n_per_setting!r}")
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    n_per_setting = check_integer(n_per_setting, 1, TallyTable.MAX_COUNT, "n_per_setting must"
+                                  " be an integer from 1 to 2^52, a tally count's cap")
+    seed = check_seed(seed)
     p = np.maximum(_cell_rows(strategy, ensemble), 0.0)
     p /= p.sum(axis=1, keepdims=True)
     counts: dict[tuple[int, int, int, int], int] = {}
@@ -674,8 +647,7 @@ def estimate_payoff(spec: GameSpec, tally: TallyTable) -> PayoffEstimate:
     the variance is the exact multinomial covariance evaluated at the
     observed frequencies, and settings add independently.
     """
-    if not isinstance(tally, TallyTable):
-        raise ValueError(f"estimate_payoff needs a TallyTable, got {type(tally).__name__}")
+    check_type(tally, TallyTable, "tally")
     tax = check_type(spec, GameSpec, "spec").r / SQRT3
     value = 0.0
     variance = 0.0

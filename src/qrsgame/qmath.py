@@ -9,15 +9,18 @@ the lowest eigenvalue lies half way from psd_within's bound, a margin that
 dwarfs the rounding of either factorization, so a yes is one psd_within
 gives; a no is no verdict, and the caller asks psd_within. Eigenvalues come
 from numpy's ``eigvalsh`` through ``eig_hermitian`` alone, and only where a
-value is needed: the message of a failing density check. Input checks:
-``check_hermitian`` for operators, ``check_bloch`` for Bloch vectors,
-``check_real`` and ``check_fraction`` for real numbers, ``check_type`` for
-the package's own values. All functions are pure.
+value is needed: the message of a failing density check. One input check
+per kind of argument, each raising ValueError that names it: ``_as_numbers``
+for arrays, ``check_hermitian`` for operators, ``check_bloch`` for Bloch
+vectors, ``check_real``, ``check_fraction`` and ``check_nonnegative`` for
+reals, ``check_integer`` and ``check_seed`` for integers in a range,
+``check_type`` for the package's own values. All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -53,10 +56,24 @@ def pauli(j: int) -> np.ndarray:
     return _PAULI[j - 1].copy()
 
 
-def _as_operators(m: np.ndarray) -> np.ndarray:
-    # A stack (..., d, d) of operators; one operator is the stack with no
-    # leading axes.
-    a = np.asarray(m, dtype=complex)
+def _as_numbers(x: object, dtype: type, name: str) -> np.ndarray:
+    # x as a float or complex array by the scalars' number rule: bools, strings,
+    # objects and, for float, complex numbers raise, as does a nesting numpy
+    # cannot make one array of, which older numpy made an object array.
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError):
+        a = np.asarray(None)
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        kind = "numbers" if dtype is complex else "real numbers"
+        raise ValueError(f"{name} must be an array of {kind}, got dtype {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
+def _as_operators(m: np.ndarray, name: str) -> np.ndarray:
+    # A stack (..., d, d) of operators by the number rule; one operator is the
+    # stack with no leading axes.
+    a = _as_numbers(m, complex, name)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] not in (2, 4):
@@ -64,8 +81,8 @@ def _as_operators(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_operator(m: np.ndarray) -> np.ndarray:
-    a = _as_operators(m)
+def _as_operator(m: np.ndarray, name: str) -> np.ndarray:
+    a = _as_operators(m, name)
     if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -77,8 +94,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Stacks (..., d, d) broadcast against each other over their leading axes;
     each pair gets the bits a call on that pair alone gives.
     """
-    a = _as_operators(a)
-    b = _as_operators(b)
+    a = _as_operators(a, "a")
+    b = _as_operators(b, "b")
     if a.shape[-1] * b.shape[-1] > 4:
         raise ValueError(
             f"unsupported dimension {a.shape[-1] * b.shape[-1]}: "
@@ -92,7 +109,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def partial_trace(m: np.ndarray) -> np.ndarray:
     """Trace out the first qubit of a two-qubit operator, or of each in a stack (..., 4, 4)."""
-    m = _as_operators(m)
+    m = _as_operators(m, "m")
     if m.shape[-1] != 4:
         raise ValueError("partial_trace expects a dimension-4 operator")
     return np.einsum("...ijil->...jl", m.reshape(m.shape[:-2] + (2, 2, 2, 2)))
@@ -100,22 +117,8 @@ def partial_trace(m: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry of |M - M^dag|."""
-    m = np.asarray(m, dtype=complex)
+    m = _as_numbers(m, complex, "m")
     return float(np.abs(m - m.conj().T).max())
-
-
-def _as_numbers(x: object, dtype: type, name: str) -> np.ndarray:
-    # x as a float or complex array by the scalars' number rule: bools, strings,
-    # objects and, for float, complex numbers raise, as does a nesting numpy
-    # cannot make one array of, which older numpy made an object array.
-    try:
-        a = np.asarray(x)
-    except (TypeError, ValueError):
-        a = np.asarray(None)
-    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
-        kind = "numbers" if dtype is complex else "real numbers"
-        raise ValueError(f"{name} must be an array of {kind}, got dtype {a.dtype}")
-    return a.astype(dtype, copy=False)
 
 
 def check_hermitian(m: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -135,6 +138,18 @@ def is_integer(x: object) -> bool:
     return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
 
 
+def check_integer(x: object, low: int, high: float, rule: str) -> int:
+    """x as a Python int if is_integer(x) and low <= x <= high; else ValueError "<rule>, got x"."""
+    if not (is_integer(x) and low <= x <= high):
+        raise ValueError(f"{rule}, got {x!r}")
+    return int(x)
+
+
+def check_seed(seed: object) -> int:
+    """check_integer's rule for a random seed, an integer >= 0."""
+    return check_integer(seed, 0, math.inf, "seed must be a nonnegative integer")
+
+
 def check_real(x: object, name: str) -> float:
     """x as a float; bools, strings and what float() refuses raise ValueError."""
     if not isinstance(x, (bool, np.bool_, str, bytes)):
@@ -146,26 +161,33 @@ def check_real(x: object, name: str) -> float:
 
 
 def check_type(x: object, kind: type, name: str):
-    """x itself when it is a ``kind``; otherwise ValueError naming the parameter."""
+    """x itself when it is a ``kind`` (a class or a union of them); else ValueError naming it."""
     if not isinstance(x, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {type(x).__name__}")
+        kinds = " or ".join(k.__name__ for k in typing.get_args(kind) or (kind,))
+        raise ValueError(f"{name} must be a {kinds}, got {type(x).__name__}")
     return x
 
 
 def check_fraction(x: object, name: str) -> float:
-    """x as a float in [0, 1]: check_real's rule, then the range.
-
-    A float passes on one type test; the range message shows x as given.
-    """
+    """x as a float in [0, 1] by check_real's rule; a float passes on one type
+    test, and the range message shows x as given."""
     value = x if type(x) is float else check_real(x, name)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
     return value
 
 
+def check_nonnegative(x: object, name: str) -> float:
+    """x as a finite float >= 0 by check_real's rule; a float passes on one type test."""
+    value = x if type(x) is float else check_real(x, name)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def eig_hermitian(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, sorted descending."""
-    m = check_hermitian(m, _as_operator(m).shape[0], "matrix")
+    m = check_hermitian(m, _as_operator(m, "matrix").shape[0], "matrix")
     return np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
 
 
@@ -183,7 +205,7 @@ def psd_within(m: np.ndarray) -> bool:
     pivot and is rejected. Non-finite input is rejected. m must be one
     operator; a stack raises ValueError.
     """
-    m = _as_operator(m)
+    m = _as_operator(m, "m")
     if not np.isfinite(m).all():
         return False
     try:
@@ -270,7 +292,7 @@ def is_density_matrix(m: np.ndarray) -> DensityCheck:
     Hermitian part is computed only for a failing check, for its message;
     a passing check carries NaN as ``min_eigenvalue``.
     """
-    m = _as_operator(m)
+    m = _as_operator(m, "m")
     if not np.isfinite(m).all():
         return DensityCheck(False, math.nan, math.nan, math.nan)
     herm = hermiticity_defect(m)

@@ -56,6 +56,17 @@ TWO_SQRT3 = 2.0 * SQRT3
 SIGN_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(itertools.product((-1, 1), repeat=3))
 
 _SIGNS = np.array(SIGN_TRIPLES, dtype=float)
+_SIGN_SET = frozenset(SIGN_TRIPLES)
+
+
+def check_signs(signs: object, name: str) -> tuple[int, int, int]:
+    """signs as three Python ints +/-1 by the integer rule; three Python ints pass on one lookup."""
+    triple = tuple(signs) if np.iterable(signs) else ()
+    if tuple(map(type, triple)) != (int, int, int) or triple not in _SIGN_SET:
+        if len(triple) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in triple):
+            raise ValueError(f"{name} must be three integers +/-1, got {signs}")
+        triple = tuple(int(a) for a in triple)
+    return triple
 
 
 def _sign_tables(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

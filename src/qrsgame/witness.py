@@ -26,11 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
-from .game import BinaryPovm, CountTable, _cell_rows, _substream, check_rate, exact_payoff
-from .qmath import _rebuilt_from, check_fraction, density_to_bloch, identity, is_integer
-from .qmath import check_real, check_type, pauli, tensor
+from .game import BinaryPovm, CountTable, _cell_rows, _substream, exact_payoff
+from .qmath import _as_numbers, _rebuilt_from, check_fraction, check_integer, check_nonnegative
+from .qmath import check_real, check_seed, check_type, density_to_bloch, identity, pauli, tensor
 from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble
-from .states import _first_max, _sign_tables, _top_eigenvalues, referee_states
+from .states import _first_max, _sign_tables, _top_eigenvalues, check_signs, referee_states
 from .states import werner_state
 
 # Werner-weight landmarks: below W_NO_BELL no Bell inequality can be
@@ -65,9 +65,7 @@ def assignment_vectors(
     A = sum_j a_j (n_(j,+) - n_(j,-)) depends on the sign assignment,
     B = sum_j (n_(j,+) + n_(j,-)) / sqrt(3) does not.
     """
-    signs = tuple(assignment) if np.iterable(assignment) else ()
-    if len(signs) != 3 or any(not is_integer(a) or a not in (-1, 1) for a in signs):
-        raise ValueError(f"assignment must be three values of +/-1, got {assignment}")
+    signs = check_signs(assignment, "assignment")
     rows, vec_b = check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2]
     return rows[SIGN_TRIPLES.index(signs)], vec_b
 
@@ -76,7 +74,7 @@ def t_operator(
     ensemble: RefereeEnsemble, assignment: tuple[int, int, int], r: float
 ) -> np.ndarray:
     """Witness operator T_a(r) = (A - r B) . sigma - 2 sqrt(3) r."""
-    r = check_rate(r)
+    r = check_nonnegative(r, "penalty rate r")
     vec_a, vec_b = assignment_vectors(ensemble, assignment)
     t = vec_a - r * vec_b
     out = -TWO_SQRT3 * r * identity(2)
@@ -89,13 +87,13 @@ def lhs_bound(ensemble: RefereeEnsemble, r: float) -> float:
     """Best no-steering payoff at rate r: max over signs of the top
     witness eigenvalue."""
     table = check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2]
-    return float(np.max(_top_eigenvalues(*table, check_rate(r))))
+    return float(np.max(_top_eigenvalues(*table, check_nonnegative(r, "penalty rate r"))))
 
 
 def worst_assignment(ensemble: RefereeEnsemble, r: float) -> tuple[int, int, int]:
     """Sign assignment attaining lhs_bound; lexicographically smallest on ties."""
     table = check_type(ensemble, RefereeEnsemble, "ensemble").witness_form[:2]
-    return _first_max(_top_eigenvalues(*table, check_rate(r)))
+    return _first_max(_top_eigenvalues(*table, check_nonnegative(r, "penalty rate r")))
 
 
 # The calibration below takes one sign table or a stack of them, as
@@ -278,10 +276,8 @@ def _calibrated_stack(record: CountRecord, trials: int = 200, seed: int = 0) -> 
     # trials' BootstrapResult, then the record's rate (NaN if it fails),
     # vectors, clipped flags and sign table.
     row = _count_row(record)
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    trials = check_integer(trials, 1, math.inf, "trials must be an integer >= 1")
+    seed = check_seed(seed)
     drawn = _SORTED_POSITION[row[_SORTED_POSITION] > 0]
     base = row[drawn]
     rates = []
@@ -346,6 +342,7 @@ def werner_threshold(spec: GameSpec, analyzer: BinaryPovm, ensemble: RefereeEnse
     of either sign. With the ideal analyzer and ensemble it is r/sqrt(3);
     at visibility v on the ideal ensemble, sqrt(3) r (2 - v) / (3 v).
     """
+    check_type(analyzer, BinaryPovm, "analyzer")
     p0, p1 = (
         exact_payoff(spec, HonestQuantum(werner_state(w), analyzer), ensemble) for w in (0.0, 1.0)
     )
@@ -377,11 +374,12 @@ def regime_classify(w: float, r: float) -> str:
     """Place a Werner weight on the steering/Bell map for a game at rate r
     played with the ideal analyzer and ensemble, where W_game = r/sqrt(3)."""
     check_fraction(w, "Werner weight")  # before the rate, so a bad weight is the error reported
-    return regime_at(w, check_rate(r) / SQRT3)
+    return regime_at(w, check_nonnegative(r, "penalty rate r") / SQRT3)
 
 
 def _check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
+    kraus = kraus if np.iterable(kraus) else ()
+    ops = tuple(_as_numbers(k, complex, "Kraus operator") for k in kraus)
     if not ops or any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
         raise ValueError("channel must be given as finite 2x2 Kraus operators")
     total = sum(k.conj().T @ k for k in ops)
@@ -392,12 +390,12 @@ def _check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 def _apply(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
     # The channel sum_i K_i rho K_i^dag, on Kraus operators that _check_kraus has passed.
-    return sum(k @ np.asarray(rho, dtype=complex) @ k.conj().T for k in ops)
+    return sum(k @ rho @ k.conj().T for k in ops)
 
 
 def _dual(ops: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
     # The dual map sum_i K_i^dag E K_i, on Kraus operators that _check_kraus has passed.
-    return sum(k.conj().T @ np.asarray(effect, dtype=complex) @ k for k in ops)
+    return sum(k.conj().T @ effect @ k for k in ops)
 
 
 def _channel_ensemble(ops: tuple[np.ndarray, ...], ensemble: RefereeEnsemble) -> RefereeEnsemble:
@@ -414,13 +412,8 @@ def _dual_strategy(ops: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
         # because the dual of a trace-preserving channel is unital.
         b1 = _dual(tuple(tensor(identity(2), k) for k in ops), strategy.bob_povm.b1)
         return HonestQuantum(strategy.shared_state, BinaryPovm(identity(4) - b1, b1))
-    if isinstance(strategy, CustomLocal):
-        components = tuple(
-            LocalComponent(c.weight, c.alice_plus, _dual(ops, c.effect))
-            for c in strategy.components
-        )
-        return CustomLocal(components)
-    raise ValueError(f"unknown strategy type {type(strategy).__name__}")
+    return CustomLocal(LocalComponent(c.weight, c.alice_plus, _dual(ops, c.effect))
+                       for c in strategy.components)
 
 
 def channel_covariance_check(

@@ -1,9 +1,17 @@
 """The input contract: a public call given the wrong kind of value raises
 ValueError naming the parameter, never an AttributeError from inside."""
 
+import dataclasses
+import inspect
+import math
+from collections.abc import Mapping
+from fractions import Fraction
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
+import qrsgame
 from qrsgame import game, qmath, states, witness
 from qrsgame.game import canonical_game, partial_bsm_povm
 from qrsgame.states import referee_ideal
@@ -16,8 +24,9 @@ STRATEGY = random_lhs_strategy(np.random.default_rng(2804))
 TALLY = game.simulate_runs(SPEC, STRATEGY, ENSEMBLE, 10, 0)
 ANALYZER = partial_bsm_povm(1.0)
 
-KINDS = {"ensemble": "RefereeEnsemble", "spec": "GameSpec",
-         "counts": "CountRecord", "record": "CountRecord"}
+KINDS = {"ensemble": "RefereeEnsemble", "spec": "GameSpec", "counts": "CountRecord",
+         "record": "CountRecord", "strategy": "HonestQuantum or CustomLocal",
+         "bob_povm": "BinaryPovm", "analyzer": "BinaryPovm"}
 
 # (name, parameter, call): the call takes the bad value in that parameter's place.
 CONTRACT = [
@@ -45,6 +54,14 @@ CONTRACT = [
     ("werner_threshold", "ensemble", lambda x: witness.werner_threshold(SPEC, ANALYZER, x)),
     ("channel_covariance_check", "ensemble",
      lambda x: witness.channel_covariance_check(x, (np.eye(2),), STRATEGY)),
+    ("exact_payoff", "strategy", lambda x: game.exact_payoff(SPEC, x, ENSEMBLE)),
+    ("simulate_runs", "strategy", lambda x: game.simulate_runs(SPEC, x, ENSEMBLE, 10, 0)),
+    ("joint_probabilities", "strategy", lambda x: game.joint_probabilities(x, ENSEMBLE, 1, 1)),
+    ("channel_covariance_check", "strategy",
+     lambda x: witness.channel_covariance_check(ENSEMBLE, (np.eye(2),), x)),
+    ("HonestQuantum", "bob_povm", lambda x: game.HonestQuantum(np.diag([1.0, 0, 0, 0]), x)),
+    ("LhsDeterministic", "bob_povm", lambda x: game.LhsDeterministic((1, 1, 1), [0, 0, 1], x)),
+    ("werner_threshold", "analyzer", lambda x: witness.werner_threshold(SPEC, x, ENSEMBLE)),
 ]
 
 # A string, a number, and a value of the package of another kind.
@@ -55,9 +72,9 @@ BAD_VALUES = ("x", 0.5, TALLY)
                          ids=[f"{name}-{parameter}" for name, parameter, _ in CONTRACT])
 @pytest.mark.parametrize("bad", BAD_VALUES, ids=("str", "float", "tally"))
 def test_wrong_kind_raises_value_error_naming_the_parameter(parameter, call, bad):
-    """Each public call that reads an ensemble, a game spec or a count record
-    raises ValueError naming the parameter, the kind it must be and the type
-    it got."""
+    """Each public call that reads an ensemble, a game spec, a count record,
+    a strategy or an analyzer raises ValueError naming the parameter, the
+    kind it must be and the type it got."""
     with pytest.raises(ValueError) as err:
         call(bad)
     assert str(err.value) == f"{parameter} must be a {KINDS[parameter]}, got {type(bad).__name__}"
@@ -123,8 +140,8 @@ def _numbers(name, real=False):
 
 BLOCH_11 = _numbers("Bloch vector for (1, 1)", real=True)
 HIDDEN = _numbers("Bloch vector", real=True)
-STATE, B0, B1, EFFECT = (_numbers(n) for n in ("shared_state", "POVM element b0",
-                                               "POVM element b1", "component effect"))
+STATE, B0, B1, EFFECT, KRAUS = (_numbers(n) for n in (
+    "shared_state", "POVM element b0", "POVM element b1", "component effect", "Kraus operator"))
 
 # (id, call, message): an ensemble key that is not a pair of integers, or an
 # array argument that is not all numbers (bools, strings, a ragged nesting
@@ -166,6 +183,26 @@ NUMBER_RULE = [
      HIDDEN("complex128")),
     ("hidden_state-ragged", lambda: game.LhsDeterministic((1, 1, 1), [0.0, [0.0, 1.0]], POVM),
      HIDDEN("object")),
+    ("tensor-bool", lambda: qmath.tensor(np.eye(2, dtype=bool), np.eye(2)),
+     "a must be an array of numbers, got dtype bool"),
+    ("tensor-str", lambda: qmath.tensor(np.eye(2), np.eye(2).astype(str)),
+     "b must be an array of numbers, got dtype <U32"),
+    ("partial_trace-ragged", lambda: qmath.partial_trace(RAGGED),
+     "m must be an array of numbers, got dtype object"),
+    ("psd_within-bool", lambda: qmath.psd_within(np.eye(2, dtype=bool)),
+     "m must be an array of numbers, got dtype bool"),
+    ("is_density_matrix-bool", lambda: qmath.is_density_matrix(np.diag([True, False])),
+     "m must be an array of numbers, got dtype bool"),
+    ("eig_hermitian-str", lambda: qmath.eig_hermitian("x"),
+     "matrix must be an array of numbers, got dtype <U1"),
+    ("kraus-bool", lambda: witness.channel_covariance_check(
+        ENSEMBLE, (np.eye(2, dtype=bool),), STRATEGY), KRAUS("bool")),
+    ("kraus-str", lambda: witness.channel_covariance_check(
+        ENSEMBLE, (np.eye(2).astype(str),), STRATEGY), KRAUS("<U32")),
+    ("kraus-ragged", lambda: witness.channel_covariance_check(ENSEMBLE, (RAGGED,), STRATEGY),
+     KRAUS("object")),
+    ("kraus-None", lambda: witness.channel_covariance_check(ENSEMBLE, None, STRATEGY),
+     "channel must be given as finite 2x2 Kraus operators"),
 ]
 
 
@@ -177,3 +214,289 @@ def test_keys_and_arrays_follow_the_number_rule(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+# One row per parameter of every public callable: qrsgame.__all__ read with
+# inspect.signature. Each kind lists the bad values of that kind of argument,
+# every one of which must raise ValueError with a message that names the
+# parameter, and its exotic valid values, every one of which must give the
+# bits of the same call with the plain value.
+
+# Public names that take no caller's argument of their own, each with its reason.
+EXEMPT = {
+    "BootstrapResult": "a result that calibrate and bootstrap_calibration build",
+    "CalibrationReport": "a result that calibrate builds",
+    "CalibrationError": "an exception the package raises",
+    "Strategy": "a type union, not a callable",
+}
+# Result fields the package fills itself; they get no check.
+EXEMPT_PARAMETERS = {("PayoffEstimate", "value"), ("PayoffEstimate", "stderr")}
+
+PLUS_TABLE = {1: 0.5, 2: 0.5, 3: 0.5}
+PURE_STATE4 = np.diag([1.0, 0.0, 0.0, 0.0])
+ELEMENT_B0, ELEMENT_B1 = np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0])
+COMPONENTS = STRATEGY.components
+RECORD = witness.CountRecord({(j, s, axis, o): (9 if o == s else 1) if axis == j else 5
+                              for j, s in game.SETTING_KEYS for axis in (1, 2, 3) for o in (1, -1)})
+
+# The keyword arguments of one valid call of each public callable. Every
+# number and array here is a plain int, float or float array with integer
+# entries, so each exotic form below is the same value exactly.
+CALLS = {
+    "BinaryPovm": dict(b0=ELEMENT_B0, b1=ELEMENT_B1),
+    "CountRecord": dict(counts=dict(RECORD.counts)),
+    "CustomLocal": dict(components=COMPONENTS),
+    "GameSpec": dict(r=1.0),
+    "HonestQuantum": dict(shared_state=PURE_STATE4, bob_povm=ANALYZER),
+    "LhsDeterministic": dict(alice_signs=(1, -1, 1), hidden_state=[0.0, 0.0, 1.0], bob_povm=POVM),
+    "LocalComponent": dict(weight=1.0, alice_plus=PLUS_TABLE, effect=np.diag([1.0, 0.0])),
+    "PayoffEstimate": dict(value=0.0, stderr=0.0, n_per_setting=dict.fromkeys(game.SETTING_KEYS, 3)),
+    "RefereeEnsemble": dict(vectors=dict(IDEAL)),
+    "TallyTable": dict(counts=dict(TALLY.counts)),
+    "bootstrap_calibration": dict(record=RECORD, trials=3, seed=3),
+    "calibrate": dict(counts=RECORD, trials=3, seed=3),
+    "canonical_game": dict(r=1.0),
+    "channel_covariance_check": dict(ensemble=ENSEMBLE, kraus=(np.eye(2),), strategy=STRATEGY),
+    "chsh_werner": dict(w=1.0),
+    "ensemble_from_counts": dict(record=RECORD),
+    "estimate_payoff": dict(spec=SPEC, tally=TALLY),
+    "exact_payoff": dict(spec=SPEC, strategy=STRATEGY, ensemble=ENSEMBLE),
+    "joint_probabilities": dict(strategy=STRATEGY, ensemble=ENSEMBLE, j=1, s=1),
+    "lhs_best_deterministic": dict(spec=SPEC, ensemble=ENSEMBLE),
+    "lhs_bound": dict(ensemble=ENSEMBLE, r=1.0),
+    "partial_bsm_povm": dict(visibility=1.0),
+    "referee_ideal": {},
+    "referee_state": dict(ensemble=ENSEMBLE, j=1, s=1),
+    "regime_at": dict(w=1.0, w_game=0.0),
+    "regime_classify": dict(w=1.0, r=1.0),
+    "rstar_oracle": dict(ensemble=ENSEMBLE),
+    "rstar_printed": dict(ensemble=ENSEMBLE),
+    "simulate_runs": dict(spec=SPEC, strategy=STRATEGY, ensemble=ENSEMBLE, n_per_setting=3, seed=3),
+    "singlet_projector_bc": {},
+    "t_operator": dict(ensemble=ENSEMBLE, assignment=(1, -1, 1), r=1.0),
+    "werner_state": dict(w=1.0),
+    "werner_threshold": dict(spec=SPEC, analyzer=ANALYZER, ensemble=ENSEMBLE),
+}
+# Rows whose call differs from CALLS: calibrate reads an ensemble on its own.
+ROW_CALLS = {("calibrate", "ensemble"): dict(ensemble=ENSEMBLE)}
+# Rows where None is valid: it means "not given".
+NONE_VALID = {("calibrate", "trials"), ("calibrate", "seed")}
+
+RATE, WEIGHT, BLOCH = "penalty rate r", "Werner weight", "Bloch vector"
+# (callable, parameter): (kind, the name its messages use when that is not the parameter's).
+PARAMETERS = {
+    ("BinaryPovm", "b0"): ("4x4 operator", "POVM element b0"),
+    ("BinaryPovm", "b1"): ("4x4 operator", "POVM element b1"),
+    ("CountRecord", "counts"): ("mapping", None),
+    ("CustomLocal", "components"): ("components", None),
+    ("GameSpec", "r"): ("rate", RATE),
+    ("HonestQuantum", "shared_state"): ("4x4 operator", None),
+    ("HonestQuantum", "bob_povm"): ("POVM", None),
+    ("LhsDeterministic", "alice_signs"): ("sign triple", None),
+    ("LhsDeterministic", "hidden_state"): ("Bloch vector", BLOCH),
+    ("LhsDeterministic", "bob_povm"): ("POVM", None),
+    ("LocalComponent", "weight"): ("rate", "component weight"),
+    ("LocalComponent", "alice_plus"): ("mapping", None),
+    ("LocalComponent", "effect"): ("2x2 operator", "component effect"),
+    ("PayoffEstimate", "n_per_setting"): ("mapping", None),
+    ("RefereeEnsemble", "vectors"): ("mapping", None),
+    ("TallyTable", "counts"): ("mapping", None),
+    ("bootstrap_calibration", "record"): ("count table", None),
+    ("bootstrap_calibration", "trials"): ("count", None),
+    ("bootstrap_calibration", "seed"): ("seed", None),
+    ("calibrate", "ensemble"): ("ensemble", None),
+    ("calibrate", "counts"): ("count table", None),
+    ("calibrate", "trials"): ("count", None),
+    ("calibrate", "seed"): ("seed", None),
+    ("canonical_game", "r"): ("rate", RATE),
+    ("channel_covariance_check", "ensemble"): ("ensemble", None),
+    ("channel_covariance_check", "kraus"): ("Kraus operators", "Kraus"),
+    ("channel_covariance_check", "strategy"): ("strategy", None),
+    ("chsh_werner", "w"): ("fraction", WEIGHT),
+    ("ensemble_from_counts", "record"): ("count table", None),
+    ("estimate_payoff", "spec"): ("spec", None),
+    ("estimate_payoff", "tally"): ("count table", None),
+    ("exact_payoff", "spec"): ("spec", None),
+    ("exact_payoff", "strategy"): ("strategy", None),
+    ("exact_payoff", "ensemble"): ("ensemble", None),
+    ("joint_probabilities", "strategy"): ("strategy", None),
+    ("joint_probabilities", "ensemble"): ("ensemble", None),
+    ("joint_probabilities", "j"): ("key", "j="),
+    ("joint_probabilities", "s"): ("key", "s="),
+    ("lhs_best_deterministic", "spec"): ("spec", None),
+    ("lhs_best_deterministic", "ensemble"): ("ensemble", None),
+    ("lhs_bound", "ensemble"): ("ensemble", None),
+    ("lhs_bound", "r"): ("rate", RATE),
+    ("partial_bsm_povm", "visibility"): ("fraction", None),
+    ("referee_state", "ensemble"): ("ensemble", None),
+    ("referee_state", "j"): ("key", "j="),
+    ("referee_state", "s"): ("key", "s="),
+    ("regime_at", "w"): ("fraction", WEIGHT),
+    ("regime_at", "w_game"): ("real", None),
+    ("regime_classify", "w"): ("fraction", WEIGHT),
+    ("regime_classify", "r"): ("rate", RATE),
+    ("rstar_oracle", "ensemble"): ("ensemble", None),
+    ("rstar_printed", "ensemble"): ("ensemble", None),
+    ("simulate_runs", "spec"): ("spec", None),
+    ("simulate_runs", "strategy"): ("strategy", None),
+    ("simulate_runs", "ensemble"): ("ensemble", None),
+    ("simulate_runs", "n_per_setting"): ("count", None),
+    ("simulate_runs", "seed"): ("seed", None),
+    ("t_operator", "ensemble"): ("ensemble", None),
+    ("t_operator", "assignment"): ("sign triple", None),
+    ("t_operator", "r"): ("rate", RATE),
+    ("werner_state", "w"): ("fraction", WEIGHT),
+    ("werner_threshold", "spec"): ("spec", None),
+    ("werner_threshold", "analyzer"): ("POVM", None),
+    ("werner_threshold", "ensemble"): ("ensemble", None),
+}
+
+SCALARS = (("True", True), ("np.True_", np.True_), ("str", "0.5"), ("None", None),
+           ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("complex", 0.5 + 0.5j))
+
+
+def _entry(valid, value, dtype=float):
+    # valid as an array of dtype with its first entry replaced by value.
+    a = np.array(valid, dtype=dtype)
+    a.flat[0] = value
+    return a
+
+
+def _array_bad(valid, shape):
+    # An array argument: NaN, inf, -inf, a bool, a Fraction entry and a ragged nesting.
+    flat = np.ravel(valid).tolist()
+    return [("nan-entry", _entry(valid, math.nan)), ("inf-entry", _entry(valid, math.inf)),
+            ("-inf-entry", _entry(valid, -math.inf)), ("shape", shape),
+            ("bool", np.array(valid, dtype=bool)),
+            ("Fraction-entry", _entry(valid, Fraction(1, 2), object)),
+            ("ragged", [flat[:1], flat[1:]])]
+
+
+_REAL_EXOTIC = (("float32", np.float32), ("float16", np.float16), ("int64", np.int64),
+                ("Fraction", Fraction))
+_INT_EXOTIC = (("int64", np.int64), ("int32", np.int32), ("uint16", np.uint16))
+_ARRAY_EXOTIC = tuple((name, lambda v, t=t: np.asarray(v, dtype=t))
+                      for name, t in (("float32", np.float32), ("float16", np.float16),
+                                      ("int64", np.int64)))
+
+
+def _package(raw):
+    # A package value: its raw contents as the wrong shape, and the wrong package type.
+    return (lambda v: [("shape", raw(v)), ("package", SPEC if isinstance(v, states.RefereeEnsemble)
+                                           else ENSEMBLE)], ())
+
+
+# kind: (its extra bad values for a valid value v, its exotic forms of v).
+KIND_TABLE = {
+    "fraction": (lambda v: [("shape", [v]), ("package", ENSEMBLE), ("range", 1.5)], _REAL_EXOTIC),
+    "rate": (lambda v: [("shape", [v]), ("package", ENSEMBLE), ("range", -0.5)], _REAL_EXOTIC),
+    "real": (lambda v: [("shape", [v]), ("package", ENSEMBLE)], _REAL_EXOTIC),
+    "count": (lambda v: [("shape", [v]), ("package", ENSEMBLE), ("float", float(v)), ("range", 0)],
+              _INT_EXOTIC),
+    "seed": (lambda v: [("shape", [v]), ("package", ENSEMBLE), ("float", float(v)), ("range", -1)],
+             _INT_EXOTIC),
+    "key": (lambda v: [("shape", [v]), ("package", ENSEMBLE), ("float", float(v)), ("range", 0)],
+            _INT_EXOTIC),
+    "Bloch vector": (lambda v: _array_bad(v, [0.0, 0.0, 0.0, 1.0]) + [
+        ("package", ENSEMBLE), ("complex-entry", _entry(v, 0.5j, complex))], _ARRAY_EXOTIC),
+    "2x2 operator": (lambda v: _array_bad(v, np.eye(3)) + [("package", ENSEMBLE)], _ARRAY_EXOTIC),
+    "4x4 operator": (lambda v: _array_bad(v, np.eye(2)) + [("package", ENSEMBLE)], _ARRAY_EXOTIC),
+    "Kraus operators": (
+        lambda v: [(name, (bad,)) for name, bad in _array_bad(v[0], np.eye(3))]
+        + [("package", ENSEMBLE)],
+        tuple((name, lambda v, f=f: tuple(f(k) for k in v)) for name, f in _ARRAY_EXOTIC)),
+    "sign triple": (lambda v: [("shape", (*v, 1)), ("package", ENSEMBLE), ("range", (1, 0, 1)),
+                               ("float", tuple(map(float, v)))],
+                    (("int64", lambda v: tuple(map(np.int64, v))), ("array", np.array),
+                     ("list", list))),
+    "mapping": (lambda v: [("shape", list(v.items())), ("package", ENSEMBLE)],
+                (("MappingProxyType", MappingProxyType),)),
+    "components": (lambda v: [("shape", [v]), ("package", ENSEMBLE)],
+                   (("list", list), ("generator", lambda v: (c for c in v)))),
+    "ensemble": _package(lambda v: dict(v.vectors)),
+    "spec": _package(lambda v: v.r),
+    "strategy": _package(lambda v: v.components),
+    "POVM": _package(lambda v: (v.b0, v.b1)),
+    "count table": _package(lambda v: dict(v.counts)),
+}
+
+
+def _call(name, parameter, value):
+    kwargs = dict(ROW_CALLS.get((name, parameter), CALLS[name]), **{parameter: value})
+    return getattr(qrsgame, name)(**kwargs)
+
+
+def _valid(name, parameter):
+    return ROW_CALLS.get((name, parameter), CALLS[name])[parameter]
+
+
+def _bad_rows():
+    for (name, parameter), (kind, label) in PARAMETERS.items():
+        bad_values, _ = KIND_TABLE[kind]
+        for bad_id, bad in (*SCALARS, *bad_values(_valid(name, parameter))):
+            if bad is None and (name, parameter) in NONE_VALID:
+                continue
+            if kind == "real" and bad_id in ("inf", "-inf"):  # w_game may be infinite
+                continue
+            yield pytest.param(name, parameter, bad, label or parameter,
+                               id=f"{name}-{parameter}-{bad_id}")
+
+
+def _exotic_rows():
+    for (name, parameter), (kind, _) in PARAMETERS.items():
+        for exotic_id, exotic in KIND_TABLE[kind][1]:
+            yield pytest.param(name, parameter, exotic, id=f"{name}-{parameter}-{exotic_id}")
+
+
+def test_every_public_parameter_has_a_row():
+    """A public callable or parameter without a row fails here, so each new
+    one must declare its kind (or its exemption, with the reason)."""
+    found = set()
+    for name in qrsgame.__all__:
+        if name in EXEMPT:
+            continue
+        assert name in CALLS, name
+        found |= {(name, p) for p in inspect.signature(getattr(qrsgame, name)).parameters}
+    assert sorted(found - EXEMPT_PARAMETERS - set(PARAMETERS)) == []
+    assert sorted(set(PARAMETERS) - found) == []
+    assert sorted(set(CALLS) - set(qrsgame.__all__)) == []
+    assert sorted(set(EXEMPT) - set(qrsgame.__all__)) == []
+
+
+@pytest.mark.parametrize("name, parameter, bad, label", _bad_rows())
+def test_bad_value_raises_value_error_naming_the_parameter(name, parameter, bad, label):
+    """Every bad value of a parameter's kind raises ValueError from the check
+    of that kind, whose message names the parameter, never a TypeError or
+    numpy's own message, and never passes."""
+    with pytest.raises(ValueError) as err:
+        _call(name, parameter, bad)
+    assert label in str(err.value)
+
+
+def _bits(x):
+    # A value as nested tuples of type names and exact bits: floats as hex,
+    # arrays as dtype, shape, bytes and writability, records field by field.
+    if isinstance(x, (float, np.floating)):
+        return type(x).__name__, float(x).hex()
+    if isinstance(x, (bool, int, str, np.generic)) or x is None:
+        return type(x).__name__, repr(x)
+    if isinstance(x, np.ndarray):
+        return "ndarray", x.dtype.str, x.shape, x.tobytes(), x.flags.writeable
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, tuple(map(_bits, x))
+    if isinstance(x, Mapping):
+        return type(x).__name__, tuple((_bits(k), _bits(v)) for k, v in x.items())
+    assert dataclasses.is_dataclass(x), type(x)
+    return type(x).__name__, tuple((f.name, _bits(getattr(x, f.name)))
+                                   for f in dataclasses.fields(x) if not f.name.startswith("_"))
+
+
+@pytest.mark.parametrize("name, parameter, exotic", _exotic_rows())
+def test_exotic_valid_value_gives_the_plain_bits(name, parameter, exotic):
+    """np.float32, np.float16, np.int64 and Fraction numbers, numpy arrays
+    of those dtypes, numpy integer signs and keys, a read-only mapping and a
+    generator of components are the plain value to the package: the call
+    gives the bits it gives with the plain value. (Fraction entries in an
+    array are a bad value: the number rule never converts an object array.)"""
+    plain = _valid(name, parameter)
+    assert _bits(_call(name, parameter, exotic(plain))) == _bits(_call(name, parameter, plain))

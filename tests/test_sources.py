@@ -115,6 +115,47 @@ def test_one_stream_rule():
     assert found and all(inside for _, _, inside in found), found
 
 
+# Functions other than qmath._as_numbers that convert an argument with a
+# dtype, each with its reason.
+_OTHER_CONVERSIONS = {
+    # Rates that check_nonnegative passed, or the calibration's grid of them.
+    ("states.py", "_top_eigenvalues"),
+    # A JSON record: its own messages show the record, and the CLI tests pin them.
+    ("states.py", "ensemble_from_dict"),
+}
+
+
+def _root(node):
+    # The name an expression such as rec["n"] or a.b reads from, if any.
+    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_one_number_rule():
+    """Every array a caller hands the package is converted by qmath._as_numbers,
+    which owns the number rule and its message: no other function in
+    src/qrsgame passes one of its arguments, or a name that a loop or a
+    comprehension draws from one, to np.asarray or np.array with a dtype,
+    except the functions on _OTHER_CONVERSIONS."""
+    found = set()
+    for path in sorted(Path(qrsgame.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            arguments = {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
+            for node in ast.walk(fn):
+                if (isinstance(node, (ast.For, ast.comprehension))
+                        and {_root(n) for n in ast.walk(node.iter)} & arguments):
+                    arguments |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+            found |= {(path.name, fn.name) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("asarray", "array") and node.args
+                      and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords))
+                      and _root(node.args[0]) in arguments}
+    assert sorted(found) == sorted(_OTHER_CONVERSIONS)
+
+
 # The package's modules in import order: each may import only those before it.
 _LAYERS = ("qmath", "states", "game", "witness", "cli")
 

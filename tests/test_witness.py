@@ -112,14 +112,14 @@ class TestWitnessOperator:
         with pytest.raises(ValueError, match="assignment"):
             assignment_vectors(ens, (1, 0, 1))
         for bad in ((True, 1, -1), (1.0, 1, -1), (1, np.float64(-1.0), 1), (1, 1, np.True_)):
-            with pytest.raises(ValueError, match="assignment must be three values"):
+            with pytest.raises(ValueError, match="assignment must be three integers"):
                 assignment_vectors(ens, bad)
-            with pytest.raises(ValueError, match="assignment must be three values"):
+            with pytest.raises(ValueError, match="assignment must be three integers"):
                 t_operator(ens, bad, 0.5)
         for bad in (5, None):
             with pytest.raises(ValueError) as err:
                 assignment_vectors(ens, bad)
-            assert str(err.value) == f"assignment must be three values of +/-1, got {bad}"
+            assert str(err.value) == f"assignment must be three integers +/-1, got {bad}"
         signs = (np.int64(1), 1, np.int64(-1))
         assert np.array_equal(t_operator(ens, signs, 0.5), t_operator(ens, (1, 1, -1), 0.5))
 
@@ -399,15 +399,12 @@ class TestTomography:
     def test_record_validation(self):
         with pytest.raises(ValueError, match="malformed count cell"):
             CountRecord({(1, 1, 4, 1): 5})
-        with pytest.raises(ValueError, match="negative"):
-            CountRecord({(1, 1, 1, 1): -2})
-        for n in (2.7, True):
-            with pytest.raises(ValueError, match="not an integer"):
+        for n in (-2, 2.7, True, 2**52 + 1, 2**63, np.uint64(2**64 - 1)):
+            with pytest.raises(ValueError) as err:
                 CountRecord({(1, 1, 1, 1): n})
+            assert str(err.value) == ("count for cell (1, 1, 1, 1) must be an integer from 0 to"
+                                      f" 2^52, got {n!r}")
         assert CountRecord({(1, 1, 1, 1): 2**52}).cell(1, 1, 1, 1) == 2**52
-        for n in (2**52 + 1, 2**63, np.uint64(2**64 - 1)):
-            with pytest.raises(ValueError, match="exceeds 2\\^52"):
-                CountRecord({(1, 1, 1, 1): n})
 
     def test_average_fidelity(self):
         assert calibrate(ensemble=referee_ideal()).avg_fidelity == 1.0
