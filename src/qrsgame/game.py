@@ -17,7 +17,8 @@ Bob project his half together with the referee qubit onto a partial Bell-state
 analyzer. Alice's measurement does not involve the referee, so the states it
 leaves on Bob's qubit, cond_(j,a), and their traces p(a|j) are computed once at
 construction, as one stack. One stacked pass per strategy and ensemble pairs
-each cond_(j,a) x omega_(j,s) with the analyzer: the payoff reads its twelve
+each cond_(j,a) x omega_(j,s), the omegas read from the ensemble's cached
+density stack, with the analyzer: the payoff reads its twelve
 clicks; the sampler, joint_probabilities and witness's covariance check read
 the one joint table, six rows of four cells (_cell_rows). Every no-steering
 adversary is a mixture of local components: Alice answers from a response table
@@ -33,12 +34,12 @@ the witness pairing of that table with the pairing sums D_j and S_j of the
 ensemble's witness form, which the ensemble builds once and every local payoff,
 sign table and best adversary of it reads, and whose top eigenvalues states
 computes. Every argument passes the one check of its kind in qmath or
-states, which owns the message; a POVM or an effect may first pass on Python
-scalars (psd_clear), but only those checks reject. Strategies are frozen
-(each checks and stores each field once, in its own __init__) and keep
-read-only copies of the arrays they are given, so a compiled form cannot go
-stale; pickling or copying one rebuilds it through its constructor, and ==
-is identity. All functions are pure and every random draw comes from
+states, which owns the message; a POVM, a shared state or an effect may
+first pass on Python scalars (psd_clear), but only those checks reject.
+Strategies are frozen (each checks and stores each field once, in its own
+__init__) and keep read-only copies of the arrays they are given, so a
+compiled form cannot go stale; pickling or copying one rebuilds it through
+its constructor, and == is identity. All functions are pure and every random draw comes from
 _substream, the one rule that keys a stream by the caller's seed and the
 setting or trial, so results never depend on scheduling or threads.
 """
@@ -80,11 +81,12 @@ from .qmath import (
     real_trace_product,
     tensor,
 )
-from .states import _SINGLET, SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble, referee_states
+from .states import _SINGLET, SETTING_KEYS, SIGN_TRIPLES, SQRT3, RefereeEnsemble
 from .states import TWO_SQRT3, _first_max, _witness_norms, check_signs
 
 _CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
 _INPUTS = frozenset((1, 2, 3))
+_SETTINGS = frozenset(SETTING_KEYS)
 
 _IDENTITY4 = _frozen(identity(4))
 _HALF_IDENTITY4 = _frozen(identity(4) / 2.0)
@@ -121,6 +123,20 @@ def _clear_povm(e0: list, e1: list) -> bool:
                     abs(a20 + b20), abs(a30 + b30), abs(a21 + b21), abs(a31 + b31),
                     abs(a32 + b32)) <= _CLEAR_DEFECT
             and psd_clear(e0) and psd_clear(e1))
+
+
+def _clear_state(rows: list) -> bool:
+    # True only when check_hermitian, the trace test and psd_within surely
+    # pass the 4x4 state given as rows of Python complex numbers: Hermitian
+    # and of unit trace within half of HERMITIAN_TOL and TRACE_TOL, as
+    # _clear_povm judges each element, and clearly positive.
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+    return (max(abs(a00.imag), abs(a11.imag), abs(a22.imag), abs(a33.imag)) <= 0.5 * _CLEAR_DEFECT
+            and max(abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()),
+                    abs(a03 - a30.conjugate()), abs(a12 - a21.conjugate()),
+                    abs(a13 - a31.conjugate()), abs(a23 - a32.conjugate())) <= _CLEAR_DEFECT
+            and abs(a00 + a11 + a22 + a33 - 1.0) <= 0.5 * TRACE_TOL
+            and psd_clear(rows))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -190,11 +206,17 @@ class HonestQuantum:
     here, as one stack: ``cond_stack[j - 1, 0 for a = +1, 1 for a = -1]`` is
     cond_(j,a) = tr_A[(P_(j,a) x 1) rho], the unnormalized state Alice's
     outcome leaves on Bob's qubit. ``marginals[j - 1]`` holds Alice's p(a|j),
-    the trace of cond_(j,a), for a = +1 then a = -1. Each entry is bitwise
-    the one an evaluation that rebuilds it for every setting gives; the
-    tests keep that evaluation as oracle. The strategy checks the analyzer,
-    then the shared state, and keeps a read-only copy of the state, a
-    read-only stack and its last ensemble's click table.
+    the trace of cond_(j,a), for a = +1 then a = -1, summed on Python
+    floats as numpy sums a complex 2x2 trace, 0.0 + (c00 + c11). Each entry
+    is bitwise the one an evaluation that rebuilds it for every setting
+    gives; the tests keep that evaluation as oracle. The strategy checks the
+    analyzer, then the shared state. The common state passes on Python
+    scalars, from one ``tolist()``: 4x4 with a finite sum of squared moduli,
+    Hermitian within half of HERMITIAN_TOL, unit trace within half of
+    TRACE_TOL and ``psd_clear``. Every other state goes to
+    ``check_hermitian``, the trace test and ``psd_within``, which alone
+    reject and name the fault. The strategy keeps a read-only copy of the
+    state, a read-only stack and its last ensemble's click table.
     """
 
     shared_state: np.ndarray
@@ -206,18 +228,23 @@ class HonestQuantum:
 
     def __init__(self, shared_state: np.ndarray, bob_povm: BinaryPovm) -> None:
         check_type(bob_povm, BinaryPovm, "bob_povm")
-        rho = check_hermitian(shared_state, 4, "shared_state")
-        if abs(np.trace(rho) - 1.0) > TRACE_TOL or not psd_within(rho):
-            defects = is_density_matrix(rho).describe()  # measured only for the message
-            raise ValueError(f"shared_state is not a density matrix ({defects})")
+        rho = _as_numbers(shared_state, complex, "shared_state")
+        if not (rho.shape == (4, 4) and math.isfinite(np.vdot(rho, rho).real)
+                and _clear_state(rho.tolist())):
+            rho = check_hermitian(rho, 4, "shared_state")
+            if abs(np.trace(rho) - 1.0) > TRACE_TOL or not psd_within(rho):
+                defects = is_density_matrix(rho).describe()  # measured only for the message
+                raise ValueError(f"shared_state is not a density matrix ({defects})")
         rho = _frozen(rho)
         cond = partial_trace(_LIFTS @ rho)
         cond.setflags(write=False)
-        traces = cond.trace(axis1=-2, axis2=-1).real.tolist()
+        # Each trace summed as numpy sums a complex 2x2 trace, from +0.0.
+        marginals = tuple((0.0 + (p00.real + p11.real), 0.0 + (m00.real + m11.real))
+                          for ((p00, _), (_, p11)), ((m00, _), (_, m11)) in cond.tolist())
         object.__setattr__(self, "shared_state", rho)
         object.__setattr__(self, "bob_povm", bob_povm)
         object.__setattr__(self, "cond_stack", cond)
-        object.__setattr__(self, "marginals", tuple(map(tuple, traces)))
+        object.__setattr__(self, "marginals", marginals)
 
 
 def _effect_bloch(effect: np.ndarray) -> tuple[float, float, float, float]:
@@ -404,7 +431,7 @@ def _honest_clicks(strategy: HonestQuantum, ensemble: RefereeEnsemble) -> list:
     # Every strategy that is not a CustomLocal comes here: one of neither kind is refused.
     last, clicks = check_type(strategy, Strategy, "strategy")._clicks
     if last is not ensemble:
-        pairs = tensor(strategy.cond_stack[:, None], referee_states(ensemble)[:, :, None])
+        pairs = tensor(strategy.cond_stack[:, None], ensemble.density_stack[:, :, None])
         clicks = real_trace_product(pairs, strategy.bob_povm.b1).reshape(6, 2).tolist()
         object.__setattr__(strategy, "_clicks", (ensemble, clicks))
     return clicks
@@ -613,11 +640,24 @@ def simulate_runs(
     return TallyTable._of_checked(counts)
 
 
+def _setting_count(entry: tuple) -> tuple[tuple[int, int], int]:
+    # One n_per_setting entry as ((j, s), n) of Python ints, by the integer rule.
+    key, n = entry
+    j, s = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+    if not (is_integer(j) and is_integer(s) and (j, s) in _SETTINGS):
+        raise ValueError(f"n_per_setting key {key!r} is not a setting (j, s)")
+    key = (int(j), int(s))
+    return key, check_integer(n, 0, math.inf, f"n_per_setting[{key}] must be an integer >= 0")
+
+
 @dataclass(frozen=True)
 class PayoffEstimate:
     """Empirical payoff with a first-order multinomial standard error.
 
-    ``n_per_setting`` is kept as a read-only copy of the mapping given.
+    ``n_per_setting`` maps settings (j, s) of SETTING_KEYS to run counts.
+    Keys follow the integer rule and counts pass ``check_integer``, so
+    (1.0, 1), (9, 9) and a count of "x" or 1.5 raise ValueError naming
+    n_per_setting. The estimate keeps a read-only copy with Python ints.
     """
 
     value: float
@@ -626,8 +666,13 @@ class PayoffEstimate:
     __reduce__ = _rebuilt_from("value", "stderr", "n_per_setting")
 
     def __post_init__(self) -> None:
-        n_per_setting = dict(check_type(self.n_per_setting, Mapping, "n_per_setting"))
-        object.__setattr__(self, "n_per_setting", MappingProxyType(n_per_setting))
+        counts = dict(check_type(self.n_per_setting, Mapping, "n_per_setting"))
+        for key, n in counts.items():
+            if not (type(key) is tuple and key in _SETTINGS
+                    and type(key[0]) is type(key[1]) is type(n) is int and n >= 0):
+                counts = dict(map(_setting_count, counts.items()))  # checks and converts each
+                break
+        object.__setattr__(self, "n_per_setting", MappingProxyType(counts))
 
     def to_dict(self) -> dict:
         return {

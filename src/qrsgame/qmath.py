@@ -108,11 +108,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray) -> np.ndarray:
-    """Trace out the first qubit of a two-qubit operator, or of each in a stack (..., 4, 4)."""
+    """Trace out the first qubit of a two-qubit operator, or of each in a stack (..., 4, 4).
+
+    Each entry is numpy's own complex trace over the first qubit's index
+    pair, summed (0.0 + m_(0j,0l)) + m_(1j,1l), the order of
+    ``np.einsum("...ijil->...jl", ...)``, so the result has einsum's bits,
+    signed zeros included.
+    """
     m = _as_operators(m, "m")
     if m.shape[-1] != 4:
         raise ValueError("partial_trace expects a dimension-4 operator")
-    return np.einsum("...ijil->...jl", m.reshape(m.shape[:-2] + (2, 2, 2, 2)))
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).trace(0, -4, -2)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -358,7 +364,10 @@ def real_trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Re tr(a b), the Born-rule pairing of a state with an effect.
 
     Stacks (..., d, d) are multiplied as matmul broadcasts them and give an
-    array of the pairings, each bitwise the float of a 2-D call.
+    array of the pairings, each bitwise the float of a 2-D call. Each pairing
+    is the real part of numpy's own complex trace of the product, which sums
+    the diagonal 0.0 + ((d0 + d1) + (d2 + d3)) for d = 4 and 0.0 + (d0 + d1)
+    for d = 2, the bits of ``np.trace(a @ b).real``.
     """
-    pairing = np.trace(np.asarray(a) @ np.asarray(b), axis1=-2, axis2=-1).real
+    pairing = (_as_operators(a, "a") @ _as_operators(b, "b")).trace(0, -2, -1).real
     return float(pairing) if pairing.ndim == 0 else pairing

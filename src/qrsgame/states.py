@@ -9,7 +9,9 @@ are Kronecker products in (first x second) order, and the singlet is
 Referee ensembles are six qubit states indexed by a key (j, s) with
 j in {1, 2, 3} and s in {+1, -1}; the state for key (j, s) is (1 + n.sigma)/2,
 and a frozen RefereeEnsemble stores the six checked n once, as one read-only
-(6, 3) stack in SETTING_KEYS order. The ideal ensemble has n = s * e_j.
+(6, 3) stack in SETTING_KEYS order, and caches on the first read their
+density matrices as one read-only (3, 2, 2, 2) stack, the one the honest
+pairing and the channel check read. The ideal ensemble has n = s * e_j.
 
 Every witness reader in game and witness takes an ensemble's sums from its
 one WitnessForm, built here and cached on the first read, read-only with
@@ -146,9 +148,10 @@ class RefereeEnsemble:
 
     The keys must be the six of SETTING_KEYS, each a pair of Python or numpy
     integers: (1.0, 1) and (2, True) are rejected, not matched by equality.
-    ``witness_form`` is a ``functools.cached_property``: built from the stack
-    on its first read and kept in the instance ``__dict__``; construction
-    never builds it, and pickling and copying drop it.
+    ``witness_form`` and ``density_stack`` are ``functools.cached_property``
+    values: each is built from the stack on its first read and kept in the
+    instance ``__dict__``; construction never builds them, and pickling and
+    copying drop them.
     """
 
     vectors: Mapping[tuple[int, int], np.ndarray]
@@ -181,6 +184,19 @@ class RefereeEnsemble:
                                                    (plus + minus).tolist()))
         return WitnessForm(rows, vec_b, pairs)
 
+    @cached_property
+    def density_stack(self) -> np.ndarray:
+        """All six referee density matrices as one read-only (3, 2, 2, 2) stack.
+
+        Entry [j - 1, 0 if s > 0 else 1] is bitwise referee_state(self, j, s):
+        each state has bloch_to_density's closed-form entries for its row of
+        the stack, which the constructor checked, so it is not checked again.
+        """
+        rows = [_density_entries(*n) for n in self.stack.tolist()]
+        stack = np.array(rows, dtype=complex).reshape(3, 2, 2, 2)
+        stack.setflags(write=False)
+        return stack
+
     def vector(self, j: int, s: int) -> np.ndarray:
         """The Bloch vector for key (j, s); j and s follow the integer rule."""
         if not (is_integer(j) and is_integer(s)) or (j, s) not in self.vectors:
@@ -198,17 +214,6 @@ def referee_ideal() -> RefereeEnsemble:
 def referee_state(ensemble: RefereeEnsemble, j: int, s: int) -> np.ndarray:
     """Density matrix of the referee state for key (j, s)."""
     return bloch_to_density(check_type(ensemble, RefereeEnsemble, "ensemble").vector(j, s))
-
-
-def referee_states(ensemble: RefereeEnsemble) -> np.ndarray:
-    """All six referee density matrices as one (3, 2, 2, 2) stack.
-
-    Entry [j - 1, 0 if s > 0 else 1] is bitwise referee_state(ensemble, j, s):
-    each state has bloch_to_density's closed-form entries for its row of the
-    ensemble's stack, which the ensemble checked, so it is not checked again.
-    """
-    rows = [_density_entries(*n) for n in ensemble.stack.tolist()]
-    return np.array(rows, dtype=complex).reshape(3, 2, 2, 2)
 
 
 def ensemble_to_dict(ensemble: RefereeEnsemble) -> dict:

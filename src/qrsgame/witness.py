@@ -30,7 +30,7 @@ from .game import BinaryPovm, CountTable, _cell_rows, _substream, exact_payoff
 from .qmath import _as_numbers, _rebuilt_from, check_fraction, check_integer, check_nonnegative
 from .qmath import check_real, check_seed, check_type, density_to_bloch, identity, pauli, tensor
 from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble
-from .states import _first_max, _sign_tables, _top_eigenvalues, check_signs, referee_states
+from .states import _first_max, _sign_tables, _top_eigenvalues, check_signs
 from .states import werner_state
 
 # Werner-weight landmarks: below W_NO_BELL no Bell inequality can be
@@ -400,7 +400,7 @@ def _dual(ops: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
 
 def _channel_ensemble(ops: tuple[np.ndarray, ...], ensemble: RefereeEnsemble) -> RefereeEnsemble:
     # Every referee state sent through the channel of checked Kraus operators.
-    states = referee_states(ensemble).reshape(6, 2, 2)
+    states = ensemble.density_stack.reshape(6, 2, 2)
     vectors = (density_to_bloch(_apply(ops, rho)) for rho in states)
     return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors)))
 

@@ -189,6 +189,13 @@ NUMBER_RULE = [
      "b must be an array of numbers, got dtype <U32"),
     ("partial_trace-ragged", lambda: qmath.partial_trace(RAGGED),
      "m must be an array of numbers, got dtype object"),
+    ("real_trace_product-bool",
+     lambda: qmath.real_trace_product(np.eye(2, dtype=bool), np.eye(2, dtype=bool)),
+     "a must be an array of numbers, got dtype bool"),
+    ("real_trace_product-str", lambda: qmath.real_trace_product(np.eye(2), np.eye(2).astype(str)),
+     "b must be an array of numbers, got dtype <U32"),
+    ("real_trace_product-ragged", lambda: qmath.real_trace_product(RAGGED, np.eye(2)),
+     "a must be an array of numbers, got dtype object"),
     ("psd_within-bool", lambda: qmath.psd_within(np.eye(2, dtype=bool)),
      "m must be an array of numbers, got dtype bool"),
     ("is_density_matrix-bool", lambda: qmath.is_density_matrix(np.diag([True, False])),
@@ -203,6 +210,12 @@ NUMBER_RULE = [
      KRAUS("object")),
     ("kraus-None", lambda: witness.channel_covariance_check(ENSEMBLE, None, STRATEGY),
      "channel must be given as finite 2x2 Kraus operators"),
+    ("n_per_setting-key-range", lambda: game.PayoffEstimate(0.0, 0.0, {(9, 9): 1}),
+     "n_per_setting key (9, 9) is not a setting (j, s)"),
+    ("n_per_setting-float-key", lambda: game.PayoffEstimate(0.0, 0.0, {(1.0, 1): 3}),
+     "n_per_setting key (1.0, 1) is not a setting (j, s)"),
+    ("n_per_setting-str-count", lambda: game.PayoffEstimate(0.0, 0.0, {(1, 1): "x"}),
+     "n_per_setting[(1, 1)] must be an integer >= 0, got 'x'"),
 ]
 
 
@@ -298,7 +311,7 @@ PARAMETERS = {
     ("LocalComponent", "weight"): ("rate", "component weight"),
     ("LocalComponent", "alice_plus"): ("mapping", None),
     ("LocalComponent", "effect"): ("2x2 operator", "component effect"),
-    ("PayoffEstimate", "n_per_setting"): ("mapping", None),
+    ("PayoffEstimate", "n_per_setting"): ("setting counts", None),
     ("RefereeEnsemble", "vectors"): ("mapping", None),
     ("TallyTable", "counts"): ("mapping", None),
     ("bootstrap_calibration", "record"): ("count table", None),
@@ -411,6 +424,13 @@ KIND_TABLE = {
                      ("list", list))),
     "mapping": (lambda v: [("shape", list(v.items())), ("package", ENSEMBLE)],
                 (("MappingProxyType", MappingProxyType),)),
+    "setting counts": (
+        lambda v: [("shape", list(v.items())), ("package", ENSEMBLE), ("str-count", {(1, 1): "x"}),
+                   ("float-count", {(1, 1): 1.5}), ("bool-count", {(1, 1): True}),
+                   ("range", {(1, 1): -1}), ("key-range", {(9, 9): 1}), ("float-key", {(1.0, 1): 3}),
+                   ("bool-key", {(True, 1): 3}), ("key-shape", {(1, 1, 1): 3}), ("str-key", {"ab": 3})],
+        (("MappingProxyType", MappingProxyType),
+         ("int64", lambda v: {(np.int64(j), np.int64(s)): np.int64(n) for (j, s), n in v.items()}))),
     "components": (lambda v: [("shape", [v]), ("package", ENSEMBLE)],
                    (("list", list), ("generator", lambda v: (c for c in v)))),
     "ensemble": _package(lambda v: dict(v.vectors)),

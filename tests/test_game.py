@@ -37,6 +37,7 @@ from qrsgame.game import (
 from qrsgame.qmath import (
     HERMITIAN_TOL,
     PSD_TOL,
+    TRACE_TOL,
     bloch_to_density,
     check_hermitian,
     density_to_bloch,
@@ -1727,3 +1728,127 @@ def test_common_povms_take_the_clear_pass(monkeypatch):
     for v in np.linspace(0.0, 1.0, 101):
         partial_bsm_povm(float(v))
     assert [name for name in calls if name.startswith("POVM element")] == []
+
+
+def _state_oracle(rho):
+    # The shared-state checks the clear pass stands for, in their order:
+    # check_hermitian, then the trace test and psd_within, whose failure
+    # message carries is_density_matrix's defects.
+    try:
+        m = check_hermitian(rho, 4, "shared_state")
+    except ValueError as exc:
+        return str(exc)
+    if abs(np.trace(m) - 1.0) > TRACE_TOL or not psd_within(m):
+        return f"shared_state is not a density matrix ({qmath.is_density_matrix(m).describe()})"
+    return None
+
+
+def _rotated_state(rng, lowest):
+    # A state of unit trace whose lowest eigenvalue is `lowest`, in a random basis.
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return (u * np.array([lowest, 0.2, 0.3, 0.5 - lowest])) @ u.conj().T
+
+
+def _moved(rho, i, j, by):
+    # A complex copy of rho with entry (i, j) moved by `by`.
+    rho = np.array(rho, dtype=complex)
+    rho[i, j] += by
+    return rho
+
+
+def _spy_state_checks(monkeypatch):
+    # The names check_hermitian is called with, from now on.
+    calls = []
+    real = game.check_hermitian
+    monkeypatch.setattr(game, "check_hermitian", lambda *a: calls.append(a[2]) or real(*a))
+    return calls
+
+
+def test_shared_state_boundaries_keep_the_verdicts_and_messages(monkeypatch):
+    """Shared states either side of each tolerance, and the malformed ones:
+    HonestQuantum gives the verdict and the message of check_hermitian, the
+    trace test and psd_within, and passes on scalars only the states inside
+    half of each tolerance."""
+    calls = _spy_state_checks(monkeypatch)
+    rng = np.random.default_rng(3401)
+    werner = werner_state(0.7)
+    herm = HERMITIAN_TOL
+    table = [  # (id, state, message or None, an accepted state passed on scalars)
+        ("trace+0.4e-9", _moved(werner, 0, 0, 0.4e-9), None, True),
+        ("trace+0.6e-9", _moved(werner, 0, 0, 0.6e-9), None, False),
+        ("trace+1.1e-9", _moved(werner, 0, 0, 1.1e-9), "shared_state is not a density matrix "
+         "(hermiticity 0.00e+00, trace error 1.10e-09, min eigenvalue 7.50e-02)", False),
+        ("lowest-0.4e-9", _rotated_state(rng, -0.4e-9), None, True),
+        ("lowest-1.1e-9", _rotated_state(rng, -1.1e-9), "shared_state is not a density matrix", False),
+        ("hermitian-under", _moved(werner, 0, 1, herm * (1.0 - 1e-3)), None, False),
+        ("hermitian-over", _moved(werner, 0, 1, herm * (1.0 + 1e-3)),
+         "shared_state is not Hermitian within tolerance", False),
+        ("nan", _moved(werner, 1, 2, math.nan), "shared_state is not finite", False),
+        ("inf", _moved(werner, 1, 2, math.inf), "shared_state is not finite", False),
+        ("-inf", _moved(werner, 1, 2, -math.inf), "shared_state is not finite", False),
+        ("bool", np.eye(4, dtype=bool), "shared_state must be an array of numbers, got dtype bool",
+         False),
+        ("shape", identity(2) / 2.0, "shared_state must be 4x4, got (2, 2)", False),
+    ]
+    for name, rho, message, scalar in table:
+        del calls[:]
+        got = _outcome(HonestQuantum, rho, singlet_projector_bc())
+        assert got == _state_oracle(rho), name
+        assert (got or "").startswith(message or ""), name
+        assert (got is None) == (message is None), name
+        assert got is not None or (not calls) == scalar, name
+    lowest = _outcome(HonestQuantum, table[4][1], singlet_projector_bc())
+    assert re.search(r"min eigenvalue -1\.10e-09\)$", lowest)
+
+
+def test_clear_state_edges_match_the_checks(monkeypatch):
+    """Trace errors, lowest eigenvalues and Hermiticity defects within a
+    relative 1e-3 of half their tolerance, off and on the diagonal:
+    HonestQuantum gives the checks' outcome on every state, each family
+    reaches both the clear pass and the checks, and every state the clear
+    pass takes passes the checks."""
+    calls = _spy_state_checks(monkeypatch)
+    rng = np.random.default_rng(3402)
+    werner = werner_state(0.7)
+
+    def near_half(tol):
+        return 0.5 * tol * (1.0 + rng.uniform(-1e-3, 1e-3))
+
+    families = {
+        "trace": lambda: _moved(werner, *(rng.integers(4),) * 2, near_half(TRACE_TOL)),
+        "lowest eigenvalue": lambda: _rotated_state(rng, -near_half(PSD_TOL)),
+        "Hermiticity": lambda: _moved(werner, *rng.choice(4, size=2, replace=False),
+                                      near_half(HERMITIAN_TOL)
+                                      * np.exp(2j * np.pi * rng.random())),
+        "diagonal": lambda: _moved(werner, *(rng.integers(4),) * 2,
+                                   0.5j * near_half(HERMITIAN_TOL)),
+    }
+    for family, build in families.items():
+        paths = set()
+        for _ in range(300):
+            rho = build()
+            del calls[:]
+            want = _state_oracle(rho)
+            assert _outcome(HonestQuantum, rho, singlet_projector_bc()) == want, family
+            if not calls:
+                assert want is None, family
+            paths.add(bool(calls))
+        assert paths == {False, True}, family
+
+
+def test_common_states_take_the_clear_pass(monkeypatch):
+    """Werner states on the honest-sample grid with partial_bsm_povm(0.9),
+    and the singlet with the ideal analyzer, are built with psd_within,
+    check_hermitian and numpy's Cholesky made to fail: the common shared
+    state cannot fall to the numpy checks unnoticed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy check reached")
+
+    for owner, name in ((game, "psd_within"), (game, "check_hermitian"), (np.linalg, "cholesky")):
+        monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(AssertionError, match="a numpy check reached"):
+        HonestQuantum(werner_state(1.0) + 1e-3 * identity(4), singlet_projector_bc())
+    for w in np.linspace(0.0, 1.0, 21):
+        strategy = HonestQuantum(werner_state(float(w)), partial_bsm_povm(0.9))
+        assert strategy.shared_state.tobytes() == werner_state(float(w)).tobytes()
+    HonestQuantum(werner_state(1.0), singlet_projector_bc())

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import qrsgame
-from qrsgame.game import partial_bsm_povm
+from qrsgame.game import HonestQuantum, partial_bsm_povm
 from qrsgame.qmath import (
     DensityCheck,
     bloch_to_density,
@@ -187,6 +187,75 @@ class TestStackedPrimitives:
             partial_trace(np.zeros((5, 2, 2)))
         with pytest.raises(ValueError):
             real_trace_product(np.zeros((3, 2, 2)), identity(4))
+
+
+def signed_zero_stack(rng, shape):
+    # Seeded complex entries, about two in five of whose real and imaginary
+    # parts are +0.0 or -0.0, so a sum started anywhere but +0.0 shows in the bits.
+    m = np.empty(shape, dtype=complex)
+    for part in ("real", "imag"):
+        values = rng.normal(size=shape)
+        draw = rng.random(shape)
+        values[draw < 0.2] = 0.0
+        values[draw > 0.8] = -0.0
+        setattr(m, part, values)
+    return m
+
+
+class TestSummationOrder:
+    """The trace kernels sum in numpy's own order, bit for bit, signed zeros
+    included: a numpy build that reduces in another order fails here
+    rather than moving a payoff or a marginal by an ulp."""
+
+    def test_partial_trace_is_einsum_bitwise(self):
+        rng = np.random.default_rng(64)
+        for shape in ((4, 4), (3, 2, 4, 4), (50000, 4, 4)):
+            m = signed_zero_stack(rng, shape)
+            want = np.einsum("...ijil->...jl", m.reshape(shape[:-2] + (2, 2, 2, 2)))
+            got = partial_trace(m)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_real_trace_product_is_numpy_trace_bitwise(self):
+        rng = np.random.default_rng(65)
+        for dim in (2, 4):
+            for shape in ((dim, dim), (3, 2, 2, dim, dim), (20000, dim, dim)):
+                a, b = signed_zero_stack(rng, shape), signed_zero_stack(rng, (dim, dim))
+                want = np.trace(a @ b, axis1=-2, axis2=-1).real
+                got = np.asarray(real_trace_product(a, b))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_numpy_sums_a_complex_trace_as_documented(self):
+        """numpy sums a complex trace's diagonal 0.0 + ((d0 + d1) + (d2 + d3))
+        for d = 4 and 0.0 + (d0 + d1) for d = 2: the orders the docstrings
+        state and HonestQuantum's marginals repeat on Python floats."""
+        rng = np.random.default_rng(66)
+        for dim in (2, 4):
+            m = signed_zero_stack(rng, (50000, dim, dim))
+            diagonals = m.diagonal(axis1=-2, axis2=-1).real.tolist()
+            if dim == 4:
+                got = [0.0 + ((d0 + d1) + (d2 + d3)) for d0, d1, d2, d3 in diagonals]
+            else:
+                got = [0.0 + (d0 + d1) for d0, d1 in diagonals]
+            assert np.array(got).tobytes() == m.trace(axis1=-2, axis2=-1).real.tobytes()
+
+    def test_marginals_are_numpy_traces_bitwise(self):
+        """HonestQuantum sums each marginal on Python floats; each is the bits
+        of numpy's trace of its conditional state: on the Werner grid, on
+        random states and on diagonal and product states with signed zeros."""
+        rng = np.random.default_rng(67)
+        states = [werner_state(float(w)) for w in np.linspace(0.0, 1.0, 21)]
+        states += [random_density(rng, 4) for _ in range(200)]
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(4))
+            p[rng.random(4) < 0.3] = rng.choice((0.0, -0.0))
+            states.append(np.diag(p / p.sum()).astype(complex))
+            bloch = [rng.choice((0.0, -0.0, rng.uniform(-0.5, 0.5))) for _ in range(6)]
+            states.append(tensor(bloch_to_density(bloch[:3]), bloch_to_density(bloch[3:])))
+        analyzer = partial_bsm_povm(0.9)
+        for rho in states:
+            strategy = HonestQuantum(rho, analyzer)
+            want = strategy.cond_stack.trace(axis1=-2, axis2=-1).real
+            assert np.array(strategy.marginals).tobytes() == want.tobytes()
 
 
 class TestEigHermitian:

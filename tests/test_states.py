@@ -18,7 +18,6 @@ from qrsgame.states import (
     load_ensemble,
     referee_ideal,
     referee_state,
-    referee_states,
     save_ensemble,
     werner_state,
 )
@@ -204,10 +203,11 @@ class TestRefereeEnsemble:
                 assert not copy_.vector(*key).flags.writeable
 
     def test_stacked_states_are_the_per_key_states(self):
-        """referee_states holds, byte for byte, referee_state of each key at
-        [j - 1, 0 if s > 0 else 1]: on the ideal ensemble (whose zero
-        components give signed zeros in complex(x, -y)), on vectors with
-        negative zeros and on random rotated, shrunk ensembles."""
+        """An ensemble's density_stack holds, byte for byte, referee_state of
+        each key at [j - 1, 0 if s > 0 else 1]: on the ideal ensemble (whose
+        zero components give signed zeros in complex(x, -y)), on vectors with
+        negative zeros and on random rotated, shrunk ensembles. The stack is
+        read-only, built once per ensemble and dropped by pickling."""
         rng = np.random.default_rng(31)
         ensembles = [referee_ideal()]
         ensembles.append(RefereeEnsemble({k: np.array([-0.0, -0.0, 0.5]) for k in SETTING_KEYS}))
@@ -217,8 +217,11 @@ class TestRefereeEnsemble:
             vectors = {k: v / max(1.0, np.linalg.norm(v)) for k, v in vectors.items()}
             ensembles.append(RefereeEnsemble(vectors))
         for ens in ensembles:
-            stack = referee_states(ens)
+            assert "density_stack" not in vars(ens)
+            stack = ens.density_stack
             assert stack.shape == (3, 2, 2, 2) and stack.dtype == complex
+            assert not stack.flags.writeable and ens.density_stack is stack
+            assert "density_stack" not in vars(pickle.loads(pickle.dumps(ens)))
             for j, s in SETTING_KEYS:
                 want = referee_state(ens, j, s)
                 assert stack[j - 1, 0 if s > 0 else 1].tobytes() == want.tobytes()
