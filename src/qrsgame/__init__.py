@@ -24,7 +24,6 @@ from .game import (
     lhs_best_deterministic,
     partial_bsm_povm,
     simulate_runs,
-    singlet_projector_bc,
 )
 from .states import (
     RefereeEnsemble,
@@ -39,12 +38,10 @@ from .witness import (
     CountRecord,
     bootstrap_calibration,
     calibrate,
-    channel_covariance_check,
     chsh_werner,
     ensemble_from_counts,
     lhs_bound,
     regime_at,
-    regime_classify,
     rstar_oracle,
     rstar_printed,
     t_operator,
@@ -69,7 +66,6 @@ __all__ = [
     "bootstrap_calibration",
     "calibrate",
     "canonical_game",
-    "channel_covariance_check",
     "chsh_werner",
     "ensemble_from_counts",
     "estimate_payoff",
@@ -81,11 +77,9 @@ __all__ = [
     "referee_ideal",
     "referee_state",
     "regime_at",
-    "regime_classify",
     "rstar_oracle",
     "rstar_printed",
     "simulate_runs",
-    "singlet_projector_bc",
     "t_operator",
     "werner_state",
     "werner_threshold",

@@ -199,10 +199,14 @@ def cmd_chsh(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No parser completes a flag's prefix: --vis is an error, not --visibility.
     parser = argparse.ArgumentParser(
-        prog="qrs", description="Steering-game payoffs, calibration and sampling."
-    )
+        prog="qrs", description="Steering-game payoffs, calibration and sampling.",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
 
     def common(p: argparse.ArgumentParser, *, w: bool = False) -> None:
         if w:
@@ -215,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="referee ensemble JSON (default: ideal)")
         p.add_argument("--out", dest="output_path", default=None)
 
-    p = sub.add_parser("payoff", help="exact payoff, optionally with a sampled estimate")
+    p = command("payoff", "exact payoff, optionally with a sampled estimate")
     common(p, w=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -223,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rounds per setting for the Monte Carlo estimate")
     p.set_defaults(func=cmd_payoff)
 
-    p = sub.add_parser("calibrate", help="calibration report from ensemble or counts")
+    p = command("calibrate", "calibration report from ensemble or counts")
     p.add_argument("--ensemble", dest="ensemble_path", default=None)
     p.add_argument("--counts", dest="counts_path", default=None,
                    help="tomography counts CSV")
@@ -232,21 +236,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output_path", default=None)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("sweep", help="payoff and regime over a Werner-weight grid")
+    p = command("sweep", "payoff and regime over a Werner-weight grid")
     common(p)
     p.add_argument("--w-min", dest="w_min", type=float, default=0.0)
     p.add_argument("--w-max", dest="w_max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=0, help="number of grid points")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="sample a tally and estimate the payoff")
+    p = command("simulate", "sample a tally and estimate the payoff")
     common(p, w=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", dest="n_per_setting", type=int, default=0,
                    help="rounds per setting")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("chsh", help="CHSH value of the Werner state")
+    p = command("chsh", "CHSH value of the Werner state")
     p.add_argument("--W", dest="w", type=float, required=True)
     p.add_argument("--out", dest="output_path", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -18,9 +18,9 @@ analyzer. Alice's measurement does not involve the referee, so the states it
 leaves on Bob's qubit, cond_(j,a), and their traces p(a|j) are computed once at
 construction, as one stack. One stacked pass per strategy and ensemble pairs
 each cond_(j,a) x omega_(j,s), the omegas read from the ensemble's cached
-density stack, with the analyzer: the payoff reads its twelve
-clicks; the sampler, joint_probabilities and witness's covariance check read
-the one joint table, six rows of four cells (_cell_rows). Every no-steering
+density stack, with the analyzer: the payoff reads its twelve clicks; the
+sampler and joint_probabilities read the one joint table, six rows of four
+cells (_cell_rows). Every no-steering
 adversary is a mixture of local components: Alice answers from a response table
 and Bob clicks according to an effect E_c on the referee qubit alone, whose
 four entries are read and checked once. CustomLocal is the general mixture and
@@ -180,11 +180,6 @@ class BinaryPovm:
         pair.setflags(write=False)
         object.__setattr__(self, "b0", pair[0])
         object.__setattr__(self, "b1", pair[1])
-
-
-def singlet_projector_bc() -> BinaryPovm:
-    """Ideal analyzer: b1 projects the Bob + referee pair onto |Psi->."""
-    return BinaryPovm(_IDENTITY4 - _SINGLET, _SINGLET)
 
 
 def partial_bsm_povm(visibility: float) -> BinaryPovm:

@@ -354,12 +354,6 @@ def bloch_to_density(n: np.ndarray) -> np.ndarray:
     return np.array(_density_entries(*check_bloch(n).tolist()), dtype=complex)
 
 
-def density_to_bloch(m: np.ndarray) -> np.ndarray:
-    """Bloch vector of a Hermitian qubit operator, component i = Re tr(m sigma_i)."""
-    m = check_hermitian(m, 2, "density_to_bloch operator")
-    return np.array([np.trace(m @ _PAULI[i]).real for i in range(3)])
-
-
 def real_trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Re tr(a b), the Born-rule pairing of a state with an effect.
 

@@ -11,7 +11,7 @@ j in {1, 2, 3} and s in {+1, -1}; the state for key (j, s) is (1 + n.sigma)/2,
 and a frozen RefereeEnsemble stores the six checked n once, as one read-only
 (6, 3) stack in SETTING_KEYS order, and caches on the first read their
 density matrices as one read-only (3, 2, 2, 2) stack, the one the honest
-pairing and the channel check read. The ideal ensemble has n = s * e_j.
+pairing reads. The ideal ensemble has n = s * e_j.
 
 Every witness reader in game and witness takes an ensemble's sums from its
 one WitnessForm, built here and cached on the first read, read-only with
@@ -257,6 +257,6 @@ def load_ensemble(path: str) -> RefereeEnsemble:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
             raise ValueError(f"could not parse ensemble JSON {path}: {exc}") from exc
     return ensemble_from_dict(data)

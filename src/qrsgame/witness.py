@@ -25,11 +25,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .game import CustomLocal, GameSpec, HonestQuantum, LocalComponent, Strategy
-from .game import BinaryPovm, CountTable, _cell_rows, _substream, exact_payoff
-from .qmath import _as_numbers, _rebuilt_from, check_fraction, check_integer, check_nonnegative
-from .qmath import check_real, check_seed, check_type, density_to_bloch, identity, pauli, tensor
-from .states import SETTING_KEYS, SIGN_TRIPLES, SQRT3, TWO_SQRT3, RefereeEnsemble
+from .game import BinaryPovm, CountTable, GameSpec, HonestQuantum, _substream, exact_payoff
+from .qmath import _rebuilt_from, check_fraction, check_integer, check_nonnegative, check_real
+from .qmath import check_seed, check_type, identity, pauli
+from .states import SETTING_KEYS, SIGN_TRIPLES, TWO_SQRT3, RefereeEnsemble
 from .states import _first_max, _sign_tables, _top_eigenvalues, check_signs
 from .states import werner_state
 
@@ -368,73 +367,6 @@ def regime_at(w: float, w_game: float) -> str:
     if w > W_NO_BELL:
         return REGIME_OPEN_WINDOW
     return REGIME_STEERABLE_NO_BELL
-
-
-def regime_classify(w: float, r: float) -> str:
-    """Place a Werner weight on the steering/Bell map for a game at rate r
-    played with the ideal analyzer and ensemble, where W_game = r/sqrt(3)."""
-    check_fraction(w, "Werner weight")  # before the rate, so a bad weight is the error reported
-    return regime_at(w, check_nonnegative(r, "penalty rate r") / SQRT3)
-
-
-def _check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    kraus = kraus if np.iterable(kraus) else ()
-    ops = tuple(_as_numbers(k, complex, "Kraus operator") for k in kraus)
-    if not ops or any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
-        raise ValueError("channel must be given as finite 2x2 Kraus operators")
-    total = sum(k.conj().T @ k for k in ops)
-    if np.max(np.abs(total - identity(2))) > 1e-9:
-        raise ValueError("Kraus operators violate completeness beyond 1e-9")
-    return ops
-
-
-def _apply(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    # The channel sum_i K_i rho K_i^dag, on Kraus operators that _check_kraus has passed.
-    return sum(k @ rho @ k.conj().T for k in ops)
-
-
-def _dual(ops: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
-    # The dual map sum_i K_i^dag E K_i, on Kraus operators that _check_kraus has passed.
-    return sum(k.conj().T @ effect @ k for k in ops)
-
-
-def _channel_ensemble(ops: tuple[np.ndarray, ...], ensemble: RefereeEnsemble) -> RefereeEnsemble:
-    # Every referee state sent through the channel of checked Kraus operators.
-    states = ensemble.density_stack.reshape(6, 2, 2)
-    vectors = (density_to_bloch(_apply(ops, rho)) for rho in states)
-    return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors)))
-
-
-def _dual_strategy(ops: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
-    # Bob's side of the strategy through the dual map of checked Kraus operators.
-    if isinstance(strategy, HonestQuantum):
-        # The dual map acts on the referee factor only; b0 follows from b1
-        # because the dual of a trace-preserving channel is unital.
-        b1 = _dual(tuple(tensor(identity(2), k) for k in ops), strategy.bob_povm.b1)
-        return HonestQuantum(strategy.shared_state, BinaryPovm(identity(4) - b1, b1))
-    return CustomLocal(LocalComponent(c.weight, c.alice_plus, _dual(ops, c.effect))
-                       for c in strategy.components)
-
-
-def channel_covariance_check(
-    ensemble: RefereeEnsemble,
-    kraus: tuple[np.ndarray, ...],
-    strategy: Strategy,
-) -> bool:
-    """Verify that a channel on the referee states only relabels Bob's POVM.
-
-    Sending every referee state through the channel while Bob keeps his
-    measurement gives the same joint probabilities, within 1e-9 on every
-    cell, as keeping the states and handing Bob the dual-transformed
-    measurement. Since soundness quantifies over all of Bob's measurements,
-    such a channel can never open a loophole.
-    """
-    check_type(ensemble, RefereeEnsemble, "ensemble")
-    ops = _check_kraus(kraus)
-    state_route = _cell_rows(strategy, _channel_ensemble(ops, ensemble))
-    povm_route = _cell_rows(_dual_strategy(ops, strategy), ensemble)
-    return all(abs(p - q) <= 1e-9 for row, other in zip(state_route, povm_route)
-               for p, q in zip(row, other))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
-"""Random ensembles, ensemble transforms, Bell-state oracles and the two
-fuzz families of no-steering strategies shared by the test modules."""
+"""Random ensembles, ensemble transforms, Bell-state oracles, the two
+fuzz families of no-steering strategies, the ideal analyzer, the ideal-game
+regime map and the channel covariance check shared by the test modules."""
 
 import numpy as np
 
-from qrsgame.game import BinaryPovm, CustomLocal, LhsDeterministic, LocalComponent
-from qrsgame.qmath import bloch_to_density, eig_hermitian, identity, real_trace_product, tensor
-from qrsgame.states import SETTING_KEYS, RefereeEnsemble, referee_ideal
+from qrsgame.game import _IDENTITY4, BinaryPovm, CustomLocal, HonestQuantum, LhsDeterministic
+from qrsgame.game import LocalComponent, Strategy, _cell_rows
+from qrsgame.qmath import _as_numbers, bloch_to_density, check_fraction, check_hermitian
+from qrsgame.qmath import check_nonnegative, check_type, eig_hermitian, identity, pauli
+from qrsgame.qmath import real_trace_product, tensor
+from qrsgame.states import _SINGLET, SETTING_KEYS, SQRT3, RefereeEnsemble, referee_ideal
+from qrsgame.witness import regime_at
 
 # The four Bell kets, |Psi-+> = (|01> -+ |10>)/sqrt(2) and
 # |Phi-+> = (|00> -+ |11>)/sqrt(2), with entries 1/sqrt(2), and their projectors.
@@ -97,3 +102,85 @@ def random_local_strategy(rng: np.random.Generator, n_components: int = 3) -> Cu
         effect = rng.random() * s / eig_hermitian(s)[0]
         components.append(LocalComponent(float(w), alice, effect))
     return CustomLocal(tuple(components))
+
+
+def singlet_projector_bc() -> BinaryPovm:
+    """Ideal analyzer: b1 projects the Bob + referee pair onto |Psi->. It is
+    partial_bsm_povm(1.0) in value; b1 differs from it in bits only in the
+    sign of three zero imaginary parts."""
+    return BinaryPovm(_IDENTITY4 - _SINGLET, _SINGLET)
+
+
+def regime_classify(w: float, r: float) -> str:
+    """Place a Werner weight on the steering/Bell map for a game at rate r
+    played with the ideal analyzer and ensemble, where W_game = r/sqrt(3)."""
+    check_fraction(w, "Werner weight")  # before the rate, so a bad weight is the error reported
+    return regime_at(w, check_nonnegative(r, "penalty rate r") / SQRT3)
+
+
+def density_to_bloch(m: np.ndarray) -> np.ndarray:
+    """Bloch vector of a Hermitian qubit operator, component i = Re tr(m sigma_i)."""
+    m = check_hermitian(m, 2, "density_to_bloch operator")
+    return np.array([np.trace(m @ pauli(i)).real for i in (1, 2, 3)])
+
+
+def check_kraus(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The Kraus operators of a qubit channel as complex arrays: finite,
+    2x2 and complete within 1e-9."""
+    kraus = kraus if np.iterable(kraus) else ()
+    ops = tuple(_as_numbers(k, complex, "Kraus operator") for k in kraus)
+    if not ops or any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
+        raise ValueError("channel must be given as finite 2x2 Kraus operators")
+    total = sum(k.conj().T @ k for k in ops)
+    if np.max(np.abs(total - identity(2))) > 1e-9:
+        raise ValueError("Kraus operators violate completeness beyond 1e-9")
+    return ops
+
+
+def apply_channel(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
+    """The channel sum_i K_i rho K_i^dag."""
+    return sum(k @ rho @ k.conj().T for k in ops)
+
+
+def dual_channel(ops: tuple[np.ndarray, ...], effect: np.ndarray) -> np.ndarray:
+    """The dual map sum_i K_i^dag E K_i."""
+    return sum(k.conj().T @ effect @ k for k in ops)
+
+
+def channel_ensemble(ops: tuple[np.ndarray, ...], ensemble: RefereeEnsemble) -> RefereeEnsemble:
+    """Every referee state sent through the channel."""
+    states = ensemble.density_stack.reshape(6, 2, 2)
+    vectors = (density_to_bloch(apply_channel(ops, rho)) for rho in states)
+    return RefereeEnsemble(dict(zip(SETTING_KEYS, vectors)))
+
+
+def dual_strategy(ops: tuple[np.ndarray, ...], strategy: Strategy) -> Strategy:
+    """Bob's side of the strategy through the dual map."""
+    if isinstance(strategy, HonestQuantum):
+        # The dual map acts on the referee factor only; b0 follows from b1
+        # because the dual of a trace-preserving channel is unital.
+        b1 = dual_channel(tuple(tensor(identity(2), k) for k in ops), strategy.bob_povm.b1)
+        return HonestQuantum(strategy.shared_state, BinaryPovm(identity(4) - b1, b1))
+    return CustomLocal(LocalComponent(c.weight, c.alice_plus, dual_channel(ops, c.effect))
+                       for c in strategy.components)
+
+
+def channel_covariance_check(
+    ensemble: RefereeEnsemble,
+    kraus: tuple[np.ndarray, ...],
+    strategy: Strategy,
+) -> bool:
+    """Verify that a channel on the referee states only relabels Bob's POVM.
+
+    Sending every referee state through the channel while Bob keeps his
+    measurement gives the same joint probabilities, within 1e-9 on every
+    cell, as keeping the states and handing Bob the dual-transformed
+    measurement. Since soundness quantifies over all of Bob's measurements,
+    such a channel can never open a loophole.
+    """
+    check_type(ensemble, RefereeEnsemble, "ensemble")
+    ops = check_kraus(kraus)
+    state_route = _cell_rows(strategy, channel_ensemble(ops, ensemble))
+    povm_route = _cell_rows(dual_strategy(ops, strategy), ensemble)
+    return all(abs(p - q) <= 1e-9 for row, other in zip(state_route, povm_route)
+               for p, q in zip(row, other))

@@ -17,7 +17,6 @@ from qrsgame.game import (
     exact_payoff,
     realize_lhs_best,
     simulate_runs,
-    singlet_projector_bc,
 )
 from qrsgame.states import referee_ideal, werner_state
 from qrsgame.witness import (
@@ -25,16 +24,21 @@ from qrsgame.witness import (
     TWO_SQRT3,
     assignment_vectors,
     calibrate,
-    channel_covariance_check,
     chsh_werner,
     lhs_bound,
-    regime_classify,
     report_to_dict,
     rstar_oracle,
     rstar_printed,
 )
 
-from helpers import perturbed_ensemble, random_lhs_strategy, random_local_strategy
+from helpers import (
+    channel_covariance_check,
+    perturbed_ensemble,
+    random_lhs_strategy,
+    random_local_strategy,
+    regime_classify,
+    singlet_projector_bc,
+)
 
 IDEAL = referee_ideal()
 POVM = singlet_projector_bc()

@@ -279,6 +279,16 @@ class TestCalibrate:
         assert main(["calibrate", "--ensemble", str(path)]) == 2
         assert "could not parse" in capsys.readouterr().err
 
+    def test_deeply_nested_ensemble_json_exits_2(self, tmp_path, capsys):
+        """JSON nested past the interpreter's recursion limit is a parse
+        failure that names the file, not a RecursionError traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["calibrate", "--ensemble", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: could not parse ensemble JSON {path}: ")
+
     def test_missing_file(self, capsys):
         assert main(["calibrate", "--ensemble", "/nonexistent/e.json"]) == 2
 
@@ -460,6 +470,18 @@ class TestParser:
     def test_out_of_range_weight(self, capsys):
         assert main(["payoff", "--W", "1.5", "--r", "1"]) == 2
         assert "Werner weight" in capsys.readouterr().err
+
+    def test_abbreviated_flags_rejected(self, capsys):
+        """No parser completes a prefix of a flag: --vis is not --visibility."""
+        assert main(["payoff", "--W", "0.698", "--r", "1.081", "--vis", "0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --vis 0.9" in captured.err
+        for argv in (["calibrate", "--ens", "e.json"], ["sweep", "--st", "3"],
+                     ["simulate", "--W", "1", "--n", "5", "--se", "1"],
+                     ["chsh", "--W", "1", "--form", "json"], ["--he"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().out == ""
 
 
 def test_module_entry_point(tmp_path):

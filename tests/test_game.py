@@ -32,7 +32,6 @@ from qrsgame.game import (
     partial_bsm_povm,
     realize_lhs_best,
     simulate_runs,
-    singlet_projector_bc,
 )
 from qrsgame.qmath import (
     HERMITIAN_TOL,
@@ -40,7 +39,6 @@ from qrsgame.qmath import (
     TRACE_TOL,
     bloch_to_density,
     check_hermitian,
-    density_to_bloch,
     identity,
     partial_trace,
     pauli,
@@ -54,13 +52,18 @@ from qrsgame.states import (
     referee_state,
     werner_state,
 )
-from qrsgame.witness import SIGN_TRIPLES, CountRecord, _check_kraus, _dual, _dual_strategy
+from qrsgame.witness import SIGN_TRIPLES, CountRecord
 
 from helpers import (
     BELL_PROJECTORS,
+    check_kraus,
+    density_to_bloch,
+    dual_channel,
+    dual_strategy,
     perturbed_ensemble,
     random_lhs_strategy,
     random_local_strategy,
+    singlet_projector_bc,
 )
 
 CELLS = ((1, 1), (1, 0), (-1, 1), (-1, 0))
@@ -239,6 +242,48 @@ class TestPovms:
     def test_visibility_limits(self):
         assert np.allclose(partial_bsm_povm(1.0).b1, singlet_projector_bc().b1)
         assert np.allclose(partial_bsm_povm(0.0).b1, identity(4) / 2.0)
+
+    def test_unit_visibility_is_the_ideal_analyzer_up_to_signed_zeros(self):
+        """The package's ideal analyzer is partial_bsm_povm(1.0). Its b0 has
+        the bits of the singlet projector's complement. Its b1 has the
+        singlet's value, and differs in bits only in three imaginary parts,
+        +0.0 here and -0.0 in the singlet, at entries (0, 2), (1, 2) and (3, 2)."""
+        ideal, unit = singlet_projector_bc(), partial_bsm_povm(1.0)
+
+        def bits(m):
+            return np.ascontiguousarray(m).view(np.uint64)
+
+        assert ideal.b0.tobytes() == unit.b0.tobytes()
+        assert np.array_equal(ideal.b1, unit.b1)
+        assert bits(ideal.b1.real).tobytes() == bits(unit.b1.real).tobytes()
+        moved = np.argwhere(bits(ideal.b1.imag) != bits(unit.b1.imag)).tolist()
+        assert moved == [[0, 2], [1, 2], [3, 2]]
+        assert not ideal.b1.imag.any() and not np.signbit(unit.b1.imag).any()
+
+    def test_unit_visibility_plays_the_ideal_analyzer_bit_for_bit(self):
+        """The signed zeros never reach a result: honest exact payoffs,
+        seeded tallies and their estimates are the same bits with either
+        analyzer, over Werner weights, rates and perturbed ensembles."""
+        ideal, unit = singlet_projector_bc(), partial_bsm_povm(1.0)
+        rng = np.random.default_rng(121)
+        cases = [(canonical_game(r), referee_ideal()) for r in (0.0, 1.0, 1.081, SQRT3)]
+        cases += [(canonical_game(float(rng.uniform(0.0, 2.0))), perturbed_ensemble(rng))
+                  for _ in range(4)]
+        for w in np.linspace(0.0, 1.0, 21):
+            state = werner_state(float(w))
+            for spec, ens in cases:
+                want = exact_payoff(spec, HonestQuantum(state, ideal), ens)
+                got = exact_payoff(spec, HonestQuantum(state, unit), ens)
+                assert got.hex() == want.hex(), (w, spec.r)
+        spec, ens = cases[2]
+        for w in np.linspace(0.0, 1.0, 20):
+            state = werner_state(float(w))
+            for seed in range(10):
+                want = simulate_runs(spec, HonestQuantum(state, ideal), ens, 40, seed)
+                got = simulate_runs(spec, HonestQuantum(state, unit), ens, 40, seed)
+                assert got.counts == want.counts, (w, seed)
+                estimates = (estimate_payoff(spec, got), estimate_payoff(spec, want))
+                assert len({(e.value.hex(), e.stderr.hex()) for e in estimates}) == 1
 
     def test_visibility_click_rate_on_singlet(self):
         povm = partial_bsm_povm(0.89)
@@ -789,7 +834,7 @@ class TestJointProbabilities:
             assert_bitwise(strat, ens)
             g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
             q, _ = np.linalg.qr(g)
-            assert_bitwise(_dual_strategy((q[:2], q[2:]), strat), ens)
+            assert_bitwise(dual_strategy((q[:2], q[2:]), strat), ens)
 
     def test_lhs_matches_brute_force(self):
         rng = np.random.default_rng(102)
@@ -823,7 +868,7 @@ class TestJointProbabilities:
         component's effect against the referee density matrix, for random
         mixtures, their channel duals and random LHS adversaries."""
         rng = np.random.default_rng(105)
-        kraus = _check_kraus((
+        kraus = check_kraus((
             np.sqrt(0.8) * identity(2),
             np.sqrt(0.2) * pauli(1),
         ))
@@ -832,7 +877,7 @@ class TestJointProbabilities:
             mix = random_local_strategy(rng, n_components=int(rng.integers(1, 5)))
             strategies.append(mix)
             strategies.append(CustomLocal(tuple(
-                LocalComponent(c.weight, dict(c.alice_plus), _dual(kraus, c.effect))
+                LocalComponent(c.weight, dict(c.alice_plus), dual_channel(kraus, c.effect))
                 for c in mix.components
             )))
             strategies.append(random_lhs_strategy(rng))
@@ -900,7 +945,7 @@ class TestExactPayoff:
             )
             ens = referee_ideal() if k % 50 == 0 else perturbed_ensemble(rng)
             spec = canonical_game(float(2.0 * rng.random()))
-            dual = _dual_strategy(random_kraus(rng), strat)
+            dual = dual_strategy(random_kraus(rng), strat)
             for s in (strat, dual):
                 got = exact_payoff(spec, s, ens)
                 assert abs(got - per_setting_payoff(spec, s, ens)) <= 1e-12

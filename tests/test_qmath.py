@@ -22,7 +22,6 @@ from qrsgame.qmath import (
     DensityCheck,
     bloch_to_density,
     check_hermitian,
-    density_to_bloch,
     eig_hermitian,
     hermiticity_defect,
     identity,
@@ -37,7 +36,7 @@ from qrsgame.qmath import (
 )
 from qrsgame.states import werner_state
 
-from helpers import BELL_PROJECTORS
+from helpers import BELL_PROJECTORS, density_to_bloch
 
 
 def random_hermitian(rng, dim):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qrsgame import states
-from qrsgame.game import singlet_projector_bc
 from qrsgame.qmath import identity, is_density_matrix, partial_trace, real_trace_product
 from qrsgame.states import (
     SETTING_KEYS,
@@ -28,6 +27,7 @@ from helpers import (
     fidelity_pure,
     random_rotation,
     rotate_ensemble,
+    singlet_projector_bc,
     werner_from_bell_weights,
 )
 
@@ -149,7 +149,7 @@ class TestRefereeEnsemble:
         """A key that only compares equal to a setting key, such as (1.0, 1)
         or (2, True), is rejected by the constructor, by vector and by the
         readers that look a key up; numpy integers are integers."""
-        from qrsgame.game import HonestQuantum, joint_probabilities, singlet_projector_bc
+        from qrsgame.game import HonestQuantum, joint_probabilities
 
         ideal = referee_ideal()
         for bad in ((1.0, 1), (2, True), (np.float64(3.0), -1)):

@@ -13,9 +13,10 @@ from qrsgame.game import (
     LhsDeterministic,
     LocalComponent,
     canonical_game,
-    singlet_projector_bc,
 )
 from qrsgame.states import referee_ideal, werner_state
+
+from helpers import singlet_projector_bc
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

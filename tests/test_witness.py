@@ -19,7 +19,6 @@ from qrsgame.game import (
     canonical_game,
     exact_payoff,
     partial_bsm_povm,
-    singlet_projector_bc,
 )
 from qrsgame.qmath import identity, pauli, real_trace_product, tensor
 from qrsgame.states import (
@@ -39,12 +38,10 @@ from qrsgame.witness import (
     assignment_vectors,
     bootstrap_calibration,
     calibrate,
-    channel_covariance_check,
     chsh_werner,
     ensemble_from_counts,
     lhs_bound,
     regime_at,
-    regime_classify,
     report_to_dict,
     rstar_oracle,
     rstar_printed,
@@ -53,14 +50,22 @@ from qrsgame.witness import (
     worst_assignment,
 )
 
+import helpers
 from helpers import (
+    apply_channel,
+    channel_covariance_check,
+    channel_ensemble,
+    check_kraus,
     depolarize_ensemble,
+    dual_channel,
     fidelity_pure,
     perturbed_ensemble,
     random_lhs_strategy,
     random_local_strategy,
     random_rotation,
+    regime_classify,
     rotate_ensemble,
+    singlet_projector_bc,
 )
 
 
@@ -720,13 +725,13 @@ class TestChannels:
             rho /= np.trace(rho).real
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             effect = h + h.conj().T
-            ops = witness._check_kraus(kraus)
-            lhs = np.trace(effect @ witness._apply(ops, rho))
-            rhs = np.trace(witness._dual(ops, effect) @ rho)
+            ops = check_kraus(kraus)
+            lhs = np.trace(effect @ apply_channel(ops, rho))
+            rhs = np.trace(dual_channel(ops, effect) @ rho)
             assert math.isclose(lhs.real, rhs.real, abs_tol=1e-12)
 
     def test_depolarizing_shrinks_bloch_vectors(self):
-        moved = witness._channel_ensemble(witness._check_kraus(DEPOLARIZING_03), referee_ideal())
+        moved = channel_ensemble(check_kraus(DEPOLARIZING_03), referee_ideal())
         for key in SETTING_KEYS:
             assert np.allclose(moved.vector(*key), 0.7 * referee_ideal().vector(*key))
 
@@ -772,16 +777,16 @@ class TestChannels:
             assert channel_covariance_check(referee_ideal(), (q,), strat)
 
     def test_covariance_checks_kraus_once(self, monkeypatch):
-        """One covariance check runs _check_kraus once, however many states
+        """One covariance check runs check_kraus once, however many states
         and components the channel is applied to."""
         calls = []
-        check = witness._check_kraus
+        check = helpers.check_kraus
 
         def counted(kraus):
             calls.append(kraus)
             return check(kraus)
 
-        monkeypatch.setattr(witness, "_check_kraus", counted)
+        monkeypatch.setattr(helpers, "check_kraus", counted)
         rng = np.random.default_rng(210)
         strat = random_local_strategy(rng, n_components=3)
         assert channel_covariance_check(perturbed_ensemble(rng), DEPOLARIZING_03, strat)
@@ -799,13 +804,13 @@ class TestChannels:
             random_local_strategy(rng),
         )
         calls = []
-        build = witness._cell_rows
-        monkeypatch.setattr(witness, "_cell_rows", lambda s, e: calls.append(s) or build(s, e))
+        build = helpers._cell_rows
+        monkeypatch.setattr(helpers, "_cell_rows", lambda s, e: calls.append(s) or build(s, e))
 
         def forbidden(*args):
             raise AssertionError("the covariance check left its two tables")
 
-        for module in (game, qmath, states, witness):
+        for module in (game, qmath, states, witness, helpers):
             for name in ("joint_probabilities", "bloch_to_density"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
